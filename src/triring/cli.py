@@ -195,7 +195,7 @@ def _cmd_hyper(args):
         fam = hypergeom.y_series(point, p, args.order)
         series_json = {k: s.to_json_obj() for k, s in fam.series_map().items()}
         if point == "zero":
-            tau, q = hypergeom.tau_q_series_at_zero(p, args.order)
+            tau, q = hypergeom._tau_q(fam.u0, hypergeom.u_series("u1", p, args.order))
             series_json["tau"] = tau.to_json_obj()
             series_json["q"] = q.to_json_obj()
         payload = {

@@ -95,10 +95,6 @@ class InconclusiveOrder(TriringError):
         self.prec = prec
 
 
-#: short alias used in error contracts
-Inconclusive = InconclusiveOrder
-
-
 # --- hypergeometric construction ----------------------------------------------
 
 class PolarParameter(TriringError):

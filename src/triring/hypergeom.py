@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutLineViolation, PolarParameter
+from .errors import CutLineViolation, PolarParameter, TruncationExhausted
 from .params import TriangleParams, derived_constants
 from .ring import Poly
 from .series import PuiseuxSeries
@@ -54,16 +54,6 @@ def pochhammer_falling(x, n):
     out = Fraction(1)
     for i in range(n):
         out *= x - i
-    return out
-
-
-def pochhammer_rising(x, n):
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
     return out
 
 
@@ -197,8 +187,11 @@ def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
 
 def tau_q_series_at_zero(params: TriangleParams, N=DEFAULT_ORDER):
     """tau = u1/u0 (order 1 - gamma) and q = exp(tau), exact at z = 0."""
-    u0 = u_series("u0", params, N)
-    u1 = u_series("u1", params, N)
+    return _tau_q(u_series("u0", params, N), u_series("u1", params, N))
+
+
+def _tau_q(u0, u1):
+    """tau = u1/u0 and q = exp(tau) from the two series at z = 0."""
     tau = (u1 / u0).normalize_ram()
     return tau, tau.exp()
 
@@ -306,7 +299,11 @@ def connection_constants(params: TriangleParams) -> ConnectionConstants:
 
 
 def hyp2f1_numeric(a, b, c, z, tol=1e-15, max_terms=200_000):
-    """Plain series evaluation of 2F1; requires |z| < 1."""
+    """Plain series evaluation of 2F1; requires |z| < 1.
+
+    Raises :class:`TruncationExhausted` when the terms have not fallen
+    below ``tol`` relative to the sum within ``max_terms`` terms.
+    """
     z = complex(z)
     if abs(z) >= 1:
         raise ValueError("series evaluation needs |z| < 1")
@@ -318,7 +315,10 @@ def hyp2f1_numeric(a, b, c, z, tol=1e-15, max_terms=200_000):
         total += term
         if abs(term) < tol * max(abs(total), 1e-30) and n > 8:
             return total
-    return total
+    raise TruncationExhausted(
+        f"2F1({a}, {b}; {c}; {z}) not converged after {max_terms} terms; "
+        f"last term {abs(term):.3e}"
+    )
 
 
 def hyp2f1_numeric_ext(a, b, c, z):

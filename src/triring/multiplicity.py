@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import hypergeom
 from .errors import (
@@ -55,7 +57,7 @@ class OrdReport:
 def generator_series(params: TriangleParams, N: int):
     """Exact z = 0 series of tau, q, y0, y1, y2 (plus u0^2), cached."""
     fam = hypergeom.y_series("zero", params, N)
-    tau, q = hypergeom.tau_q_series_at_zero(params, N)
+    tau, q = hypergeom._tau_q(fam.u0, hypergeom.u_series("u1", params, N))
     return {
         "tau": tau,
         "q": q,
@@ -321,33 +323,48 @@ def profile_bound(profile):
 
 
 def _monomial_series_cache(params, profile, N):
+    """Series of every monomial in the profile box, keyed by exponents.
+
+    Each monomial is its parent (the same exponents with the last
+    nonzero one lowered by one) times one generator, so the box costs
+    one series product per monomial of total degree two or more.
+    """
     gens = generator_series(params, N)
-    names = AFFINE_VARS
-    pow_cache = {}
-    for name, top in zip(names, profile):
-        pows = {0: None}
-        acc = None
-        for e in range(1, top + 1):
-            acc = gens[name] if acc is None else acc * gens[name]
-            pows[e] = acc
-        pow_cache[name] = pows
     boxes = {}
-
-    def build(exps):
-        total = None
-        for name, e in zip(names, exps):
-            if not e:
-                continue
-            f = pow_cache[name][e]
-            total = f if total is None else total * f
-        if total is None:
-            prec = min(g.prec for g in gens.values())
-            total = PuiseuxSeries.constant(Fraction(1), prec)
-        return total
-
     for exps in itertools.product(*(range(d + 1) for d in profile)):
-        boxes[exps] = build(exps)
+        last = max((i for i, e in enumerate(exps) if e), default=None)
+        if last is None:
+            prec = min(g.prec for g in gens.values())
+            boxes[exps] = PuiseuxSeries.constant(Fraction(1), prec)
+            continue
+        gen = gens[AFFINE_VARS[last]]
+        parent = exps[:last] + (exps[last] - 1,) + exps[last + 1:]
+        boxes[exps] = boxes[parent] * gen if any(parent) else gen
     return boxes
+
+
+def _integer_columns(box):
+    """The box as ``(ram, [(k, column), ...])`` with integer columns.
+
+    Every series is put on one ``ram`` grid and cut at the least ``prec``
+    of the box.  Column ``k`` holds the coefficients of x^(k/ram), one
+    per monomial in box order, times the lcm of their denominators; a
+    positive scale per column keeps each zero test of a dot product
+    exact.  Columns come in increasing order of ``k``.
+    """
+    series = list(box.values())
+    ram = math.lcm(*(s.ram for s in series))
+    limit = min(s.prec for s in series) * ram
+    rows = []
+    for s in series:
+        f = ram // s.ram
+        rows.append({k * f: c for k, c in s.coeffs.items() if k * f < limit})
+    columns = []
+    for k in sorted(set().union(*rows)):
+        entries = [row.get(k, 0) for row in rows]
+        scale = math.lcm(*(c.denominator for c in entries))
+        columns.append((k, [int(c * scale) for c in entries]))
+    return ram, columns
 
 
 def bound_audit(
@@ -361,40 +378,41 @@ def bound_audit(
 
     Draws dense random polynomials with coefficients in {-9..9} minus 0
     on the requested profile box, computes each exact order at 0, and
-    reports the maximum against M1*M2^4.  Inconclusive samples retry on
-    a doubled-order cache; any that stay inconclusive are skipped and
-    counted, never silently dropped.
+    reports the maximum against M1*M2^4.
+
+    A sample is evaluated as integer dot products: the monomial series
+    of the box become integer columns, one per exponent below the box's
+    precision, each scaled by the lcm of its denominators.  The order of
+    a sample is the exponent of the first column whose dot product with
+    its coefficient vector is nonzero.  When every column gives zero the
+    sample is inconclusive and retries on the box at doubled order; any
+    that stay inconclusive are skipped and counted, never silently
+    dropped.
     """
     profile = tuple(int(d) for d in profile)
     if len(profile) != 5 or any(d < 0 for d in profile):
         raise ValueError("profile must be five nonnegative partial degrees")
     m1, m2, bound = profile_bound(profile)
     rng = random.Random(seed)
-    draws = []
     nonzero = [i for i in range(-9, 10) if i]
-    box = list(itertools.product(*(range(d + 1) for d in profile)))
-    for _ in range(samples):
-        draws.append({exps: Fraction(rng.choice(nonzero)) for exps in box})
+    size = math.prod(d + 1 for d in profile)
+    draws = [[rng.choice(nonzero) for _ in range(size)] for _ in range(samples)]
 
-    ords = []
     pending = list(range(samples))
-    skipped = 0
     order = N
     results = {}
-    for attempt in range(MAX_DOUBLINGS + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         if not pending:
             break
-        cache = _monomial_series_cache(params, profile, order)
-        # common grid accumulation
+        ram, columns = _integer_columns(_monomial_series_cache(params, profile, order))
         still = []
         for idx in pending:
-            total = None
-            for exps, coef in draws[idx].items():
-                term = cache[exps].scale(coef)
-                total = term if total is None else total + term
-            try:
-                results[idx] = total.ord()
-            except InconclusiveOrder:
+            sample = draws[idx]
+            for k, column in columns:
+                if sum(map(mul, column, sample)):
+                    results[idx] = Fraction(k, ram)
+                    break
+            else:
                 still.append(idx)
         pending = still
         order *= 2

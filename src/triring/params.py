@@ -14,11 +14,6 @@ from math import lcm
 from .errors import NotUnitFraction, OrderingViolated, SumConstraintViolated
 
 
-def parse_rational(text):
-    """Parse ``num/den`` (optional leading minus) into a ``Fraction``."""
-    return Fraction(str(text).strip())
-
-
 @dataclass(frozen=True)
 class TriangleParams:
     """Validated triple ``alpha < beta < gamma`` of unit fractions.

@@ -367,14 +367,6 @@ class PuiseuxSeries:
             total += _coeff_complex(c, bindings) * cmath.exp(logx * (k / self.ram))
         return total
 
-    def map_coefficients(self, fn, domain=None):
-        return PuiseuxSeries(
-            self.ram,
-            {k: fn(c) for k, c in self.coeffs.items()},
-            self.prec,
-            domain or self.domain,
-        )
-
     def to_json_obj(self):
         if self.coeffs:
             base = Fraction(min(self.coeffs), self.ram)

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from triring import hypergeom as hg
-from triring.errors import CutLineViolation, PolarParameter
+from triring.errors import CutLineViolation, PolarParameter, TruncationExhausted
 from triring.params import derived_constants, validate
 from triring.ring import Poly
 from triring.series import PuiseuxSeries
@@ -177,6 +177,19 @@ def test_hyp2f1_numeric_against_mpmath():
         ours = hg.hyp2f1_numeric_ext(0.2, 0.25, 0.5, z)
         theirs = complex(mp.hyp2f1(0.2, 0.25, 0.5, z))
         assert abs(ours - theirs) < 1e-10 * abs(theirs)
+
+
+def test_hyp2f1_numeric_raises_when_terms_run_out():
+    # at |z| = 0.999 the terms shrink by about 0.1% each, far too slowly
+    # for 50 terms; the partial sum must not be returned as a value
+    with pytest.raises(TruncationExhausted, match="after 50 terms; last term"):
+        hg.hyp2f1_numeric(0.2, 0.25, 0.5, 0.999, max_terms=50)
+    with pytest.raises(TruncationExhausted):
+        hg.hyp2f1_numeric(0.2, 0.25, 0.5, -0.999j, max_terms=50)
+    # the same call converges once enough terms are allowed
+    ours = hg.hyp2f1_numeric(0.2, 0.25, 0.5, 0.999)
+    theirs = complex(mp.hyp2f1(0.2, 0.25, 0.5, 0.999))
+    assert abs(ours - theirs) < 1e-10 * abs(theirs)
 
 
 def test_numeric_checks_reference_triple():
