@@ -5,7 +5,8 @@ certified identity or residual check fails on the given input (so CI can
 tell an identity regression from an operational failure).  JSON reports
 are emitted with sorted keys and no timestamps: identical seed and
 arguments give byte-identical output.  The environment variable
-``TRIRING_ORDER`` overrides the default truncation order.
+``TRIRING_ORDER`` overrides the default truncation order; a value that
+is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ IDENTITY_ERROR = 2
 
 
 def _default_order():
+    text = os.environ.get("TRIRING_ORDER", "").strip()
     try:
-        return int(os.environ.get("TRIRING_ORDER", "").strip() or 24)
+        return int(text or 24)
     except ValueError:
-        return 24
+        raise ValueError(f"TRIRING_ORDER must be an integer, got {text!r}") from None
 
 
 def _parse_triple(text):
@@ -445,11 +447,13 @@ def build_parser():
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
+    except ValueError as exc:  # a bad TRIRING_ORDER
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     order = getattr(args, "order", None)
     if order is not None and order < 1:
         print("error: --order must be at least 1", file=sys.stderr)

@@ -52,15 +52,15 @@ def _tables(params):
 
 
 def _leibniz(P: Poly, table) -> Poly:
-    result = Poly.zero(P.vars)
+    parts = []
     for exps, coef in P.terms.items():
         for idx, name in enumerate(P.vars):
             e = exps[idx]
             if not e or name not in table or not table[name]:
                 continue
             lowered = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            result = result + Poly(P.vars, {lowered: coef * e}) * table[name]
-    return result
+            parts.append(Poly(P.vars, {lowered: coef * e}) * table[name])
+    return Poly.sum(P.vars, parts)
 
 
 def apply_D(P: Poly, params: TriangleParams) -> Poly:

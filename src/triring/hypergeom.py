@@ -15,9 +15,11 @@ weight-2 combinations y0 = u0 u0', y1 = y0 - u0^2/z, y2 = y0 - u0^2/(z-1)
 and the pair tau = u1/u0, q = exp(tau) are produced as exact rational
 Puiseux series at 0.  At 1 and infinity the expansions go through the
 classical connection formulas; the Gamma-ratio constants enter as opaque
-polynomial symbols (``theta``, ``theta1`` at 1; ``zw``, ``zw1`` at
-infinity, the products of the unit ``zeta1`` with the two connection
-coefficients) with floating bindings supplied for numeric work.
+symbols (``theta``, ``theta1`` at 1; ``zw``, ``zw1`` at infinity, the
+products of the unit ``zeta1`` with the two connection coefficients)
+with floating bindings supplied for numeric work.  u0 = s0 A + s1 B is
+linear in the two symbols, with rational series A and B, so the series
+there are :class:`SymbolicSeries`, one rational series per monomial.
 
 The statement-form constant omega = G(g)G(b-a)/(G(g-a)G(b)) is the one
 the numeric check confirms; the variant with G(alpha) in the denominator
@@ -32,10 +34,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutLineViolation, PolarParameter, TruncationExhausted
+from .errors import CutLineViolation, InconclusiveOrder, PolarParameter, TruncationExhausted
 from .params import TriangleParams, derived_constants
 from .ring import Poly
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, series_json_obj
 
 SYMBOLS_AT_ONE = ("theta", "theta1")
 SYMBOLS_AT_INF = ("zw", "zw1")
@@ -110,12 +112,74 @@ def u_series(which, params: TriangleParams, N=DEFAULT_ORDER):
     return (binom * body).shift(lead)
 
 
+class SymbolicSeries:
+    """A series whose coefficients are polynomials in two symbols.
+
+    ``parts`` maps each symbol monomial (an exponent pair) to a rational
+    :class:`PuiseuxSeries`, all cut at their least ``prec``; that is the
+    precision the series would carry with polynomial coefficients, since
+    min distributes over the sums in the product rule.
+    """
+
+    __slots__ = ("symbols", "parts", "prec")
+
+    def __init__(self, symbols, parts):
+        self.symbols = symbols
+        self.prec = min(s.prec for s in parts.values())
+        self.parts = {m: s.truncate(self.prec) for m, s in parts.items()}
+
+    def _grid(self):
+        """``(ram, {k: {monomial: coefficient}})`` on the parts' common grid."""
+        ram = math.lcm(*(s.ram for s in self.parts.values()))
+        grid = {}
+        for m, s in self.parts.items():
+            for k, c in s.with_ram(ram).coeffs.items():
+                grid.setdefault(k, {})[m] = c
+        return ram, grid
+
+    def _leading(self):
+        ram, grid = self._grid()
+        if not grid:
+            raise InconclusiveOrder(self.prec)
+        k = min(grid)
+        return Fraction(k, ram), Poly(self.symbols, grid[k])
+
+    def ord(self):
+        return self._leading()[0]
+
+    def leading_coeff(self):
+        return self._leading()[1]
+
+    def evaluate(self, x, bindings):
+        """Numeric value at the local variable ``x`` under symbol bindings."""
+        return sum(
+            math.prod(bindings[name] ** e for name, e in zip(self.symbols, m)) * s.evaluate(x)
+            for m, s in self.parts.items()
+        )
+
+    def to_json_obj(self):
+        ram, grid = self._grid()
+        values = {k: Poly(self.symbols, t).to_json_obj() for k, t in grid.items()}
+        return series_json_obj(ram, self.prec, values, "symbolic")
+
+
+def _products(X, Y):
+    """Parts of the product of two symbolic series."""
+    out = {}
+    for (i1, j1), s1 in X.parts.items():
+        for (i2, j2), s2 in Y.parts.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = s1 * s2 if m not in out else out[m] + s1 * s2
+    return out
+
+
 @dataclass
 class ExpansionFamily:
     """The four local series and their building data at one point.
 
     ``u0_dz`` is d(u0)/dz expressed in the local variable, so the chain
-    rule for the local variable has already been applied.
+    rule for the local variable has already been applied.  At 1 and
+    infinity every series is a :class:`SymbolicSeries`.
     """
 
     point: str  # "zero" | "one" | "inf"
@@ -132,11 +196,27 @@ class ExpansionFamily:
         return {"u0sq": self.u0sq, "y0": self.y0, "y1": self.y1, "y2": self.y2}
 
 
-def _family_from_u0(point, local_variable, u0, u0_dz, inv_z, inv_zm1, symbols):
+def _family_from_u0(point, local_variable, u0, u0_dz, inv_z, inv_zm1):
     u0sq = u0 * u0
     y0 = u0 * u0_dz
     y1 = y0 - u0sq * inv_z
     y2 = y0 - u0sq * inv_zm1
+    return ExpansionFamily(point, local_variable, u0, u0_dz, u0sq, y0, y1, y2, ())
+
+
+def _symbolic_family(point, local_variable, A, B, d_dz, inv_z, inv_zm1, symbols):
+    """The family of u0 = s0 A + s1 B for the symbols (s0, s1).
+
+    ``d_dz`` maps a rational series in the local variable to its d/dz.
+    """
+    u0 = SymbolicSeries(symbols, {(1, 0): A, (0, 1): B})
+    u0_dz = SymbolicSeries(symbols, {m: d_dz(s) for m, s in u0.parts.items()})
+    u0sq = SymbolicSeries(symbols, _products(u0, u0))
+    y0 = SymbolicSeries(symbols, _products(u0, u0_dz))
+    y1, y2 = (
+        SymbolicSeries(symbols, {m: y0.parts[m] - s * inv for m, s in u0sq.parts.items()})
+        for inv in (inv_z, inv_zm1)
+    )
     return ExpansionFamily(point, local_variable, u0, u0_dz, u0sq, y0, y1, y2, symbols)
 
 
@@ -153,34 +233,32 @@ def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
         u0_dz = u0.differentiate()
         inv_z = PuiseuxSeries.x_power(Fraction(-1), N)
         inv_zm1 = -_geometric(N)  # 1/(z-1) = -(1 + z + z^2 + ...)
-        return _family_from_u0("zero", "z", u0, u0_dz, inv_z, inv_zm1, ())
+        return _family_from_u0("zero", "z", u0, u0_dz, inv_z, inv_zm1)
     if point in ("one", "1", 1):
-        th = Poly.var(SYMBOLS_AT_ONE, "theta")
-        th1 = Poly.var(SYMBOLS_AT_ONE, "theta1")
         F1 = gauss_2F1(al, be, al + be - ga + 1, N)
         F2 = gauss_2F1(ga - al, ga - be, ga - al - be + 1, N)
         binom = binomial_series(ga / 2, N, argument_sign=-1)  # (1-x)^(gamma/2)
-        bracket = F1.scale(th) + F2.scale(th1).shift(ga - al - be)
-        u0 = (binom * bracket).shift(s)
-        u0_dz = -u0.differentiate()  # x = 1 - z
+        A = (binom * F1).shift(s)
+        B = (binom * F2.shift(ga - al - be)).shift(s)
         inv_z = _geometric(N)  # 1/z = 1/(1-x)
         inv_zm1 = -PuiseuxSeries.x_power(Fraction(-1), N)  # z - 1 = -x
-        return _family_from_u0("one", "1-z", u0, u0_dz, inv_z, inv_zm1, SYMBOLS_AT_ONE)
+        return _symbolic_family(
+            "one", "1-z", A, B, lambda f: -f.differentiate(),  # x = 1 - z
+            inv_z, inv_zm1, SYMBOLS_AT_ONE,
+        )
     if point in ("inf", "infinity", "oo"):
-        zw = Poly.var(SYMBOLS_AT_INF, "zw")
-        zw1 = Poly.var(SYMBOLS_AT_INF, "zw1")
         # argument of both tails is 1/z = -x for x = (-z)^(-1)
         Ft1 = gauss_2F1(al, 1 - ga + al, 1 - be + al, N).scale_argument(-1)
         Ft2 = gauss_2F1(be, 1 - ga + be, 1 - al + be, N).scale_argument(-1)
         binom = binomial_series(s, N, argument_sign=1)  # (1+x)^s
-        bracket = Ft1.scale(zw) + Ft2.scale(zw1).shift(be - al)
-        u0 = (binom * bracket).shift((al - be - 1) / 2)
-        u0_dz = u0.differentiate().shift(2)  # d/dz = x^2 d/dx
+        A = (binom * Ft1).shift((al - be - 1) / 2)
+        B = (binom * Ft2.shift(be - al)).shift((al - be - 1) / 2)
         inv_z = PuiseuxSeries.x_power(Fraction(1), N, Fraction(-1))  # 1/z = -x
         # 1/(z-1) = -x/(1+x)
         inv_zm1 = -(PuiseuxSeries.x_power(Fraction(1), N) * _geometric(N, sign=-1))
-        return _family_from_u0(
-            "inf", "(-z)^(-1)", u0, u0_dz, inv_z, inv_zm1, SYMBOLS_AT_INF
+        return _symbolic_family(
+            "inf", "(-z)^(-1)", A, B, lambda f: f.differentiate().shift(2),  # d/dz = x^2 d/dx
+            inv_z, inv_zm1, SYMBOLS_AT_INF,
         )
     raise ValueError(f"unknown expansion point {point!r}")
 

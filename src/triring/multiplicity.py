@@ -34,7 +34,7 @@ from .errors import (
 from .derivation import is_x_homogeneous, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
-from .series import COMPLEX, PuiseuxSeries
+from .series import PuiseuxSeries
 
 DEFAULT_ORDER = 24
 MAX_DOUBLINGS = 3
@@ -166,9 +166,7 @@ def taylor_u_series(params, z0, N, which):
             if 0 <= n - j < len(coeffs):
                 acc += qq[j] * coeffs[n - j]
         coeffs.append(-acc / (p[0] * (n + 2) * (n + 1)))
-    return PuiseuxSeries(
-        1, {k: v for k, v in enumerate(coeffs)}, len(coeffs), COMPLEX
-    )
+    return PuiseuxSeries(1, dict(enumerate(coeffs)), len(coeffs))
 
 
 def generator_series_at(params, z0, N):
@@ -177,7 +175,7 @@ def generator_series_at(params, z0, N):
     u0 = taylor_u_series(params, z0, N + 4, "u0")
     u1 = taylor_u_series(params, z0, N + 4, "u1")
     u0_d = u0.differentiate()
-    zser = PuiseuxSeries(1, {0: z0, 1: 1.0 + 0j}, N + 4, COMPLEX)
+    zser = PuiseuxSeries(1, {0: z0, 1: 1.0 + 0j}, N + 4)
     y0 = u0 * u0_d
     y1 = y0 - (u0 * u0) / zser
     y2 = y0 - (u0 * u0) / (zser - 1.0)

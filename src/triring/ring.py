@@ -82,6 +82,15 @@ class Poly:
         exps[vars.index(name)] = exponent
         return cls(vars, {tuple(exps): Fraction(1)})
 
+    @classmethod
+    def sum(cls, vars, polys):
+        """Sum of ``polys``, accumulated in one terms dict."""
+        terms = {}
+        for P in polys:
+            for exps, coef in P.terms.items():
+                terms[exps] = terms.get(exps, 0) + coef
+        return cls(vars, terms)
+
     # -- basic protocol --------------------------------------------------------
 
     def __bool__(self):
@@ -206,7 +215,6 @@ class Poly:
             if name not in self.vars:
                 raise DomainMismatch(f"{name} is not a variable of this ring")
             images[name] = image
-        result = Poly.zero(self.vars)
         power_cache = {}
 
         def power(name, k):
@@ -220,6 +228,7 @@ class Poly:
                     power_cache[key] = Poly.const(self.vars, _as_fraction(img) ** k)
             return power_cache[key]
 
+        parts = []
         for exps, coef in self.terms.items():
             term = Poly.const(self.vars, coef)
             for name, e in zip(self.vars, exps):
@@ -229,8 +238,8 @@ class Poly:
                     term = term * power(name, e)
                 else:
                     term = term * Poly.var(self.vars, name, e)
-            result = result + term
-        return result
+            parts.append(term)
+        return Poly.sum(self.vars, parts)
 
     def rename_ring(self, new_vars, mapping):
         """Move to another variable tuple, sending old names per ``mapping``.
@@ -379,19 +388,19 @@ def poly_from_text(text, vars=AFFINE_VARS):
     if text.startswith("{"):
         return Poly.from_json_obj(json.loads(text))
     vars = tuple(vars)
-    result = Poly.zero(vars)
+    terms = {}
     pos = 0
     sign = 1
     coef = None
     exps = None
 
     def flush():
-        nonlocal coef, exps, sign, result
+        nonlocal coef, exps, sign
         if coef is None and exps is None:
             return
         c = Fraction(1) if coef is None else coef
         e = tuple(exps) if exps is not None else (0,) * len(vars)
-        result = result + Poly(vars, {e: sign * c})
+        terms[e] = terms.get(e, 0) + sign * c
         coef, exps, sign = None, None, 1
 
     while pos < len(text):
@@ -417,7 +426,7 @@ def poly_from_text(text, vars=AFFINE_VARS):
                 exps = [0] * len(vars)
             exps[vars.index(name)] += e
     flush()
-    return result
+    return Poly(vars, terms)
 
 
 # -- grading -------------------------------------------------------------------
@@ -564,8 +573,7 @@ def resultant_with_cofactors(P, Q, name):
     n = P.partial_degree(name)
     m = Q.partial_degree(name)
     vars = P.vars
-    A = Poly.zero(vars)
-    B = Poly.zero(vars)
+    a_parts, b_parts = [], []
     for i in range(size):
         minor = [row[:-1] for r, row in enumerate(S) if r != i]
         if size == 1:
@@ -575,9 +583,11 @@ def resultant_with_cofactors(P, Q, name):
         if (i + size - 1) % 2 == 1:
             det = -det
         if i < m:
-            A = A + det * Poly.var(vars, name, m - 1 - i)
+            a_parts.append(det * Poly.var(vars, name, m - 1 - i))
         else:
-            B = B + det * Poly.var(vars, name, n - 1 - (i - m))
+            b_parts.append(det * Poly.var(vars, name, n - 1 - (i - m)))
+    A = Poly.sum(vars, a_parts)
+    B = Poly.sum(vars, b_parts)
     R = A * P + B * Q
     return R, A, B
 

@@ -7,10 +7,8 @@ pessimistically, so no result ever claims more terms than its inputs
 support; ``ord`` raises :class:`InconclusiveOrder` instead of guessing
 when all certified coefficients vanish.
 
-Coefficients may be exact rationals, exact polynomials in adjoined
-constant symbols (:class:`~triring.ring.Poly` over the symbol names), or
-complex floats; the three domains are tagged and rational coefficients
-coerce into either extension, while symbolic and complex never mix.
+Coefficients are exact rationals, or complex floats on the generic-point
+path; Python's own Fraction/complex arithmetic mixes the two.
 """
 
 from __future__ import annotations
@@ -26,67 +24,41 @@ from .errors import (
     NonpositiveOrder,
     NonUnitInverse,
 )
-from .ring import Poly
 
 RATIONAL = "rational"
-SYMBOLIC = "symbolic"
 COMPLEX = "complex"
 
-
-def _domain_of(coef):
-    if isinstance(coef, (Fraction, int)):
-        return RATIONAL
-    if isinstance(coef, Poly):
-        return SYMBOLIC
-    if isinstance(coef, (complex, float)):
-        return COMPLEX
-    raise DomainMismatch(f"unsupported coefficient {coef!r}")
+_SCALARS = (int, Fraction, complex, float)
 
 
-def _merge_domains(d1, d2):
-    if d1 == d2:
-        return d1
-    if RATIONAL in (d1, d2):
-        return d2 if d1 == RATIONAL else d1
-    raise DomainMismatch(f"cannot mix {d1} and {d2} coefficients")
-
-
-def _coerce(coef, domain):
-    if domain == COMPLEX and isinstance(coef, (Fraction, int)):
-        return complex(coef)
-    return coef
+def _ceil_steps(prec, ram):
+    """The least integer ``k`` with ``k >= prec * ram``."""
+    return -(-prec.numerator * ram // prec.denominator)
 
 
 class PuiseuxSeries:
-    __slots__ = ("ram", "coeffs", "prec", "domain")
+    __slots__ = ("ram", "coeffs", "prec")
 
-    def __init__(self, ram, coeffs, prec, domain=None):
+    def __init__(self, ram, coeffs, prec):
         if ram < 1:
             raise ValueError("ramification must be a positive integer")
         self.ram = int(ram)
         self.prec = Fraction(prec)
-        clean = {}
-        seen = RATIONAL
-        for k, c in coeffs.items():
-            if isinstance(c, int):
-                c = Fraction(c)
-            if Fraction(k, self.ram) >= self.prec:
-                continue
-            if _is_zero(c):
-                continue
-            seen = _merge_domains(seen, _domain_of(c))
-            clean[int(k)] = c
-        self.domain = domain or seen
-        if domain is not None:
-            for k in clean:
-                clean[k] = _coerce(clean[k], domain)
-        self.coeffs = clean
+        bound = _ceil_steps(self.prec, self.ram)
+        self.coeffs = {k: c for k, c in coeffs.items() if k < bound and c}
+
+    @property
+    def domain(self):
+        """``"complex"`` when a coefficient is complex or float, else ``"rational"``."""
+        if any(isinstance(c, (complex, float)) for c in self.coeffs.values()):
+            return COMPLEX
+        return RATIONAL
 
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def zero(cls, prec, ram=1, domain=RATIONAL):
-        return cls(ram, {}, prec, domain)
+    def zero(cls, prec, ram=1):
+        return cls(ram, {}, prec)
 
     @classmethod
     def constant(cls, value, prec, ram=1):
@@ -119,8 +91,8 @@ class PuiseuxSeries:
             raise InconclusiveOrder(self.prec)
         k = e * self.ram
         if k.denominator != 1:
-            return _zero_like(self.domain)
-        return self.coeffs.get(k.numerator, _zero_like(self.domain))
+            return Fraction(0)
+        return self.coeffs.get(k.numerator, Fraction(0))
 
     def is_zero_to_prec(self):
         return not self.coeffs
@@ -144,12 +116,9 @@ class PuiseuxSeries:
             if g == 1:
                 return self
         if g == self.ram and not self.coeffs:
-            return PuiseuxSeries(1, {}, self.prec, self.domain)
+            return PuiseuxSeries(1, {}, self.prec)
         return PuiseuxSeries(
-            self.ram // g,
-            {k // g: c for k, c in self.coeffs.items()},
-            self.prec,
-            self.domain,
+            self.ram // g, {k // g: c for k, c in self.coeffs.items()}, self.prec
         )
 
     def with_ram(self, new_ram):
@@ -158,9 +127,7 @@ class PuiseuxSeries:
         if new_ram == self.ram:
             return self
         f = new_ram // self.ram
-        return PuiseuxSeries(
-            new_ram, {k * f: c for k, c in self.coeffs.items()}, self.prec, self.domain
-        )
+        return PuiseuxSeries(new_ram, {k * f: c for k, c in self.coeffs.items()}, self.prec)
 
     def _aligned(self, other):
         r = lcm(self.ram, other.ram)
@@ -176,28 +143,25 @@ class PuiseuxSeries:
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly, complex, float)):
+        if isinstance(other, _SCALARS):
             other = PuiseuxSeries.constant(other, self.prec, 1)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._aligned(other)
-        domain = _merge_domains(a.domain, b.domain)
         prec = min(a.prec, b.prec)
         coeffs = dict(a.coeffs)
         for k, c in b.coeffs.items():
             acc = coeffs.get(k)
             coeffs[k] = c if acc is None else acc + c
-        return PuiseuxSeries(a.ram, coeffs, prec, domain)
+        return PuiseuxSeries(a.ram, coeffs, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(
-            self.ram, {k: -c for k, c in self.coeffs.items()}, self.prec, self.domain
-        )
+        return PuiseuxSeries(self.ram, {k: -c for k, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly, complex, float)):
+        if isinstance(other, _SCALARS):
             other = PuiseuxSeries.constant(other, self.prec, 1)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
@@ -207,27 +171,21 @@ class PuiseuxSeries:
         return -(self - other)
 
     def scale(self, factor):
-        if _is_zero(factor):
-            return PuiseuxSeries(self.ram, {}, self.prec, self.domain)
         return PuiseuxSeries(
-            self.ram,
-            {k: factor * c for k, c in self.coeffs.items()},
-            self.prec,
-            _merge_domains(self.domain, _domain_of(factor)),
+            self.ram, {k: factor * c for k, c in self.coeffs.items()}, self.prec
         )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly, complex, float)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._aligned(other)
-        domain = _merge_domains(a.domain, b.domain)
         prec = min(
             a.prec + b._ord_lower_bound(),
             b.prec + a._ord_lower_bound(),
         )
-        bound = prec * a.ram
+        bound = _ceil_steps(prec, a.ram)
         coeffs = {}
         for k1, c1 in a.coeffs.items():
             for k2, c2 in b.coeffs.items():
@@ -236,7 +194,7 @@ class PuiseuxSeries:
                     continue
                 acc = coeffs.get(k)
                 coeffs[k] = c1 * c2 if acc is None else acc + c1 * c2
-        return PuiseuxSeries(a.ram, coeffs, prec, domain)
+        return PuiseuxSeries(a.ram, coeffs, prec)
 
     __rmul__ = __mul__
 
@@ -259,25 +217,18 @@ class PuiseuxSeries:
         r = lcm(self.ram, e.denominator)
         s = self.with_ram(r)
         off = int(e * r)
-        return PuiseuxSeries(
-            r, {k + off: c for k, c in s.coeffs.items()}, s.prec + e, s.domain
-        )
+        return PuiseuxSeries(r, {k + off: c for k, c in s.coeffs.items()}, s.prec + e)
 
     def truncate(self, new_prec):
         new_prec = min(self.prec, Fraction(new_prec))
-        return PuiseuxSeries(self.ram, self.coeffs, new_prec, self.domain)
+        return PuiseuxSeries(self.ram, self.coeffs, new_prec)
 
     def differentiate(self):
         """d/dx with respect to the series' own variable."""
-        coeffs = {}
-        for k, c in self.coeffs.items():
-            if k == 0:
-                continue
-            factor = Fraction(k, self.ram)
-            coeffs[k - self.ram] = (
-                c * factor if self.domain != COMPLEX else c * float(factor)
-            )
-        return PuiseuxSeries(self.ram, coeffs, self.prec - 1, self.domain)
+        coeffs = {
+            k - self.ram: c * Fraction(k, self.ram) for k, c in self.coeffs.items() if k
+        }
+        return PuiseuxSeries(self.ram, coeffs, self.prec - 1)
 
     def invert(self):
         """Multiplicative inverse; needs an exposed nonzero leading term."""
@@ -285,16 +236,11 @@ class PuiseuxSeries:
             raise NonUnitInverse("no certified nonzero leading coefficient")
         m = min(self.coeffs)
         c0 = self.coeffs[m]
-        if isinstance(c0, Poly):
-            const = c0.constant_term()
-            if len(c0.terms) != 1 or not const:
-                raise NonUnitInverse("symbolic leading coefficient is not a unit")
-            c0 = const
         inv_c0 = (1 / c0) if isinstance(c0, complex) else Fraction(1) / c0
         # h = f / (c0 x^(m/ram)) - 1, known below prec - m/ram
         h = {k - m: c * inv_c0 for k, c in self.coeffs.items() if k != m}
         h_prec_steps = int((self.prec * self.ram).__floor__()) - m
-        u = {0: _one_like(self.domain)}
+        u = {0: Fraction(1)}
         for k in range(1, max(h_prec_steps, 0)):
             acc = None
             for j, hj in h.items():
@@ -305,29 +251,26 @@ class PuiseuxSeries:
                     continue
                 term = hj * uk
                 acc = term if acc is None else acc + term
-            if acc is not None and not _is_zero(acc):
+            if acc:
                 u[k] = -acc
         prec = self.prec - 2 * Fraction(m, self.ram)
         coeffs = {k - m: c * inv_c0 for k, c in u.items()}
-        return PuiseuxSeries(self.ram, coeffs, prec, self.domain)
+        return PuiseuxSeries(self.ram, coeffs, prec)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Poly, complex, float)):
-            return self.scale(_invert_scalar(other))
+        if isinstance(other, _SCALARS):
+            return self.scale(1 / other if isinstance(other, complex) else 1 / Fraction(other))
         return self * other.invert()
 
     def exp(self):
         """exp of a series of positive order (composition with exp at 0)."""
         if not self.coeffs:
-            return PuiseuxSeries(self.ram, {0: Fraction(1)}, self.prec, self.domain)
+            return PuiseuxSeries(self.ram, {0: Fraction(1)}, self.prec)
         if min(self.coeffs) <= 0:
             raise NonpositiveOrder("exp needs ord > 0")
-        steps = int((self.prec * self.ram).__floor__())
-        out = {0: _one_like(self.domain)}
+        out = {0: Fraction(1)}
         # (k/r) out_k = sum_j (j/r) f_j out_{k-j}  from  out' = f' out
-        for k in range(1, max(steps, 0) + 1):
-            if Fraction(k, self.ram) >= self.prec:
-                break
+        for k in range(1, _ceil_steps(self.prec, self.ram)):
             acc = None
             for j, fj in self.coeffs.items():
                 if j > k:
@@ -337,53 +280,32 @@ class PuiseuxSeries:
                     continue
                 term = fj * ok * j
                 acc = term if acc is None else acc + term
-            if acc is not None and not _is_zero(acc):
-                value = (
-                    acc / k if self.domain == COMPLEX else acc * Fraction(1, k)
-                )
-                if not _is_zero(value):
-                    out[k] = value
-        return PuiseuxSeries(self.ram, out, self.prec, self.domain)
+            if acc:
+                out[k] = acc / k
+        return PuiseuxSeries(self.ram, out, self.prec)
 
     def scale_argument(self, factor):
         """Replace x by factor*x; integer exponent grids only."""
         if self.ram != 1:
             raise ValueError("argument scaling needs an integer exponent grid")
         return PuiseuxSeries(
-            1,
-            {k: c * factor ** k for k, c in self.coeffs.items()},
-            self.prec,
-            self.domain,
+            1, {k: c * factor ** k for k, c in self.coeffs.items()}, self.prec
         )
 
     # -- evaluation and serialization ------------------------------------------------
 
-    def evaluate(self, x, bindings=None):
+    def evaluate(self, x):
         """Principal-branch numeric evaluation at a complex point."""
         x = complex(x)
         total = 0j
         logx = cmath.log(x)
         for k, c in sorted(self.coeffs.items()):
-            total += _coeff_complex(c, bindings) * cmath.exp(logx * (k / self.ram))
+            total += complex(c) * cmath.exp(logx * (k / self.ram))
         return total
 
     def to_json_obj(self):
-        if self.coeffs:
-            base = Fraction(min(self.coeffs), self.ram)
-        else:
-            base = self.prec
-        n_steps = int(((self.prec - base) * self.ram).__ceil__()) - 1
-        coeffs = [
-            {"k": k - int(base * self.ram), "value": _coef_json(c)}
-            for k, c in sorted(self.coeffs.items())
-        ]
-        return {
-            "ram": self.ram,
-            "base_exponent": str(base),
-            "coeffs": coeffs,
-            "truncation": max(n_steps, 0),
-            "domain": self.domain,
-        }
+        values = {k: _coef_json(c) for k, c in self.coeffs.items()}
+        return series_json_obj(self.ram, self.prec, values, self.domain)
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), sort_keys=True)
@@ -396,7 +318,7 @@ class PuiseuxSeries:
         prec = base + Fraction(n + 1, ram)
         base_k = int(base * ram)
         coeffs = {base_k + int(item["k"]): _coef_unjson(item["value"]) for item in obj["coeffs"]}
-        return cls(ram, coeffs, prec, obj.get("domain"))
+        return cls(ram, coeffs, prec)
 
     @classmethod
     def from_json(cls, text):
@@ -417,55 +339,30 @@ class PuiseuxSeries:
         return f"PuiseuxSeries({body}{tail} + O(x^({self.prec})))"
 
 
-def _is_zero(c):
-    if isinstance(c, Poly):
-        return not c
-    return c == 0
+def series_json_obj(ram, prec, values, domain):
+    """The JSON layout of a series on the grid ``k / ram`` known below ``prec``.
 
-
-def _zero_like(domain):
-    return 0j if domain == COMPLEX else Fraction(0)
-
-
-def _one_like(domain):
-    return complex(1) if domain == COMPLEX else Fraction(1)
-
-
-def _invert_scalar(c):
-    if isinstance(c, complex):
-        return 1 / c
-    if isinstance(c, Poly):
-        raise NonUnitInverse("cannot divide by a symbolic coefficient")
-    return Fraction(1) / Fraction(c)
-
-
-def _coeff_complex(c, bindings):
-    if isinstance(c, (Fraction, int, float)):
-        return complex(c)
-    if isinstance(c, complex):
-        return c
-    if isinstance(c, Poly):
-        if bindings is None:
-            raise DomainMismatch("symbolic coefficient needs symbol bindings")
-        total = 0j
-        for exps, coef in c.terms.items():
-            term = complex(coef)
-            for name, e in zip(c.vars, exps):
-                if e:
-                    term *= bindings[name] ** e
-            total += term
-        return total
-    raise DomainMismatch(f"cannot evaluate coefficient {c!r}")
+    ``values`` maps each stored ``k`` to its coefficient's JSON value; the
+    layout stores ``k`` as an offset from the leading exponent.
+    """
+    base = Fraction(min(values), ram) if values else prec
+    n_steps = int(((prec - base) * ram).__ceil__()) - 1
+    coeffs = [
+        {"k": k - int(base * ram), "value": v} for k, v in sorted(values.items())
+    ]
+    return {
+        "ram": ram,
+        "base_exponent": str(base),
+        "coeffs": coeffs,
+        "truncation": max(n_steps, 0),
+        "domain": domain,
+    }
 
 
 def _coef_json(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, complex):
+    if isinstance(c, (complex, float)):
         return [c.real, c.imag]
-    if isinstance(c, Poly):
-        return c.to_json_obj()
-    raise DomainMismatch(f"cannot serialize coefficient {c!r}")
+    return str(c)
 
 
 def _coef_unjson(v):
@@ -473,6 +370,4 @@ def _coef_unjson(v):
         return Fraction(v)
     if isinstance(v, list):
         return complex(v[0], v[1])
-    if isinstance(v, dict):
-        return Poly.from_json_obj(v)
     raise DomainMismatch(f"cannot deserialize coefficient {v!r}")

@@ -173,3 +173,11 @@ def test_env_var_sets_default_order(capsys, monkeypatch):
     from triring.cli import _default_order
 
     assert _default_order() == 9
+
+
+def test_env_var_that_is_not_an_integer_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("TRIRING_ORDER", "abc")
+    code, out, err = invoke(capsys, "hyper", "expand", "--params", "1/5,1/4,1/2")
+    assert code == 1
+    assert out == ""
+    assert "TRIRING_ORDER" in err and "'abc'" in err

@@ -116,6 +116,34 @@ def test_difference_identities_at_zero():
     assert (fam.y1 - fam.y2 - fam.u0sq * (inv_z * inv_zm1)).is_zero_to_prec()
 
 
+def _inverses_in_local_variable(point, N):
+    """1/z and 1/(z-1) as series in the local variable x at 1 or infinity."""
+    x = PuiseuxSeries.x_power(Fraction(1), N)
+    one = PuiseuxSeries.constant(Fraction(1), N)
+    if point == "one":  # z = 1 - x
+        return (one - x).invert(), -PuiseuxSeries.x_power(Fraction(-1), N)
+    return -x, -(x * (one + x).invert())  # z = -1/x
+
+
+@pytest.mark.parametrize("point", ["one", "inf"])
+@pytest.mark.parametrize("p", TRIPLES)
+def test_difference_identities_at_one_and_infinity(point, p):
+    # the identities hold for each symbol monomial's rational series
+    N = 16
+    fam = hg.y_series(point, p, N)
+    inv_z, inv_zm1 = _inverses_in_local_variable(point, N)
+    assert set(fam.u0sq.parts) == {(2, 0), (1, 1), (0, 2)}
+    for m, sq in fam.u0sq.parts.items():
+        y0, y1, y2 = (s.parts[m] for s in (fam.y0, fam.y1, fam.y2))
+        for diff in (
+            y0 - y1 - sq * inv_z,
+            y0 - y2 - sq * inv_zm1,
+            y1 - y2 - sq * (inv_z * inv_zm1),
+        ):
+            assert diff.is_zero_to_prec(), m
+            assert diff.prec > N - 2
+
+
 @pytest.mark.parametrize("p", TRIPLES)
 def test_wronskian_is_one_minus_gamma(p):
     d = derived_constants(p)

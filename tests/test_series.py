@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triring.errors import (
-    DomainMismatch,
     InconclusiveOrder,
     NonpositiveOrder,
     NonUnitInverse,
 )
-from triring.ring import Poly
-from triring.series import COMPLEX, RATIONAL, SYMBOLIC, PuiseuxSeries
+from triring.series import COMPLEX, RATIONAL, PuiseuxSeries
 
 
 def series_of(mapping, prec):
@@ -188,23 +186,6 @@ def test_normalize_ram():
     assert n.coefficient(1) == 1 and n.coefficient(2) == 2
 
 
-def test_symbolic_domain_coefficients():
-    th = Poly.var(("theta",), "theta")
-    s = PuiseuxSeries(1, {0: th, 1: Fraction(2)}, 4)
-    assert s.domain == SYMBOLIC
-    sq = s * s
-    assert sq.coefficient(0) == th * th
-    assert sq.coefficient(1) == 4 * th
-
-
-def test_symbolic_and_complex_do_not_mix():
-    th = Poly.var(("theta",), "theta")
-    s = PuiseuxSeries(1, {0: th}, 4)
-    c = PuiseuxSeries(1, {0: 1.0 + 2j}, 4)
-    with pytest.raises(DomainMismatch):
-        s + c
-
-
 def test_rational_coerces_into_complex():
     r = series_of({0: 1, 1: 2}, 4)
     c = PuiseuxSeries(1, {0: 1j}, 4)
@@ -213,22 +194,12 @@ def test_rational_coerces_into_complex():
     assert out.coefficient(0) == 1 + 1j
 
 
-def test_evaluate_with_bindings():
-    th = Poly.var(("theta",), "theta")
-    s = PuiseuxSeries(1, {1: th}, 4)
-    assert abs(s.evaluate(0.5, bindings={"theta": 2.0}) - 1.0) < 1e-12
-
-
-def test_json_round_trip_rational_and_symbolic():
+def test_json_round_trip_rational():
     s = PuiseuxSeries.from_exponent_map(
         {Fraction(-1, 2): Fraction(3, 4), Fraction(1): Fraction(-2)}, Fraction(5, 2)
     )
     back = PuiseuxSeries.from_json(s.to_json())
     assert back == s
-    th = Poly.var(("theta",), "theta")
-    s2 = PuiseuxSeries(2, {1: th, 4: Fraction(1, 3)}, 3)
-    back2 = PuiseuxSeries.from_json(s2.to_json())
-    assert back2 == s2
 
 
 def test_json_schema_fields():
