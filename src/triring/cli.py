@@ -6,7 +6,7 @@ tell an identity regression from an operational failure).  JSON reports
 are emitted with sorted keys and no timestamps: identical seed and
 arguments give byte-identical output.  The environment variable
 ``TRIRING_ORDER`` overrides the default truncation order; a value that
-is not an integer is a usage error.
+is not an integer, or is below 1, is a usage error.
 """
 
 from __future__ import annotations
@@ -29,9 +29,12 @@ IDENTITY_ERROR = 2
 def _default_order():
     text = os.environ.get("TRIRING_ORDER", "").strip()
     try:
-        return int(text or 24)
+        order = int(text or 24)
     except ValueError:
         raise ValueError(f"TRIRING_ORDER must be an integer, got {text!r}") from None
+    if order < 1:
+        raise ValueError(f"TRIRING_ORDER must be at least 1, got {text!r}")
+    return order
 
 
 def _parse_triple(text):

@@ -14,6 +14,7 @@ homogeneous counterpart acts on (t, X0..X4) and raises X-degree by two.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import ring
 from .errors import NotHomogeneous, NotInR, NotIsobaric
@@ -33,7 +34,13 @@ def quadratic_form(params: TriangleParams) -> Poly:
     )
 
 
+@lru_cache(maxsize=1)
 def _tables(params):
+    """Generator images of D, Dprime and Honly, cached for the last triple.
+
+    Callers work on one triple at a time.  A single entry keeps memory
+    flat when many triples pass through one process.
+    """
     d = derived_constants(params)
     g = ring.gens(AFFINE_VARS)
     L = quadratic_form(params)

@@ -49,10 +49,6 @@ def _lt(P):
     return P.leading()
 
 
-def _mono_divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
-
-
 def _mono_div(e1, e2):
     return tuple(a - b for a, b in zip(e1, e2))
 
@@ -76,31 +72,14 @@ def _reduce(P, reps, basis, budget):
 
     ``reps`` maps each basis element to its expression in the original
     generators (a coefficient list).  Returns (remainder, rep-of-quot).
+    Each term taken by the division spends one step of ``budget``.
     """
-    vars = P.vars
+    quots, rem = P.divmod_many(basis, budget.spend)
     n_orig = len(next(iter(reps.values()))) if reps else 0
-    quot_rep = [Poly.zero(vars) for _ in range(n_orig)]
-    rem = Poly.zero(vars)
-    work = P
-    while work:
-        budget.spend()
-        w_e, w_c = _lt(work)
-        hit = None
-        for idx, g in enumerate(basis):
-            g_e, g_c = _lt(g)
-            if _mono_divides(g_e, w_e):
-                hit = (idx, g, g_e, g_c)
-                break
-        if hit is None:
-            mono = Poly(vars, {w_e: w_c})
-            rem = rem + mono
-            work = work - mono
-            continue
-        idx, g, g_e, g_c = hit
-        factor = Poly(vars, {_mono_div(w_e, g_e): w_c / g_c})
-        work = work - factor * g
-        for j, r in enumerate(reps[idx]):
-            quot_rep[j] = quot_rep[j] + factor * r
+    quot_rep = [
+        Poly.sum(P.vars, [q * reps[i][j] for i, q in enumerate(quots) if q])
+        for j in range(n_orig)
+    ]
     return rem, quot_rep
 
 

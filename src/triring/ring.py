@@ -1,8 +1,13 @@
 """Exact weighted multivariate polynomial arithmetic.
 
-A :class:`Poly` is a sparse map from exponent vectors to ``Fraction``
-coefficients over a fixed, ordered variable tuple; zero coefficients are
-never stored, so equality of canonical forms is literal data equality.
+A :class:`Poly` is a sparse map from exponent vectors to exact rational
+coefficients over a fixed, ordered variable tuple.  An integral
+coefficient is stored as an ``int`` and any other as a ``Fraction``, and
+zero coefficients are never stored, so equality of canonical forms is
+literal data equality (``3 == Fraction(3)`` with equal hashes, so the
+two spellings of an integer never tell apart).  Every quotient of two
+coefficients goes through :func:`_div`, which keeps that invariant;
+``int / int`` would give a float.
 
 Two variable tuples cover every computation in the package:
 
@@ -23,7 +28,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import insort
 from fractions import Fraction
+from operator import add, ge, sub
 
 from .errors import (
     DegreeZeroInVariable,
@@ -42,12 +49,33 @@ HOMOG_VARS = ("t", "X0", "X1", "X2", "X3", "X4")
 VAR_WEIGHTS = {"y0": 1, "y1": 1, "y2": 1, "y3": 1}
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def _exact(value):
+    """``value`` as a stored coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     raise DomainMismatch(f"coefficient {value!r} is not an exact rational")
+
+
+def _div(a, b):
+    """Exact quotient of two coefficients, an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _tidy(terms):
+    """Drop zero coefficients and store integral Fractions as ints."""
+    return {
+        e: c if type(c) is int or c.denominator != 1 else c.numerator
+        for e, c in terms.items()
+        if c
+    }
 
 
 class Poly:
@@ -59,7 +87,7 @@ class Poly:
         self.vars = tuple(vars)
         clean = {}
         for exps, coef in terms.items():
-            coef = _as_fraction(coef)
+            coef = _exact(coef)
             if coef:
                 clean[tuple(exps)] = coef
         self.terms = clean
@@ -67,20 +95,33 @@ class Poly:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _make(cls, vars, terms):
+        """Trusted constructor: ``vars`` a tuple, ``terms`` already canonical.
+
+        The keys are tuples and the coefficients nonzero ints or
+        non-integral Fractions; nothing is checked or copied.
+        """
+        P = object.__new__(cls)
+        P.vars = vars
+        P.terms = terms
+        return P
+
+    @classmethod
     def zero(cls, vars):
-        return cls(vars, {})
+        return cls._make(tuple(vars), {})
 
     @classmethod
     def const(cls, vars, value):
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): _as_fraction(value)})
+        value = _exact(value)
+        return cls._make(vars, {(0,) * len(vars): value} if value else {})
 
     @classmethod
     def var(cls, vars, name, exponent=1):
         vars = tuple(vars)
         exps = [0] * len(vars)
         exps[vars.index(name)] = exponent
-        return cls(vars, {tuple(exps): Fraction(1)})
+        return cls._make(vars, {tuple(exps): 1})
 
     @classmethod
     def sum(cls, vars, polys):
@@ -89,7 +130,7 @@ class Poly:
         for P in polys:
             for exps, coef in P.terms.items():
                 terms[exps] = terms.get(exps, 0) + coef
-        return cls(vars, terms)
+        return cls._make(tuple(vars), _tidy(terms))
 
     # -- basic protocol --------------------------------------------------------
 
@@ -122,47 +163,59 @@ class Poly:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other):
+    def _merge(self, other, op):
+        """``self op other`` for ``op`` in (add, sub), in one copied dict."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
         for exps, coef in other.terms.items():
-            new = terms.get(exps, Fraction(0)) + coef
-            if new:
+            old = terms.get(exps)
+            if old is None:
+                terms[exps] = coef if op is add else -coef
+                continue
+            new = op(old, coef)
+            if not new:
+                del terms[exps]
+            elif type(new) is int or new.denominator != 1:
                 terms[exps] = new
             else:
-                terms.pop(exps, None)
-        return Poly(self.vars, terms)
+                terms[exps] = new.numerator
+        return Poly._make(self.vars, terms)
+
+    def __add__(self, other):
+        return self._merge(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        return self._merge(other, sub)
+
+    def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
+        return other._merge(self, sub)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
+            other = _exact(other)
+            return Poly._make(self.vars, _tidy({e: c * other for e, c in self.terms.items()}))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
         terms = {}
+        get = terms.get
+        other_items = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(key)
+            for e2, c2 in other_items:
+                key = tuple(map(add, e1, e2))
+                acc = get(key)
                 terms[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return Poly(self.vars, terms)
+        return Poly._make(self.vars, _tidy(terms))
 
     __rmul__ = __mul__
 
@@ -201,12 +254,8 @@ class Poly:
         terms = {}
         for exps, coef in self.terms.items():
             if exps[idx] == k:
-                key = exps[:idx] + (0,) + exps[idx + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + coef
-        return Poly(self.vars, terms)
-
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+                terms[exps[:idx] + (0,) + exps[idx + 1:]] = coef
+        return Poly._make(self.vars, terms)
 
     def substitute(self, mapping):
         """Simultaneous exact substitution ``name -> Poly | Fraction | int``."""
@@ -225,7 +274,7 @@ class Poly:
                     self._check_same_ring(img)
                     power_cache[key] = img ** k
                 else:
-                    power_cache[key] = Poly.const(self.vars, _as_fraction(img) ** k)
+                    power_cache[key] = Poly.const(self.vars, _exact(img) ** k)
             return power_cache[key]
 
         parts = []
@@ -257,8 +306,8 @@ class Poly:
                     raise DomainMismatch(f"variable {name} has no image")
                 key[new_vars.index(mapping[name])] += e
             tkey = tuple(key)
-            terms[tkey] = terms.get(tkey, Fraction(0)) + coef
-        return Poly(new_vars, terms)
+            terms[tkey] = terms.get(tkey, 0) + coef
+        return Poly._make(new_vars, _tidy(terms))
 
     # -- monomial order (graded lex, later variable more significant) ---------
 
@@ -279,6 +328,65 @@ class Poly:
 
     # -- exact division ----------------------------------------------------------
 
+    def divmod_many(self, divisors, step=None):
+        """Division by a list of polynomials under the graded-lex order.
+
+        The terms of ``self`` are taken from the leading monomial down;
+        each goes to the first divisor whose leading monomial divides it,
+        or to the remainder when none does.  Returns ``(quotients,
+        remainder)`` with ``self == sum(q * d) + remainder`` and no
+        remainder term divisible by any divisor's leading monomial.
+        ``step``, when given, is called once per term taken.
+
+        The work is one mutable terms dict and a sorted list of its
+        monomials' order keys: a quotient step subtracts only the
+        divisor's tail, whose products all lie below the term just taken.
+        """
+        leads, tails = [], []
+        for d in divisors:
+            if not d:
+                raise ZeroDivisionError("division by the zero polynomial")
+            self._check_same_ring(d)
+            lead_e, lead_c = d.leading()
+            leads.append((lead_e, lead_c))
+            tails.append([(e, c) for e, c in d.terms.items() if e != lead_e])
+        quos = [{} for _ in divisors]
+        rem = {}
+        work = dict(self.terms)
+        order_key = self._order_key
+        queue = sorted((order_key(e), e) for e in work)
+        while queue:
+            w_e = queue.pop()[1]
+            w_c = work.pop(w_e, None)
+            if w_c is None:  # cancelled, or a second entry for the same monomial
+                continue
+            if step is not None:
+                step()
+            for i, (lead_e, lead_c) in enumerate(leads):
+                if all(map(ge, w_e, lead_e)):
+                    break
+            else:
+                rem[w_e] = w_c
+                continue
+            shift = tuple(map(sub, w_e, lead_e))
+            m = _div(w_c, lead_c)
+            quos[i][shift] = m
+            for t_e, t_c in tails[i]:
+                key = tuple(map(add, shift, t_e))
+                old = work.get(key)
+                if old is None:
+                    new = -m * t_c
+                    insort(queue, (order_key(key), key))
+                else:
+                    new = old - m * t_c
+                    if not new:
+                        del work[key]
+                        continue
+                if type(new) is not int and new.denominator == 1:
+                    new = new.numerator
+                work[key] = new
+        return [Poly._make(self.vars, q) for q in quos], Poly._make(self.vars, rem)
+
     def divmod_single(self, divisor):
         """Division by one polynomial under the graded-lex order.
 
@@ -286,30 +394,12 @@ class Poly:
         ``self == quotient * divisor + remainder`` and no remainder term
         divisible by the divisor's leading monomial.
         """
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        self._check_same_ring(divisor)
-        lead_e, lead_c = divisor.leading()
-        quo = Poly.zero(self.vars)
-        rem = Poly.zero(self.vars)
-        work = self
-        while work:
-            w_e, w_c = work.leading()
-            diff = tuple(a - b for a, b in zip(w_e, lead_e))
-            if all(d >= 0 for d in diff):
-                mono = Poly(self.vars, {diff: w_c / lead_c})
-                quo = quo + mono
-                work = work - mono * divisor
-            else:
-                mono = Poly(self.vars, {w_e: w_c})
-                rem = rem + mono
-                work = work - mono
+        (quo,), rem = self.divmod_many([divisor])
         return quo, rem
 
     def exact_div(self, divisor):
         if isinstance(divisor, (int, Fraction)):
-            inv = Fraction(1) / _as_fraction(divisor)
-            return self * inv
+            return self * _div(1, _exact(divisor))
         quo, rem = self.divmod_single(divisor)
         if rem:
             raise ValueError("division is not exact")
@@ -463,7 +553,7 @@ def isobaric_components(P):
     for exps, coef in P.terms.items():
         w = sum(e * VAR_WEIGHTS.get(name, 0) for name, e in zip(P.vars, exps))
         buckets.setdefault(w, {})[exps] = coef
-    return [(w, Poly(P.vars, buckets[w])) for w in sorted(buckets)]
+    return [(w, Poly._make(P.vars, buckets[w])) for w in sorted(buckets)]
 
 
 def is_isobaric(P):
@@ -495,8 +585,8 @@ def homogenize_weight(F):
     for exps, coef in F.terms.items():
         w = sum(exps[i] for i in idx.values())
         key = tuple(exps[idx[v]] if v in idx else 0 for v in R_VARS) + (p - w,)
-        terms[key] = terms.get(key, Fraction(0)) + coef
-    return Poly(RH_VARS, terms)
+        terms[key] = coef
+    return Poly._make(RH_VARS, terms)
 
 
 # -- resultants ------------------------------------------------------------------

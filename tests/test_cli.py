@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from triring.cli import run
 
 
@@ -181,3 +183,12 @@ def test_env_var_that_is_not_an_integer_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "TRIRING_ORDER" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_env_var_below_one_exits_one_naming_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("TRIRING_ORDER", value)
+    code, out, err = invoke(capsys, "hyper", "expand", "--params", "1/5,1/4,1/2")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: TRIRING_ORDER must be at least 1, got {value!r}\n"

@@ -1,9 +1,13 @@
-"""CLI stdout of expand, verify and certify against frozen outputs.
+"""CLI stdout of expand, verify, derive, bracket and ideal against frozen outputs.
 
 The files under ``tests/golden`` named in ``CASES`` are the stdout of
-``triring`` for each argument list, captured when the expansions at 1
-and infinity still carried polynomial coefficients inside the series
-core; the symbol-monomial split must reproduce them byte for byte.
+``triring`` for each argument list.  The expand, verify and
+certify-case1 files on 1/5,1/4,1/2 were captured when the expansions at
+1 and infinity still carried polynomial coefficients inside the series
+core; the derive, bracket, ideal and remaining certify-case1 files were
+captured when ``Poly`` stored every coefficient as a ``Fraction`` and
+divided by repeated leading-term searches.  Both rewrites must
+reproduce them byte for byte, and with the same exit code.
 """
 
 from pathlib import Path
@@ -15,6 +19,11 @@ from triring.cli import run
 GOLDEN = Path(__file__).parent / "golden"
 
 TRIPLES = {"1_5_1_4_1_2": "1/5,1/4,1/2", "1_8_1_6_1_3": "1/8,1/6,1/3"}
+T1, T2 = TRIPLES["1_5_1_4_1_2"], TRIPLES["1_8_1_6_1_3"]
+DERIVE_POLY = "y0^2 y1 - 3/7 * q tau y2"
+#: a member whose cofactor on the generator 2 q y0 is 1/2
+MEMBER = ["ideal", "member", "--poly", "q y0 y1 - q y1^2 + q y0",
+          "--gens", "2 * q y0", "y0 - y1"]
 
 
 def _cases():
@@ -22,16 +31,34 @@ def _cases():
     for label, triple in TRIPLES.items():
         for point in ("0", "1", "inf"):
             for emit, ext in (("json", "json"), ("text", "txt")):
-                cases[f"expand_{point}_{label}_order8.{ext}"] = [
+                cases[f"expand_{point}_{label}_order8.{ext}"] = ([
                     "hyper", "expand", "--point", point, "--params", triple,
                     "--order", "8", "--emit", emit,
-                ]
-    cases["verify_all_1_5_1_4_1_2.json"] = [
-        "verify", "all", "--params", "1/5,1/4,1/2", "--emit", "json",
-    ]
-    cases["certify_case1_1_5_1_4_1_2.json"] = [
-        "ideal", "certify-case1", "--params", "1/5,1/4,1/2", "--emit", "json",
-    ]
+                ], 0)
+    cases["verify_all_1_5_1_4_1_2.json"] = (
+        ["verify", "all", "--params", T1, "--emit", "json"], 0)
+    cases["certify_case1_1_5_1_4_1_2.json"] = (
+        ["ideal", "certify-case1", "--params", T1, "--emit", "json"], 0)
+    cases["certify_case1_1_8_1_6_1_3.json"] = (
+        ["ideal", "certify-case1", "--params", T2, "--emit", "json"], 0)
+    cases["certify_case1_1_13_1_4_1_3.txt"] = (
+        ["ideal", "certify-case1", "--params", "1/13,1/4,1/3"], 0)
+    cases["derive_1_5_1_4_1_2.json"] = (
+        ["derive", "--params", T1, "--emit", "json", DERIVE_POLY], 0)
+    cases["derive_1_8_1_6_1_3.txt"] = (["derive", "--params", T2, DERIVE_POLY], 0)
+    cases["bracket_1_5_1_4_1_2.json"] = (
+        ["bracket", "--params", T1, "--emit", "json", "y0 - y1", "y0 y2 - y1^2"], 0)
+    cases["ideal_stable_1_5_1_4_1_2.json"] = ([
+        "ideal", "stable", "--params", T1, "--gen", "y0 y1 - y0 y2 - y1^2 + y1 y2",
+        "--emit", "json",
+    ], 0)
+    cases["ideal_stable_unstable_1_5_1_4_1_2.txt"] = (
+        ["ideal", "stable", "--params", T1, "--gen", "y0"], 0)
+    # stable takes one --gen; a generator list is a usage error with no stdout
+    cases["ideal_stable_gens_1_5_1_4_1_2.json"] = (
+        ["ideal", "stable", "--params", T1, "--gens", "q", "y0 - y1", "--emit", "json"], 1)
+    cases["ideal_member_nonunit.json"] = (MEMBER + ["--emit", "json"], 0)
+    cases["ideal_member_nonunit.txt"] = (MEMBER, 0)
     return cases
 
 
@@ -42,7 +69,8 @@ CASES = _cases()
 def test_cli_stdout_is_byte_identical(capsys, monkeypatch, name):
     # verify all runs at the default order
     monkeypatch.delenv("TRIRING_ORDER", raising=False)
-    code = run(CASES[name])
+    argv, want_code = CASES[name]
+    code = run(argv)
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == want_code
     assert out == (GOLDEN / name).read_text()

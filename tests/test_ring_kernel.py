@@ -1,0 +1,185 @@
+"""The integer-first coefficient invariant of ``ring.Poly`` and its division.
+
+Every stored coefficient is a nonzero ``int`` or a ``Fraction`` whose
+denominator is not 1, never a float; integral values are ints, so
+integer inputs stay integers through add, sub and mul.  Every quotient
+of coefficients goes through ``ring._div``.  Resultants are checked against sympy,
+including a common root and a Bareiss elimination that must swap rows.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
+
+from triring.errors import DomainMismatch
+from triring.ring import Poly, _div, _poly_matrix_det, resultant_with_cofactors, sylvester_matrix
+
+VARS = ("x", "y")
+SX, SY = sp.symbols("x y")
+
+exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+int_coef = st.integers(-9, 9)
+rat_coef = st.one_of(int_coef, st.fractions(min_value=-5, max_value=5, max_denominator=6))
+int_poly = st.dictionaries(exps, int_coef, max_size=6).map(lambda t: Poly(VARS, t))
+rat_poly = st.dictionaries(exps, rat_coef, max_size=6).map(lambda t: Poly(VARS, t))
+any_poly = st.one_of(int_poly, rat_poly)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def assert_canonical(P):
+    for e, c in P.terms.items():
+        assert type(e) is tuple and len(e) == len(P.vars)
+        assert type(c) in (int, Fraction), f"{c!r} stored at {e}"
+        assert c != 0
+        if type(c) is Fraction:
+            assert c.denominator != 1, f"integral {c!r} stored as a Fraction"
+
+
+def lead_divides(lead, e):
+    return all(a <= b for a, b in zip(lead, e))
+
+
+def to_sympy(P):
+    return sp.expand(
+        sum(sp.Rational(c.numerator, c.denominator) * SX ** e[0] * SY ** e[1]
+            for e, c in P.terms.items())
+        + sp.Integer(0)
+    )
+
+
+def in_y(P):
+    return sp.Poly(to_sympy(P), SY, SX)
+
+
+@SETTINGS
+@given(any_poly, any_poly, rat_coef)
+def test_arithmetic_stores_canonical_coefficients(P, Q, c):
+    for R in (P + Q, P - Q, Q - P, P * Q, -P, P * c, c * P, P + c, c - P, P ** 2):
+        assert_canonical(R)
+    assert (P - Q) + Q == P
+    assert P * Q - Q * P == Poly.zero(VARS)
+
+
+@SETTINGS
+@given(any_poly, any_poly)
+def test_divmod_single_identity_and_remainder(P, D):
+    assume(D)
+    q, r = P.divmod_single(D)
+    assert_canonical(q)
+    assert_canonical(r)
+    assert q * D + r == P
+    lead, _ = D.leading()
+    assert not any(lead_divides(lead, e) for e in r.terms)
+
+
+@SETTINGS
+@given(any_poly, any_poly, any_poly)
+def test_divmod_many_identity_and_remainder(P, D1, D2):
+    assume(D1 and D2)
+    (q1, q2), r = P.divmod_many([D1, D2])
+    for R in (q1, q2, r):
+        assert_canonical(R)
+    assert q1 * D1 + q2 * D2 + r == P
+    leads = [D1.leading()[0], D2.leading()[0]]
+    assert not any(lead_divides(l, e) for l in leads for e in r.terms)
+
+
+@SETTINGS
+@given(any_poly, any_poly, rat_coef)
+def test_exact_div_recovers_the_factor(P, D, c):
+    assume(D and c)
+    quo = (P * D).exact_div(D)
+    assert_canonical(quo)
+    assert quo == P
+    scaled = (P * c).exact_div(c)
+    assert_canonical(scaled)
+    assert scaled == P
+
+
+def test_div_returns_int_when_integral():
+    assert type(_div(6, 3)) is int and _div(6, 3) == 2
+    assert type(_div(-7, 7)) is int and _div(-7, 7) == -1
+    assert _div(3, -6) == Fraction(-1, 2)
+    assert type(_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert _div(1, Fraction(2, 3)) == Fraction(3, 2)
+    with pytest.raises(ZeroDivisionError):
+        _div(1, 0)
+
+
+def test_float_coefficient_is_rejected():
+    with pytest.raises(DomainMismatch):
+        Poly(VARS, {(1, 0): 0.5})
+    with pytest.raises(DomainMismatch):
+        Poly.const(VARS, 2.0)
+
+
+def test_integral_fraction_is_stored_as_int_with_same_text_and_hash():
+    P = Poly(VARS, {(1, 0): Fraction(6, 2), (0, 1): Fraction(1, 2)})
+    assert type(P.terms[(1, 0)]) is int
+    assert P.terms == {(1, 0): Fraction(3), (0, 1): Fraction(1, 2)}
+    Q = Poly(VARS, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    assert P == Q and hash(P) == hash(Q)
+    assert P.to_text() == "1/2 * y + 3 * x"
+    assert '"coef": "3"' in P.to_json()
+
+
+# -- resultants against sympy --------------------------------------------------------
+
+y_degree = st.integers(1, 3)
+
+
+@st.composite
+def poly_in_y(draw, coef):
+    """A poly of positive degree in y: a nonzero y^n term plus a lower tail."""
+    n = draw(y_degree)
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, n - 1)), coef, max_size=4))
+    terms[(draw(st.integers(0, 1)), n)] = draw(coef.filter(bool))
+    return Poly(VARS, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(poly_in_y(int_coef), poly_in_y(rat_coef)),
+       st.one_of(poly_in_y(int_coef), poly_in_y(rat_coef)))
+def test_resultant_with_cofactors_matches_sympy(P, Q):
+    R, A, B = resultant_with_cofactors(P, Q, "y")
+    for X in (R, A, B):
+        assert_canonical(X)
+    assert A * P + B * Q == R
+    ours = to_sympy(R)
+    assert sp.expand(ours - sylvester(to_sympy(P), to_sympy(Q), SY).det()) == 0
+    # sympy.resultant equals its own Sylvester determinant up to sign; they
+    # differ at degrees (1, 3), e.g. Res_y(y + 1, y^3) is -1 but it returns 1
+    theirs = sp.resultant(in_y(P), in_y(Q)).as_expr()
+    assert sp.expand(ours - theirs) == 0 or sp.expand(ours + theirs) == 0
+
+
+def test_resultant_of_a_common_root_is_zero():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    P = (y - x) * (2 * y + 1)
+    Q = (y - x) * (y - Fraction(2, 3)) * (y + x)
+    R, A, B = resultant_with_cofactors(P, Q, "y")
+    assert not R
+    assert A * P + B * Q == Poly.zero(VARS)
+    assert sp.resultant(in_y(P), in_y(Q)) == 0
+
+
+def test_bareiss_swaps_rows_when_the_first_pivot_is_zero():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    P = 3 * y ** 2 + x * y - Fraction(1, 2)
+    Q = 2 * y ** 3 - x ** 2 * y + 5
+    S = sylvester_matrix(P, Q, "y")
+    rotated = S[1:] + S[:1]  # row 1 is y P, whose y^4 entry is zero
+    assert not rotated[0][0]
+    det = _poly_matrix_det(rotated)
+    assert_canonical(det)
+    want = sp.Matrix([[to_sympy(e) for e in row] for row in rotated]).det()
+    assert sp.expand(to_sympy(det) - want) == 0
+    # a zero first column gives a zero determinant through the same branch
+    zero = Poly.zero(VARS)
+    assert not _poly_matrix_det([[zero, x], [zero, y]])
