@@ -193,6 +193,11 @@ def _cmd_ideal(args):
     raise ValueError(f"unknown ideal action {args.action}")
 
 
+def _coef_text(c):
+    """A series coefficient as text: a rational, or a ``Poly`` in the symbols."""
+    return c.to_text() if isinstance(c, Poly) else str(c)
+
+
 def _cmd_hyper(args):
     p = _parse_triple(args.params)
     if args.action == "expand":
@@ -210,7 +215,7 @@ def _cmd_hyper(args):
             "order": args.order,
             "series": series_json,
         }
-        lines = [f"{name}: ord {s.ord()} lead {s.leading_coeff()}"
+        lines = [f"{name}: ord {s.ord()} lead {_coef_text(s.leading_coeff())}"
                  for name, s in fam.series_map().items()]
         _emit(args, payload, lines)
         return 0

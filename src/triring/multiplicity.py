@@ -118,7 +118,7 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
                 domain=value.domain,
             )
         except InconclusiveOrder:
-            order *= 2
+            order = max(2 * order, 1)
     raise TruncationExhausted(
         f"order of {P.to_text()} at zero still inconclusive at N={order // 2}"
     )
@@ -413,7 +413,7 @@ def bound_audit(
             else:
                 still.append(idx)
         pending = still
-        order *= 2
+        order = max(2 * order, 1)
     skipped = len(pending)
     ords = [results[i] for i in sorted(results)]
     max_ord = max(ords) if ords else None

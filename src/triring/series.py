@@ -8,7 +8,10 @@ support; ``ord`` raises :class:`InconclusiveOrder` instead of guessing
 when all certified coefficients vanish.
 
 Coefficients are exact rationals, or complex floats on the generic-point
-path; Python's own Fraction/complex arithmetic mixes the two.
+path; Python's own Fraction/complex arithmetic mixes the two.  A product
+of two exact series is one big-integer multiplication (Kronecker
+substitution) and the inverse of an exact series is Newton's iteration
+on top of it; complex series keep the schoolbook loops.
 """
 
 from __future__ import annotations
@@ -186,6 +189,8 @@ class PuiseuxSeries:
             b.prec + a._ord_lower_bound(),
         )
         bound = _ceil_steps(prec, a.ram)
+        if _is_exact(a.coeffs) and _is_exact(b.coeffs):
+            return PuiseuxSeries(a.ram, _exact_product(a.coeffs, b.coeffs, bound), prec)
         coeffs = {}
         for k1, c1 in a.coeffs.items():
             for k2, c2 in b.coeffs.items():
@@ -240,19 +245,10 @@ class PuiseuxSeries:
         # h = f / (c0 x^(m/ram)) - 1, known below prec - m/ram
         h = {k - m: c * inv_c0 for k, c in self.coeffs.items() if k != m}
         h_prec_steps = int((self.prec * self.ram).__floor__()) - m
-        u = {0: Fraction(1)}
-        for k in range(1, max(h_prec_steps, 0)):
-            acc = None
-            for j, hj in h.items():
-                if j > k:
-                    continue
-                uk = u.get(k - j)
-                if uk is None:
-                    continue
-                term = hj * uk
-                acc = term if acc is None else acc + term
-            if acc:
-                u[k] = -acc
+        if _is_exact(self.coeffs):
+            u = _exact_reciprocal(h, max(h_prec_steps, 1))
+        else:
+            u = _reciprocal_by_recurrence(h, h_prec_steps)
         prec = self.prec - 2 * Fraction(m, self.ram)
         coeffs = {k - m: c * inv_c0 for k, c in u.items()}
         return PuiseuxSeries(self.ram, coeffs, prec)
@@ -337,6 +333,115 @@ class PuiseuxSeries:
         tail = " + ..." if len(self.coeffs) > 8 else ""
         body = " + ".join(parts) if parts else "0"
         return f"PuiseuxSeries({body}{tail} + O(x^({self.prec})))"
+
+
+# -- exact kernel ----------------------------------------------------------------------
+
+
+def _is_exact(coeffs):
+    return all(type(c) is int or type(c) is Fraction for c in coeffs.values())
+
+
+def _exact_product(a, b, bound):
+    """The coefficients below ``bound`` of the product of two exact series.
+
+    ``a`` and ``b`` map grid steps to ``int``/``Fraction`` coefficients on
+    one grid.  Both are compressed by the common stride of their steps,
+    scaled to integer numerators, packed into one integer each with
+    fixed-width signed digits (Kronecker substitution) and multiplied
+    once.  Integral results come back as ``int``.
+    """
+    if not a or not b:
+        return {}
+    a_min, b_min = min(a), min(b)
+    a = [(k - a_min, c) for k, c in a.items() if k < bound - b_min]
+    b = [(k - b_min, c) for k, c in b.items() if k < bound - a_min]
+    if not a or not b:
+        return {}
+    g = 0
+    for k, _ in a:
+        g = gcd(g, k)
+    for k, _ in b:
+        g = gcd(g, k)
+    g = g or 1
+    da = lcm(*{c.denominator for _, c in a})
+    db = lcm(*{c.denominator for _, c in b})
+    a = [(k // g, c.numerator * (da // c.denominator)) for k, c in a]
+    b = [(k // g, c.numerator * (db // c.denominator)) for k, c in b]
+    len_a = max(k for k, _ in a) + 1
+    len_b = max(k for k, _ in b) + 1
+    # a product digit sums at most min(len_a, len_b) products; one more bit
+    # holds its sign
+    bits =(max(abs(c) for _, c in a).bit_length() + max(abs(c) for _, c in b).bit_length()
+            + min(len_a, len_b).bit_length() + 1)
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    n = len_a + len_b - 1
+    # the product's digits are signed; adding half to each one makes it
+    # nonnegative without a carry
+    product = _pack(a, len_a, width, half) * _pack(b, len_b, width, half)
+    product += half * _repunit(width, n)
+    raw = product.to_bytes(n * width, "little")
+    d = da * db
+    stop = min(n, -(-(bound - a_min - b_min) // g))
+    out = {}
+    base = a_min + b_min
+    for i in range(stop):
+        c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
+        if c:
+            q = Fraction(c, d)
+            out[base + i * g] = q.numerator if q.denominator == 1 else q
+    return out
+
+
+def _pack(terms, length, width, half):
+    """``sum c * B^k`` for the ``(k, c)`` pairs, ``B = 2^(8 width)``, ``|c| < half``."""
+    digits = [half] * length
+    for k, c in terms:
+        digits[k] = c + half
+    packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in digits), "little")
+    return packed - half * _repunit(width, length)
+
+
+def _repunit(width, n):
+    """``1 + B + ... + B^(n-1)`` for ``B = 2^(8 width)``."""
+    return int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
+
+
+def _exact_reciprocal(h, n):
+    """``1 / (1 + h)`` below step ``n`` for exact ``h`` of positive steps.
+
+    Newton's iteration ``v <- v + v (1 - (1 + h) v)`` doubles the number
+    of known steps each round.
+    """
+    one_plus_h = dict(h)
+    one_plus_h[0] = 1
+    v = {0: 1}
+    known = 1
+    while known < n:
+        known = min(2 * known, n)
+        # (1 + h) v is 1 below the old step count, so err starts there
+        err = {k: -c for k, c in _exact_product(one_plus_h, v, known).items() if k}
+        v.update(_exact_product(v, err, known))
+    return v
+
+
+def _reciprocal_by_recurrence(h, n):
+    """``1 / (1 + h)`` below step ``n`` term by term, for any coefficients."""
+    u = {0: Fraction(1)}
+    for k in range(1, max(n, 0)):
+        acc = None
+        for j, hj in h.items():
+            if j > k:
+                continue
+            uk = u.get(k - j)
+            if uk is None:
+                continue
+            term = hj * uk
+            acc = term if acc is None else acc + term
+        if acc:
+            u[k] = -acc
+    return u
 
 
 def series_json_obj(ram, prec, values, domain):

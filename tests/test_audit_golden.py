@@ -50,12 +50,16 @@ def test_cli_audit_json_is_byte_identical(capsys, name):
 
 
 def test_inconclusive_samples_retry_and_are_skipped():
-    # at N = 0 the doubled order is 0 again, so a sample whose columns
-    # all vanish stays inconclusive through every retry
+    # at N = 0 the five samples of order 2/3 see only vanishing columns;
+    # the retries run at orders 1, 2 and 4 and resolve all of them
     audit = mult.bound_audit((1, 1, 0, 0, 0), TRIPLES[2], samples=40, N=0, seed=11)
-    assert audit.skipped == 5
+    assert audit.skipped == 0
+    assert audit.ords.count(Fraction(2, 3)) == 5
     report = json.dumps(audit.as_dict(), sort_keys=True) + "\n"
     assert report == (GOLDEN / "bound_audit_order0_skipped.json").read_text()
+    # ord_at_zero retries from N = 0 the same way
+    polys = _sampled_polys((1, 1, 0, 0, 0), 40, 11)
+    assert [mult.ord_at_zero(P, TRIPLES[2], 0).ord for P in polys] == audit.ords
 
 
 def _sampled_polys(profile, samples, seed):

@@ -1,0 +1,213 @@
+"""The exact series product and the Newton reciprocal against schoolbook oracles.
+
+Exact ``PuiseuxSeries`` products go through one big-integer
+multiplication and exact ``invert`` through Newton's iteration on top
+of it.  These tests compare both with a test-local ``Fraction``
+convolution and the term-by-term reciprocal recurrence: same
+coefficients, same ``prec``, no coefficient at or past the truncation
+bound, and ``int`` wherever a coefficient is integral.  Series with
+complex coefficients keep the plain loops; they are checked bit for bit
+against copies of those loops.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triring.series import PuiseuxSeries
+
+
+def _lower(s):
+    return Fraction(min(s.coeffs), s.ram) if s.coeffs else s.prec
+
+
+def _bound(prec, ram):
+    return -(-prec.numerator * ram // prec.denominator)
+
+
+def schoolbook_mul(a, b):
+    """``(ram, coeffs, prec)`` of ``a * b`` by the double loop over pairs."""
+    ram = lcm(a.ram, b.ram)
+    fa, fb = ram // a.ram, ram // b.ram
+    prec = min(a.prec + _lower(b), b.prec + _lower(a))
+    bound = _bound(prec, ram)
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            k = k1 * fa + k2 * fb
+            if k >= bound:
+                continue
+            acc = out.get(k)
+            out[k] = c1 * c2 if acc is None else acc + c1 * c2
+    return ram, {k: c for k, c in out.items() if c}, prec
+
+
+def recurrence_invert(f):
+    """``(ram, coeffs, prec)`` of ``1 / f`` by the term-by-term recurrence."""
+    m = min(f.coeffs)
+    c0 = f.coeffs[m]
+    inv_c0 = (1 / c0) if isinstance(c0, complex) else Fraction(1) / c0
+    h = {k - m: c * inv_c0 for k, c in f.coeffs.items() if k != m}
+    steps = int((f.prec * f.ram).__floor__()) - m
+    u = {0: Fraction(1)}
+    for k in range(1, max(steps, 0)):
+        acc = None
+        for j, hj in h.items():
+            if j > k:
+                continue
+            uk = u.get(k - j)
+            if uk is None:
+                continue
+            term = hj * uk
+            acc = term if acc is None else acc + term
+        if acc:
+            u[k] = -acc
+    prec = f.prec - 2 * Fraction(m, f.ram)
+    bound = _bound(prec, f.ram)
+    coeffs = {k - m: c * inv_c0 for k, c in u.items()}
+    return f.ram, {k: c for k, c in coeffs.items() if k < bound and c}, prec
+
+
+def assert_canonical(s):
+    for c in s.coeffs.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def assert_matches(series, expected):
+    ram, coeffs, prec = expected
+    assert series.ram == ram
+    assert series.prec == prec
+    assert series.coeffs == coeffs
+    assert all(k < _bound(prec, ram) for k in series.coeffs)
+
+
+@st.composite
+def coefficients(draw):
+    """Exact coefficients from 1 bit to several hundred bits, int or Fraction."""
+    bits = draw(st.integers(1, 400))
+    num = draw(st.integers(-(1 << bits), 1 << bits))
+    den = draw(st.one_of(st.just(1), st.integers(1, 1 << draw(st.integers(1, 200)))))
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 and draw(st.booleans()) else value
+
+
+@st.composite
+def exact_series(draw, min_terms=0):
+    """Negative and positive steps on one residue class of a random stride."""
+    ram = draw(st.sampled_from([1, 2, 3, 6, 40]))
+    stride = draw(st.sampled_from([1, 1, 2, 3, 7, 40]))
+    start = draw(st.integers(-30, 30))
+    slots = draw(st.lists(st.integers(0, 16), min_size=min_terms, max_size=12, unique=True))
+    coeffs = {start + stride * i: draw(coefficients()) for i in slots}
+    # prec * ram may be fractional; it may cut stored steps away
+    top = 3 * (start + stride * 17)
+    prec = Fraction(draw(st.integers(3 * start - 6, top + 12)), 3 * ram)
+    return PuiseuxSeries(ram, coeffs, prec)
+
+
+@st.composite
+def complex_series(draw):
+    ram = draw(st.sampled_from([1, 2, 3]))
+    # parts of moderate size, so the recurrence never overflows to inf or nan
+    parts = st.floats(-4, 4, allow_nan=False).filter(lambda x: x == 0 or abs(x) >= 0.5)
+    slots = draw(st.lists(st.integers(-4, 12), min_size=1, max_size=10, unique=True))
+    coeffs = {k: complex(draw(parts), draw(parts)) for k in slots}
+    return PuiseuxSeries(ram, coeffs, Fraction(draw(st.integers(-4, 40)), ram))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=exact_series(), b=exact_series())
+def test_exact_product_matches_schoolbook(a, b):
+    product = a * b
+    assert_matches(product, schoolbook_mul(a, b))
+    assert_canonical(product)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=exact_series(min_terms=1))
+def test_newton_inverse_matches_recurrence(f):
+    if not f.coeffs:  # every term cut by prec
+        return
+    inverse = f.invert()
+    assert_matches(inverse, recurrence_invert(f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=complex_series(), b=complex_series())
+def test_complex_product_is_the_plain_loop(a, b):
+    assert_matches(a * b, schoolbook_mul(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=complex_series())
+def test_complex_inverse_is_the_recurrence(f):
+    if not f.coeffs:
+        return
+    assert_matches(f.invert(), recurrence_invert(f))
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=exact_series(), b=complex_series())
+def test_rational_times_complex_takes_the_loop(a, b):
+    product = a * b
+    assert_matches(product, schoolbook_mul(a, b))
+    assert all(isinstance(c, complex) for c in product.coeffs.values())
+
+
+def test_empty_operand_gives_empty_product():
+    f = PuiseuxSeries(2, {-3: Fraction(1, 3), 1: 5}, 4)
+    zero = PuiseuxSeries.zero(Fraction(7, 2))
+    for product in (f * zero, zero * f):
+        assert product.coeffs == {}
+        assert product.prec == min(Fraction(4) + Fraction(7, 2), Fraction(7, 2) - Fraction(3, 2))
+
+
+def test_products_that_cancel_drop_their_zeros():
+    one_plus_x = PuiseuxSeries(1, {0: 1, 1: 1}, 30)
+    alternating = PuiseuxSeries(1, {k: (-1) ** k for k in range(12)}, 30)
+    assert (one_plus_x * alternating).coeffs == {0: 1, 12: -1}
+    a = PuiseuxSeries(3, {-2: Fraction(1, 2), 1: Fraction(-1, 2)}, 5)
+    b = PuiseuxSeries(3, {4: 1, 7: 1}, 5)
+    assert (a * b).coeffs == {2: Fraction(1, 2), 8: Fraction(-1, 2)}
+    # the cancelling step is the last one below the bound
+    c = PuiseuxSeries(3, {-2: 1, 1: 1}, 5)
+    d = PuiseuxSeries(3, {4: 1, 7: -1}, Fraction(8, 3))
+    assert (c * d).coeffs == {2: 1}
+
+
+def test_terms_at_the_bound_are_absent():
+    # prec = min(2 + 0, 2 + 0) = 2, so x^2 and beyond must not appear
+    a = PuiseuxSeries(1, {0: 1, 1: 1}, 2)
+    assert (a * a).coeffs == {0: 1, 1: 2}
+    # fractional prec * ram: bound ceil(7/2 * 2) = 7 steps
+    b = PuiseuxSeries(2, {0: 1, 3: 1}, Fraction(7, 2))
+    assert max((b * b).coeffs) < 7
+
+
+def test_large_and_small_numerators_in_one_operand():
+    big = (1 << 500) + 1
+    a = PuiseuxSeries(1, {0: 1, 1: big, 2: Fraction(-1, big)}, 10)
+    b = PuiseuxSeries(1, {0: -1, 1: Fraction(big, 3), 2: 1}, 10)
+    assert_matches(a * b, schoolbook_mul(a, b))
+    assert_matches(a.invert(), recurrence_invert(a))
+
+
+def test_stride_on_one_residue_class_at_high_ram():
+    a = PuiseuxSeries(40, {7 + 40 * i: Fraction(i + 1, i + 2) for i in range(10)}, 12)
+    b = PuiseuxSeries(40, {-13 + 40 * i: (-1) ** i * (i + 3) for i in range(10)}, 11)
+    assert_matches(a * b, schoolbook_mul(a, b))
+    assert_matches(a.invert(), recurrence_invert(a))
+
+
+def test_digit_width_holds_the_largest_sums():
+    # equal-sign numerators of full size make every product digit as
+    # large as the width allows: min(len) * max|A| * max|B|
+    for bits in range(1, 40):
+        top = (1 << bits) - 1
+        for length in (2, 3, 17, 64):
+            for sign in (1, -1):
+                a = PuiseuxSeries(1, {k: top for k in range(length)}, 2 * length)
+                b = PuiseuxSeries(1, {k: sign * top for k in range(length)}, 2 * length)
+                assert_matches(a * b, schoolbook_mul(a, b))
