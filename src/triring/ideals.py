@@ -235,7 +235,10 @@ def case_one_quadric(params) -> Poly:
 
 def case_one_cubic(params) -> Poly:
     """K: image of D(H) under y0 -> 0."""
-    H = case_one_quadric(params)
+    return _cubic_from_quadric(case_one_quadric(params), params)
+
+
+def _cubic_from_quadric(H, params) -> Poly:
     return apply_D(H, params).substitute({"y0": Fraction(0)})
 
 
@@ -277,7 +280,7 @@ def certify_case_one(params, raise_on_failure=True) -> CaseOneReport:
     g = ring.gens(AFFINE_VARS)
     y1, y2 = g["y1"], g["y2"]
     H = case_one_quadric(params)
-    K = case_one_cubic(params)
+    K = _cubic_from_quadric(H, params)
     R1 = resultant(H, K, "y1")
     R2 = resultant(H, K, "y2")
     e = eta(params)

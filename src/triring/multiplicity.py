@@ -385,7 +385,7 @@ def bound_audit(
     its coefficient vector is nonzero.  When every column gives zero the
     sample is inconclusive and retries on the box at doubled order; any
     that stay inconclusive are skipped and counted, never silently
-    dropped.
+    dropped.  ``order_used`` is the truncation order of the last box built.
     """
     profile = tuple(int(d) for d in profile)
     if len(profile) != 5 or any(d < 0 for d in profile):
@@ -397,11 +397,12 @@ def bound_audit(
     draws = [[rng.choice(nonzero) for _ in range(size)] for _ in range(samples)]
 
     pending = list(range(samples))
-    order = N
+    order = order_used = N
     results = {}
     for _ in range(MAX_DOUBLINGS + 1):
         if not pending:
             break
+        order_used = order
         ram, columns = _integer_columns(_monomial_series_cache(params, profile, order))
         still = []
         for idx in pending:
@@ -425,7 +426,7 @@ def bound_audit(
         bound=bound,
         samples=samples,
         seed=seed,
-        order_used=N,
+        order_used=order_used,
         max_ord=max_ord,
         ratio=ratio,
         skipped=skipped,

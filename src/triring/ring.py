@@ -400,6 +400,10 @@ class Poly:
     def exact_div(self, divisor):
         if isinstance(divisor, (int, Fraction)):
             return self * _div(1, _exact(divisor))
+        c = divisor.terms.get((0,) * len(divisor.vars)) if len(divisor.terms) == 1 else None
+        if c is not None and self.vars == divisor.vars:  # a nonzero constant divides exactly
+            return self if c == 1 else Poly._make(
+                self.vars, {e: _div(v, c) for e, v in self.terms.items()})
         quo, rem = self.divmod_single(divisor)
         if rem:
             raise ValueError("division is not exact")
@@ -592,30 +596,40 @@ def homogenize_weight(F):
 # -- resultants ------------------------------------------------------------------
 
 
-def _poly_matrix_det(matrix):
-    """Fraction-free Bareiss determinant of a square matrix of Polys."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    vars = matrix[0][0].vars
-    M = [row[:] for row in matrix]
-    sign = 1
-    prev = Poly.const(vars, 1)
-    for k in range(n - 1):
+def _bareiss(M):
+    """Last entry of a fraction-free Bareiss elimination of ``M``, in place.
+
+    The last column holds equal-length tuples of Polys.  Every entry is a
+    bordered minor (Sylvester's identity), so the exact division holds slot
+    by slot: slot ``s`` of the result is the determinant with slot ``s`` of
+    each tuple as the last column; all are zero when the first
+    ``len(M) - 1`` columns have no pivot.
+    """
+    last = len(M) - 1
+    sign, prev = 1, Poly.const(M[0][last][0].vars, 1)
+    for k in range(last):
         if not M[k][k]:
-            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
+            pivot = next((i for i in range(k + 1, last + 1) if M[i][k]), None)
             if pivot is None:
-                return Poly.zero(vars)
+                return (Poly.zero(prev.vars),) * len(M[0][last])
             M[k], M[pivot] = M[pivot], M[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                M[i][j] = num.exact_div(prev)
-            M[i][k] = Poly.zero(vars)
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
+        row_k, piv = M[k], M[k][k]
+        for row in M[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, last):
+                row[j] = (row[j] * piv - a * row_k[j]).exact_div(prev)
+            row[last] = tuple((x * piv - a * y).exact_div(prev)
+                              for x, y in zip(row[last], row_k[last]))
+        prev = piv
+    return M[last][last] if sign == 1 else tuple(-x for x in M[last][last])
+
+
+def _poly_matrix_det(matrix):
+    """Fraction-free Bareiss determinant of a square matrix of Polys."""
+    if not matrix:
+        raise ValueError("empty matrix")
+    return _bareiss([row[:-1] + [(row[-1],)] for row in matrix])[0]
 
 
 def sylvester_matrix(P, Q, name):
@@ -655,31 +669,17 @@ def resultant(P, Q, name):
 def resultant_with_cofactors(P, Q, name):
     """Resultant ``R`` plus ``A, B`` with ``A*P + B*Q == R``.
 
-    The cofactors come from expanding the Sylvester determinant along its
-    constant column; ``deg_name(A) < deg_name(Q)`` and symmetrically.
+    One Bareiss elimination of the Sylvester matrix whose constant column
+    carries (entry, ``name^k``, 0) in the row of ``name^k * P`` and (entry,
+    0, ``name^k``) in that of ``name^k * Q``; ``deg_name(A) < deg_name(Q)``.
     """
     S = sylvester_matrix(P, Q, name)
-    size = len(S)
-    n = P.partial_degree(name)
-    m = Q.partial_degree(name)
-    vars = P.vars
-    a_parts, b_parts = [], []
-    for i in range(size):
-        minor = [row[:-1] for r, row in enumerate(S) if r != i]
-        if size == 1:
-            det = Poly.const(vars, 1)
-        else:
-            det = _poly_matrix_det(minor)
-        if (i + size - 1) % 2 == 1:
-            det = -det
-        if i < m:
-            a_parts.append(det * Poly.var(vars, name, m - 1 - i))
-        else:
-            b_parts.append(det * Poly.var(vars, name, n - 1 - (i - m)))
-    A = Poly.sum(vars, a_parts)
-    B = Poly.sum(vars, b_parts)
-    R = A * P + B * Q
-    return R, A, B
+    size, m = len(S), Q.partial_degree(name)
+    zero = Poly.zero(P.vars)
+    for i, row in enumerate(S):
+        power = Poly.var(P.vars, name, (m if i < m else size) - 1 - i)
+        row[-1] = (row[-1], power, zero) if i < m else (row[-1], zero, power)
+    return _bareiss(S)
 
 
 # -- convenience generators ---------------------------------------------------

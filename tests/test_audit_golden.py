@@ -51,9 +51,11 @@ def test_cli_audit_json_is_byte_identical(capsys, name):
 
 def test_inconclusive_samples_retry_and_are_skipped():
     # at N = 0 the five samples of order 2/3 see only vanishing columns;
-    # the retries run at orders 1, 2 and 4 and resolve all of them
+    # the retry on the box at order 1 resolves all of them, and the report
+    # gives that order
     audit = mult.bound_audit((1, 1, 0, 0, 0), TRIPLES[2], samples=40, N=0, seed=11)
     assert audit.skipped == 0
+    assert audit.order_used == 1
     assert audit.ords.count(Fraction(2, 3)) == 5
     report = json.dumps(audit.as_dict(), sort_keys=True) + "\n"
     assert report == (GOLDEN / "bound_audit_order0_skipped.json").read_text()

@@ -4,7 +4,9 @@ Every stored coefficient is a nonzero ``int`` or a ``Fraction`` whose
 denominator is not 1, never a float; integral values are ints, so
 integer inputs stay integers through add, sub and mul.  Every quotient
 of coefficients goes through ``ring._div``.  Resultants are checked against sympy,
-including a common root and a Bareiss elimination that must swap rows.
+including a common root and a Bareiss elimination that must swap rows, and
+the one-elimination cofactors against a test-local expansion of the
+Sylvester determinant along its constant column, one minor per row.
 """
 
 from fractions import Fraction
@@ -16,7 +18,14 @@ from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from triring.errors import DomainMismatch
-from triring.ring import Poly, _div, _poly_matrix_det, resultant_with_cofactors, sylvester_matrix
+from triring.ring import (
+    Poly,
+    _div,
+    _poly_matrix_det,
+    resultant,
+    resultant_with_cofactors,
+    sylvester_matrix,
+)
 
 VARS = ("x", "y")
 SX, SY = sp.symbols("x y")
@@ -183,3 +192,99 @@ def test_bareiss_swaps_rows_when_the_first_pivot_is_zero():
     # a zero first column gives a zero determinant through the same branch
     zero = Poly.zero(VARS)
     assert not _poly_matrix_det([[zero, x], [zero, y]])
+
+
+# -- cofactors from one elimination against the minor expansion --------------------
+
+
+def bareiss_det(matrix):
+    """Plain fraction-free Bareiss determinant, independent of the package's."""
+    n = len(matrix)
+    M = [row[:] for row in matrix]
+    sign, prev = 1, Poly.const(VARS, 1)
+    for k in range(n - 1):
+        if not M[k][k]:
+            pivot = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if pivot is None:
+                return Poly.zero(VARS)
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]).exact_div(prev)
+        prev = M[k][k]
+    return M[n - 1][n - 1] if sign == 1 else -M[n - 1][n - 1]
+
+
+def cofactors_by_minors(P, Q, name):
+    """(R, A, B) by expanding the Sylvester determinant along its constant column."""
+    S = sylvester_matrix(P, Q, name)
+    size, n, m = len(S), P.partial_degree(name), Q.partial_degree(name)
+    A, B = Poly.zero(VARS), Poly.zero(VARS)
+    for i in range(size):
+        det = bareiss_det([row[:-1] for r, row in enumerate(S) if r != i])
+        if (i + size - 1) % 2:
+            det = -det
+        if i < m:
+            A = A + det * Poly.var(VARS, name, m - 1 - i)
+        else:
+            B = B + det * Poly.var(VARS, name, n - 1 - (i - m))
+    return A * P + B * Q, A, B
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(poly_in_y(int_coef), poly_in_y(rat_coef)),
+       st.one_of(poly_in_y(int_coef), poly_in_y(rat_coef)))
+def test_one_elimination_equals_the_minor_expansion(P, Q):
+    R, A, B = resultant_with_cofactors(P, Q, "y")
+    assert (R, A, B) == cofactors_by_minors(P, Q, "y")
+    assert A * P + B * Q == R
+    assert R == resultant(P, Q, "y")
+
+
+def test_cofactor_elimination_swaps_rows_at_a_vanishing_pivot():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    P, Q = y ** 2 + x, Fraction(1, 2) * y ** 3
+    S = sylvester_matrix(P, Q, "y")
+    # the leading 4x4 minor vanishes, so the fourth pivot is zero and the
+    # elimination swaps in the last row
+    assert sp.Matrix([[to_sympy(e) for e in row[:4]] for row in S[:4]]).det() == 0
+    R, A, B = resultant_with_cofactors(P, Q, "y")
+    assert (R, A, B) == cofactors_by_minors(P, Q, "y")
+    assert R == Fraction(1, 4) * x ** 3  # (1/2)^deg P times P(0)^3
+    assert A * P + B * Q == R
+    for X in (R, A, B):
+        assert_canonical(X)
+
+
+def test_rank_deficient_leading_columns_give_three_zeros():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    square = (y - x) ** 2  # a common factor of degree 2 kills every cofactor
+    P, Q = square * (2 * y + 1), square * (y - Fraction(2, 3)) * (y + x)
+    zero = Poly.zero(VARS)
+    assert resultant_with_cofactors(P, Q, "y") == (zero, zero, zero)
+    assert cofactors_by_minors(P, Q, "y") == (zero, zero, zero)
+
+
+@SETTINGS
+@given(any_poly, rat_coef)
+def test_exact_div_by_a_constant_poly(P, c):
+    assume(c)
+    one = Poly.const(VARS, 1)
+    assert P.exact_div(one) == P
+    quo = (P * c).exact_div(Poly.const(VARS, c))
+    assert_canonical(quo)
+    assert quo == P
+
+
+def test_exact_div_by_a_constant_poly_keeps_integral_quotients_int():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    quo = (6 * x - 3 * y).exact_div(Poly.const(VARS, 3))
+    assert quo.terms == {(1, 0): 2, (0, 1): -1}
+    assert_canonical(quo)
+    half = (Fraction(3, 2) * x + 4 * y).exact_div(Poly.const(VARS, Fraction(1, 2)))
+    assert half.terms == {(1, 0): 3, (0, 1): 8}
+    assert_canonical(half)
+    assert (x + y).exact_div(Poly.const(VARS, 2)) == Fraction(1, 2) * (x + y)
+    with pytest.raises(DomainMismatch):
+        x.exact_div(Poly.const(("x", "z"), 2))
