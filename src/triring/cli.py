@@ -26,10 +26,10 @@ USAGE_ERROR = 1
 IDENTITY_ERROR = 2
 
 
-def _default_order():
+def _default_order(fallback=24):
     text = os.environ.get("TRIRING_ORDER", "").strip()
     try:
-        order = int(text or 24)
+        order = int(text or fallback)
     except ValueError:
         raise ValueError(f"TRIRING_ORDER must be an integer, got {text!r}") from None
     if order < 1:
@@ -199,6 +199,9 @@ def _coef_text(c):
 
 
 def _cmd_hyper(args):
+    if args.order is None:
+        verify = args.action == "verify"
+        args.order = _default_order(hypergeom.NUMERIC_CHECK_ORDER) if verify else _default_order()
     p = _parse_triple(args.params)
     if args.action == "expand":
         point = {"0": "zero", "1": "one", "inf": "inf"}[args.point]
@@ -266,6 +269,8 @@ def _cmd_dist(args):
 
 
 def _cmd_audit(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     p = _parse_triple(args.params)
     profile = tuple(int(v) for v in args.profile.split(","))
     audit = multiplicity.bound_audit(
@@ -415,7 +420,9 @@ def build_parser():
     p_hyper.add_argument("action", choices=("expand", "verify"))
     p_hyper.add_argument("--point", choices=("0", "1", "inf"), default="0")
     p_hyper.add_argument("--params", required=True)
-    p_hyper.add_argument("--order", **order_kw)
+    p_hyper.add_argument("--order", type=int, default=None,
+                         help="truncation order (default: TRIRING_ORDER, or 24 for expand "
+                              f"and {hypergeom.NUMERIC_CHECK_ORDER} for verify)")
     p_hyper.add_argument("--samples", default=None, help="comma list, e.g. 0.1,0.3,0.5i")
     p_hyper.add_argument("--emit", choices=("text", "json"), default="text")
     p_hyper.set_defaults(fn=_cmd_hyper)

@@ -342,13 +342,14 @@ def _monomial_series_cache(params, profile, N):
 
 
 def _integer_columns(box):
-    """The box as ``(ram, [(k, column), ...])`` with integer columns.
+    """The box as ``(ram, ((k, column), ...))`` with integer columns.
 
     Every series is put on one ``ram`` grid and cut at the least ``prec``
     of the box.  Column ``k`` holds the coefficients of x^(k/ram), one
     per monomial in box order, times the lcm of their denominators; a
     positive scale per column keeps each zero test of a dot product
-    exact.  Columns come in increasing order of ``k``.
+    exact.  Columns come in increasing order of ``k``, and every column
+    is a tuple, so a shared result cannot be changed by its readers.
     """
     series = list(box.values())
     ram = math.lcm(*(s.ram for s in series))
@@ -361,8 +362,19 @@ def _integer_columns(box):
     for k in sorted(set().union(*rows)):
         entries = [row.get(k, 0) for row in rows]
         scale = math.lcm(*(c.denominator for c in entries))
-        columns.append((k, [int(c * scale) for c in entries]))
-    return ram, columns
+        columns.append((k, tuple(int(c * scale) for c in entries)))
+    return ram, tuple(columns)
+
+
+@lru_cache(maxsize=32)
+def _box_columns(params: TriangleParams, profile: tuple, N: int):
+    """Integer columns of the profile box at order N, cached per process.
+
+    Bounded like ``generator_series``.  Only the immutable
+    ``(ram, columns)`` of ``_integer_columns`` is kept; the series of the
+    box are dropped once their columns are built.
+    """
+    return _integer_columns(_monomial_series_cache(params, profile, N))
 
 
 def bound_audit(
@@ -376,11 +388,15 @@ def bound_audit(
 
     Draws dense random polynomials with coefficients in {-9..9} minus 0
     on the requested profile box, computes each exact order at 0, and
-    reports the maximum against M1*M2^4.
+    reports the maximum against M1*M2^4.  ``samples`` and ``N`` must be
+    nonnegative; N = 0 retries from order 1.
 
     A sample is evaluated as integer dot products: the monomial series
     of the box become integer columns, one per exponent below the box's
-    precision, each scaled by the lcm of its denominators.  The order of
+    precision, each scaled by the lcm of its denominators.  The columns
+    of each (params, profile, order) are built once per process and kept
+    in a cache of at most 32 boxes (``_box_columns``), so auditing a box
+    again with new seeds costs only the dot products.  The order of
     a sample is the exponent of the first column whose dot product with
     its coefficient vector is nonzero.  When every column gives zero the
     sample is inconclusive and retries on the box at doubled order; any
@@ -390,6 +406,10 @@ def bound_audit(
     profile = tuple(int(d) for d in profile)
     if len(profile) != 5 or any(d < 0 for d in profile):
         raise ValueError("profile must be five nonnegative partial degrees")
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     m1, m2, bound = profile_bound(profile)
     rng = random.Random(seed)
     nonzero = [i for i in range(-9, 10) if i]
@@ -403,7 +423,7 @@ def bound_audit(
         if not pending:
             break
         order_used = order
-        ram, columns = _integer_columns(_monomial_series_cache(params, profile, order))
+        ram, columns = _box_columns(params, profile, order)
         still = []
         for idx in pending:
             sample = draws[idx]

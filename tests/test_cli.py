@@ -70,6 +70,14 @@ def test_json_reports_are_deterministic(capsys):
     assert "max_ord" in payload and "ratio_max_ord_over_bound" in payload
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_audit_rejects_samples_below_one(capsys, samples):
+    code, out, err = invoke(capsys, "audit", "--profile", "1,1,1,1,1", "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
 def test_ord_command(capsys):
     code, out, _ = invoke(
         capsys, "ord", "--at", "0", "--params", "1/5,1/4,1/2", "y0 - y2"
@@ -123,6 +131,14 @@ def test_hyper_verify(capsys):
     )
     assert code == 0
     assert "verdict: ok" in out
+
+
+def test_hyper_verify_default_order_passes(capsys, monkeypatch):
+    # the README's invocation: no --order, so the checks' own order applies
+    monkeypatch.delenv("TRIRING_ORDER", raising=False)
+    code, out, _ = invoke(capsys, "hyper", "verify", "--params", "1/5,1/4,1/2", "--emit", "json")
+    assert code == 0
+    assert json.loads(out)["order"] == 60
 
 
 def test_verify_all(capsys):

@@ -251,3 +251,56 @@ def test_audit_deterministic_for_fixed_seed():
     assert a1.as_dict() == a2.as_dict()
     a3 = mult.bound_audit((0, 1, 1, 0, 1), P134, samples=10, seed=43)
     assert a3.as_dict() != a1.as_dict()
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": -1}, {"N": -2}])
+def test_audit_rejects_negative_arguments_before_building(kwargs):
+    mult._box_columns.cache_clear()
+    with pytest.raises(ValueError):
+        mult.bound_audit((1, 1, 0, 0, 0), P134, **kwargs)
+    assert mult._box_columns.cache_info().currsize == 0
+
+
+def test_audit_builds_each_box_once(monkeypatch):
+    builds = []
+    build = mult._monomial_series_cache
+
+    def counting(params, profile, N):
+        builds.append((params, profile, N))
+        return build(params, profile, N)
+
+    monkeypatch.setattr(mult, "_monomial_series_cache", counting)
+    mult._box_columns.cache_clear()
+    a1 = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=6, N=4, seed=1)
+    a2 = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=6, N=4, seed=2)
+    assert a1.ords != a2.ords
+    assert builds == [(P134, (1, 1, 1, 0, 1), 4)]
+    assert mult._box_columns.cache_info().hits == 1
+
+
+# the profiles of the benchmark's audit workload
+BENCH_PROFILES = [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (1, 1, 1, 1, 2), (1, 2, 1, 2, 1),
+                  (1, 1, 2, 1, 2), (1, 1, 2, 2, 2), (2, 2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("p", TRIPLES)
+def test_audit_reports_from_a_warm_cache_equal_fresh_ones(p):
+    seeds = (3, 17, 101)
+    for profile in BENCH_PROFILES:
+        fresh = []
+        for seed in seeds:
+            mult._box_columns.cache_clear()
+            fresh.append(mult.bound_audit(profile, p, samples=5, N=4, seed=seed).as_dict())
+        hits = mult._box_columns.cache_info().hits
+        warm = [mult.bound_audit(profile, p, samples=5, N=4, seed=seed).as_dict()
+                for seed in seeds]
+        assert mult._box_columns.cache_info().hits >= hits + len(seeds)
+        assert warm == fresh
+
+
+def test_cached_box_columns_are_immutable():
+    _, columns = mult._box_columns(P134, (1, 1, 1, 1, 1), 4)
+    assert isinstance(columns, tuple) and columns
+    for k, column in columns:
+        assert isinstance(column, tuple) and len(column) == 32
+        assert all(type(c) is int for c in column)
