@@ -5,7 +5,8 @@ certified identity or residual check fails on the given input (so CI can
 tell an identity regression from an operational failure).  JSON reports
 are emitted with sorted keys and no timestamps: identical seed and
 arguments give byte-identical output.  The environment variable
-``TRIRING_ORDER`` overrides the default truncation order; a value that
+``TRIRING_ORDER`` overrides the default truncation order of every
+command but ``audit``, whose ``--order`` defaults to 16; a value that
 is not an integer, or is below 1, is a usage error.
 """
 
@@ -431,7 +432,9 @@ def build_parser():
     p_ord.add_argument("--at", default="0", help="0 or a complex point like 0.3+0.2i")
     p_ord.add_argument("--params", required=True)
     p_ord.add_argument("poly")
-    p_ord.add_argument("--order", **order_kw)
+    p_ord.add_argument("--order", **dict(
+        order_kw, help="truncation order at 0; at a generic point, the cap on the "
+                       "number of derivatives D^n P tried (default: TRIRING_ORDER or 24)"))
     p_ord.add_argument("--emit", choices=("text", "json"), default="text")
     p_ord.set_defaults(fn=_cmd_ord)
 

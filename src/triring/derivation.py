@@ -58,28 +58,39 @@ def _tables(params):
     return {"D": full, "Dprime": dprime, "Honly": honly}
 
 
-def _leibniz(P: Poly, table) -> Poly:
-    parts = []
+def leibniz(P: Poly, table) -> Poly:
+    """The derivation sending each generator ``name`` to ``table[name]``, on P.
+
+    ``table`` maps variable names of P to polynomials over ``P.vars``; a
+    missing name, or a zero image, is a generator the derivation kills.
+    """
+    images = [table.get(name) for name in P.vars]
+    for image in images:
+        if image:
+            P._check_same_ring(image)
+    terms = {}
     for exps, coef in P.terms.items():
-        for idx, name in enumerate(P.vars):
-            e = exps[idx]
-            if not e or name not in table or not table[name]:
+        for idx, e in enumerate(exps):
+            if not e or not images[idx]:
                 continue
-            lowered = exps[:idx] + (e - 1,) + exps[idx + 1:]
-            parts.append(Poly(P.vars, {lowered: coef * e}) * table[name])
-    return Poly.sum(P.vars, parts)
+            for img_exps, img_coef in images[idx].terms.items():
+                key = [a + b for a, b in zip(exps, img_exps)]
+                key[idx] -= 1
+                key = tuple(key)
+                terms[key] = terms.get(key, 0) + coef * e * img_coef
+    return Poly(P.vars, terms)
 
 
 def apply_D(P: Poly, params: TriangleParams) -> Poly:
     """Apply D by Leibniz extension of the generator rules."""
-    return _leibniz(P, _tables(params)["D"])
+    return leibniz(P, _tables(params)["D"])
 
 
 def apply_variant(P: Poly, kind: str, params: TriangleParams) -> Poly:
     """Apply one of D, Dprime (kills tau, q) or Honly (kills the y's)."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
-    return _leibniz(P, _tables(params)[kind])
+    return leibniz(P, _tables(params)[kind])
 
 
 def rankin_bracket(U: Poly, V: Poly, params: TriangleParams) -> Poly:
@@ -139,7 +150,7 @@ def homog_D(Q: Poly, params: TriangleParams) -> Poly:
         "X3": X0 * (g["X3"] ** 2 - U),
         "X4": X0 * (g["X4"] ** 2 - U),
     }
-    return _leibniz(Q, table)
+    return leibniz(Q, table)
 
 
 def dehomogenize(Q: Poly) -> Poly:

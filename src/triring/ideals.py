@@ -45,10 +45,6 @@ def ramanujan_l() -> Poly:
 # -- Groebner machinery ---------------------------------------------------------
 
 
-def _lt(P):
-    return P.leading()
-
-
 def _mono_div(e1, e2):
     return tuple(a - b for a, b in zip(e1, e2))
 
@@ -106,8 +102,8 @@ def groebner_basis(generators, step_budget=DEFAULT_STEP_BUDGET):
     while pairs:
         i, j = pairs.pop()
         fi, fj = basis[i], basis[j]
-        ei, ci = _lt(fi)
-        ej, cj = _lt(fj)
+        ei, ci = fi.leading()
+        ej, cj = fj.leading()
         l = _mono_lcm(ei, ej)
         if l == tuple(a + b for a, b in zip(ei, ej)):
             continue  # coprime leading monomials reduce to zero
@@ -233,15 +229,6 @@ def case_one_quadric(params) -> Poly:
     return apply_D(g["y0"], params).substitute({"y0": Fraction(0)})
 
 
-def case_one_cubic(params) -> Poly:
-    """K: image of D(H) under y0 -> 0."""
-    return _cubic_from_quadric(case_one_quadric(params), params)
-
-
-def _cubic_from_quadric(H, params) -> Poly:
-    return apply_D(H, params).substitute({"y0": Fraction(0)})
-
-
 def expected_case_one_cubic(params) -> Poly:
     """The displayed closed form of K, rebuilt independently from a, b, c."""
     d = derived_constants(params)
@@ -280,7 +267,7 @@ def certify_case_one(params, raise_on_failure=True) -> CaseOneReport:
     g = ring.gens(AFFINE_VARS)
     y1, y2 = g["y1"], g["y2"]
     H = case_one_quadric(params)
-    K = _cubic_from_quadric(H, params)
+    K = apply_D(H, params).substitute({"y0": Fraction(0)})  # image of D(H) under y0 -> 0
     R1 = resultant(H, K, "y1")
     R2 = resultant(H, K, "y2")
     e = eta(params)

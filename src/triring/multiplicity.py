@@ -5,10 +5,11 @@ the hypergeometric argument); reports carry that label explicitly.  At
 the singular point 0 the computation is exact: the five generator
 series are substituted into the polynomial and the least surviving
 exponent is read off, retrying at doubled order while the result is
-inconclusive.  At a generic point the Taylor coefficients of u0, u1
-come from the polynomial-coefficient recurrence of the normal-form
-equation, seeded with closed-form initial values, and the order is the
-first coefficient index above a relative threshold.
+inconclusive.  At a generic point u0 is a unit and the derivation D
+acts as u0^2 d/dz, so the order of P is the least n with (D^n P)(z0)
+nonzero: the exact iterates D^n P are evaluated at the five generator
+values at z0, and the first whose value stands clear of the error those
+values can carry gives the order.
 """
 
 from __future__ import annotations
@@ -31,15 +32,21 @@ from .errors import (
     TruncationExhausted,
     ZeroPolynomial,
 )
-from .derivation import is_x_homogeneous, x_degree
+from .derivation import apply_D, is_x_homogeneous, leibniz, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
 from .series import PuiseuxSeries
 
 DEFAULT_ORDER = 24
 MAX_DOUBLINGS = 3
-GENERIC_THRESHOLD = 1e-8
+# relative error allowed to each generator value at a generic point: about
+# 40 times the worst relative error of the five generator values from
+# u_value_and_derivative against mpmath at 30 digits (2.3e-14 over 400
+# points of the cut disk on triples with denominators up to 20)
+GENERIC_THRESHOLD = 1e-12
 GENERIC_ABS_FLOOR = 1e-12
+# D^n P grows with n; a derivative with more terms is not differentiated again
+GENERIC_MAX_TERMS = 10000
 
 
 @dataclass
@@ -48,7 +55,7 @@ class OrdReport:
     poly: str
     ord: Fraction | int | None
     conclusive: bool
-    truncation: Fraction
+    truncation: Fraction  # at a generic point: N, the cap on derivatives tried
     domain: str
     coordinate: str = "z"
 
@@ -115,7 +122,7 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
                 ord=value.ord(),
                 conclusive=True,
                 truncation=value.prec,
-                domain=value.domain,
+                domain="rational",
             )
         except InconclusiveOrder:
             order = max(2 * order, 1)
@@ -127,112 +134,154 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
 # -- generic points -----------------------------------------------------------------
 
 
-def _poly_mul(p1, p2):
-    out = [0j] * (len(p1) + len(p2) - 1)
-    for i, a in enumerate(p1):
-        for j, b in enumerate(p2):
-            out[i + j] += a * b
-    return out
-
-
-def taylor_u_series(params, z0, N, which):
-    """Complex Taylor series of u0 or u1 at z0 via the ODE recurrence.
-
-    The equation 4 z^2 (z-1)^2 U'' + (a (z-1)^2 + b z^2 + c) U = 0 has
-    polynomial coefficients, giving a short recurrence; the two initial
-    values come from the closed-form evaluation on the cut unit disk.
-    """
-    z0 = complex(z0)
-    d = derived_constants(params)
-    a, b, c = float(d.a), float(d.b), float(d.c)
-    u, up = hypergeom.u_value_and_derivative(which, params, z0)
-    lin = [z0, 1.0 + 0j]  # z0 + s
-    lin1 = [z0 - 1, 1.0 + 0j]  # z0 - 1 + s
-    p = _poly_mul(_poly_mul(lin, lin), _poly_mul(lin1, lin1))
-    p = [4 * v for v in p]  # degree 4, p[0] != 0 away from 0 and 1
-    qq = [
-        a * (z0 - 1) ** 2 + b * z0 ** 2 + c,
-        2 * a * (z0 - 1) + 2 * b * z0,
-        a + b + 0j,
-    ]
-    coeffs = [u, up]
-    for n in range(N - 1):
-        # coefficient of s^n in p U'' + q U vanishes
-        acc = 0j
-        for j in range(1, 5):
-            if 0 <= n - j + 2 < len(coeffs):
-                acc += p[j] * (n - j + 2) * (n - j + 1) * coeffs[n - j + 2]
-        for j in range(3):
-            if 0 <= n - j < len(coeffs):
-                acc += qq[j] * coeffs[n - j]
-        coeffs.append(-acc / (p[0] * (n + 2) * (n + 1)))
-    return PuiseuxSeries(1, dict(enumerate(coeffs)), len(coeffs))
-
-
-def generator_series_at(params, z0, N):
-    """Complex Taylor series of the five generators recentred at z0."""
-    z0 = complex(z0)
-    u0 = taylor_u_series(params, z0, N + 4, "u0")
-    u1 = taylor_u_series(params, z0, N + 4, "u1")
-    u0_d = u0.differentiate()
-    zser = PuiseuxSeries(1, {0: z0, 1: 1.0 + 0j}, N + 4)
-    y0 = u0 * u0_d
-    y1 = y0 - (u0 * u0) / zser
-    y2 = y0 - (u0 * u0) / (zser - 1.0)
+def _generator_values(params, z0):
+    """tau, q, y0, y1, y2 at z0 from the closed-form u0, u0', u1."""
+    u0, u0_d = hypergeom.u_value_and_derivative("u0", params, z0)
+    u1, _ = hypergeom.u_value_and_derivative("u1", params, z0)
     tau = u1 / u0
-    tau0 = tau.coefficient(0)
-    q = (tau - tau0).exp().scale(cmath.exp(tau0))
-    return {"tau": tau, "q": q, "y0": y0, "y1": y1, "y2": y2}
+    y0 = u0 * u0_d
+    u0sq = u0 * u0
+    return {
+        "tau": tau,
+        "q": cmath.exp(tau),
+        "y0": y0,
+        "y1": y0 - u0sq / z0,
+        "y2": y0 - u0sq / (z0 - 1),
+    }
 
 
-def ord_at_generic(
-    P: Poly,
-    params: TriangleParams,
-    z0,
-    N=DEFAULT_ORDER,
-    threshold=GENERIC_THRESHOLD,
-) -> OrdReport:
+def _gaussian_point(values, names):
+    """The float ``values`` of ``names`` as Gaussian integers X = x * 2^K, and K."""
+    ratios = [
+        part.as_integer_ratio()
+        for name in names
+        for part in (values[name].real, values[name].imag)
+    ]
+    K = max(den.bit_length() - 1 for _, den in ratios)
+    ints = [num << (K - den.bit_length() + 1) for num, den in ratios]
+    return list(zip(ints[0::2], ints[1::2])), K
+
+
+def _scaled_iterates(P: Poly, params):
+    """Integer multiples of P, D P, D^2 P, ... as ``(poly, scale)``.
+
+    D^n P is ``poly / scale``.  The iterates apply M D, M the least common
+    denominator of the generator images of D, so the Leibniz rule runs on
+    ints with no Fraction arithmetic.
+    """
+    yield P, 1
+    images = {v: apply_D(Poly.var(P.vars, v), params) for v in P.vars}
+    M = math.lcm(
+        *(Fraction(c).denominator for img in images.values() for c in img.terms.values())
+    )
+    table = {v: M * img for v, img in images.items()}
+    scale = math.lcm(*(Fraction(c).denominator for c in P.terms.values()))
+    multiple = scale * P
+    while True:
+        multiple = leibniz(multiple, table)
+        scale *= M
+        yield multiple, scale
+
+
+def _value_and_bound(P: Poly, values, scale=1):
+    """P / scale exactly at the float ``values``, and a bound on its input error.
+
+    The value carries no rounding: every term is a Gaussian integer over
+    one common denominator.  If each input may be off by a relative error
+    ``GENERIC_THRESHOLD``, the value of P may be off by that times
+    sum_i |x_i dP/dx_i| (the sum over variables of |sum_t e_i(t) t|, t the
+    terms), plus a second-order remainder of at most that squared times
+    sum_t deg(t)^2 |t|.  Terms that cancel do not inflate the bound; only
+    the sensitivity of P to its inputs does.  Also returns sum_t |t|.
+    """
+    point, K = _gaussian_point(values, P.vars)
+    top = max(sum(exps) for exps in P.terms)
+    lcm = math.lcm(*(Fraction(c).denominator for c in P.terms.values()))
+    den = (lcm * scale) << (K * top)
+    powers = [[(1, 0)] for _ in point]
+    value = [0, 0]
+    slopes = [[0, 0] for _ in point]
+    size = remainder = 0.0
+    for exps, coef in P.terms.items():
+        deg = sum(exps)
+        re, im = int(coef * lcm) << (K * (top - deg)), 0
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            pw = powers[i]
+            while len(pw) <= e:
+                (a, b), (c, d) = pw[-1], point[i]
+                pw.append((a * c - b * d, a * d + b * c))
+            c, d = pw[e]
+            re, im = re * c - im * d, re * d + im * c
+        value[0] += re
+        value[1] += im
+        for i, e in enumerate(exps):
+            if e:
+                slopes[i][0] += e * re
+                slopes[i][1] += e * im
+        mag = abs(complex(re / den, im / den))
+        size += mag
+        remainder += deg * deg * mag
+    sensitivity = sum(abs(complex(re / den, im / den)) for re, im in slopes)
+    eps = GENERIC_THRESHOLD
+    bound = eps * (sensitivity + eps * remainder)
+    return complex(value[0] / den, value[1] / den), bound, size
+
+
+def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdReport:
     """Numeric vanishing order at a generic point of the cut disk.
 
     ``z0`` must avoid the cut rays and stay inside the unit disk, away
     from 0 and 1; conclusive orders at such points are natural numbers.
 
-    Recentred Taylor coefficients grow like R0**(-k) with R0 the
-    distance from z0 to the nearest singularity, so each coefficient is
-    rescaled by R0**k before the relative threshold is applied;
-    otherwise a long window would drown the low-order coefficients.
+    The order is the least n < N with |(D^n P)(z0)| above the error
+    that a relative error of ``GENERIC_THRESHOLD`` in each of the five
+    generator values could cause in it (``_value_and_bound``); a value
+    within that bound is read as zero.  The value is computed exactly at
+    those values, so terms that cancel cost no precision, and the ratio
+    of value to bound is the margin of the decision.  A sum of term
+    magnitudes below ``GENERIC_ABS_FLOOR``, a D^n P of more than
+    ``GENERIC_MAX_TERMS`` terms still to differentiate, or no n < N
+    clearing its bound, is ambiguous.
     """
     if not P:
         raise ZeroPolynomial("the zero polynomial has no order")
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     z0 = complex(z0)
     if abs(z0) >= 0.95 or abs(z0) < 1e-6 or abs(z0 - 1) < 0.05:
         raise ValueError("z0 must be inside the disk, away from 0 and 1")
     if z0.imag == 0 and z0.real < 0:
         raise CutLineViolation(f"{z0} lies on the branch cut along the negative axis")
-    gens = generator_series_at(params, z0, N)
-    value = substitute_series(P, gens)
-    radius = min(abs(z0), abs(z0 - 1))
-    scaled = [
-        abs(value.coefficient(k)) * radius ** k for k in range(int(value.prec))
-    ]
-    cmax = max(scaled) if scaled else 0.0
-    if cmax == 0.0:
-        raise TruncationExhausted("all recentred coefficients are exactly zero")
-    if cmax < GENERIC_ABS_FLOOR:
-        raise ThresholdAmbiguous(
-            f"largest scaled coefficient {cmax:.3e} sits below the trust floor"
-        )
-    for k, mag in enumerate(scaled):
-        if mag >= threshold * cmax:
+    values = _generator_values(params, z0)
+    iterates = _scaled_iterates(P, params)
+    for n in range(N):
+        multiple, scale = next(iterates)
+        if not multiple:
+            raise TruncationExhausted(f"D^{n} P is the zero polynomial")
+        value, bound, size = _value_and_bound(multiple, values, scale)
+        if size == 0.0:
+            raise TruncationExhausted(f"every term of D^{n} P is exactly zero at {z0}")
+        if size < GENERIC_ABS_FLOOR:
+            raise ThresholdAmbiguous(
+                f"the terms of D^{n} P sum to {size:.3e} in magnitude, below the trust floor"
+            )
+        if abs(value) > bound:
             return OrdReport(
                 point=str(z0),
                 poly=P.to_text(),
-                ord=k,
+                ord=n,
                 conclusive=True,
-                truncation=value.prec,
-                domain=value.domain,
+                truncation=Fraction(N),
+                domain="complex",
             )
-    raise ThresholdAmbiguous("no coefficient clears the relative threshold")
+        if len(multiple.terms) > GENERIC_MAX_TERMS:
+            raise ThresholdAmbiguous(
+                f"D^{n} P has {len(multiple.terms)} terms, more than "
+                f"{GENERIC_MAX_TERMS}, and is read as zero at {z0}"
+            )
+    raise ThresholdAmbiguous(f"no D^n P with n < {N} clears its error bound")
 
 
 # -- hypersurface distance ------------------------------------------------------------

@@ -7,11 +7,11 @@ pessimistically, so no result ever claims more terms than its inputs
 support; ``ord`` raises :class:`InconclusiveOrder` instead of guessing
 when all certified coefficients vanish.
 
-Coefficients are exact rationals, or complex floats on the generic-point
-path; Python's own Fraction/complex arithmetic mixes the two.  A product
-of two exact series is one big-integer multiplication (Kronecker
-substitution) and the inverse of an exact series is Newton's iteration
-on top of it; complex series keep the schoolbook loops.
+Coefficients are exact: ``int`` or ``Fraction``.  A float or complex
+coefficient is refused with :class:`DomainMismatch`; only ``evaluate``
+turns a series into floating values.  A product of two series is one
+big-integer multiplication (Kronecker substitution) and the inverse is
+Newton's iteration on top of it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .errors import (
 )
 
 RATIONAL = "rational"
-COMPLEX = "complex"
 
-_SCALARS = (int, Fraction, complex, float)
+_SCALARS = (int, Fraction)
 
 
 def _ceil_steps(prec, ram):
@@ -49,13 +48,9 @@ class PuiseuxSeries:
         self.prec = Fraction(prec)
         bound = _ceil_steps(self.prec, self.ram)
         self.coeffs = {k: c for k, c in coeffs.items() if k < bound and c}
-
-    @property
-    def domain(self):
-        """``"complex"`` when a coefficient is complex or float, else ``"rational"``."""
-        if any(isinstance(c, (complex, float)) for c in self.coeffs.values()):
-            return COMPLEX
-        return RATIONAL
+        for c in self.coeffs.values():
+            if not isinstance(c, _SCALARS):
+                raise DomainMismatch(f"coefficient {c!r} is not an exact rational")
 
     # -- constructors ------------------------------------------------------------
 
@@ -171,6 +166,8 @@ class PuiseuxSeries:
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return -(self - other)
 
     def scale(self, factor):
@@ -189,32 +186,9 @@ class PuiseuxSeries:
             b.prec + a._ord_lower_bound(),
         )
         bound = _ceil_steps(prec, a.ram)
-        if _is_exact(a.coeffs) and _is_exact(b.coeffs):
-            return PuiseuxSeries(a.ram, _exact_product(a.coeffs, b.coeffs, bound), prec)
-        coeffs = {}
-        for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                k = k1 + k2
-                if k >= bound:
-                    continue
-                acc = coeffs.get(k)
-                coeffs[k] = c1 * c2 if acc is None else acc + c1 * c2
-        return PuiseuxSeries(a.ram, coeffs, prec)
+        return PuiseuxSeries(a.ram, _exact_product(a.coeffs, b.coeffs, bound), prec)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.invert() ** (-n)
-        result = PuiseuxSeries.constant(Fraction(1), self.prec + abs(self._ord_lower_bound()) * n + 1, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def shift(self, exponent):
         """Multiply by the exact power x**exponent."""
@@ -241,21 +215,20 @@ class PuiseuxSeries:
             raise NonUnitInverse("no certified nonzero leading coefficient")
         m = min(self.coeffs)
         c0 = self.coeffs[m]
-        inv_c0 = (1 / c0) if isinstance(c0, complex) else Fraction(1) / c0
+        inv_c0 = Fraction(1) / c0
         # h = f / (c0 x^(m/ram)) - 1, known below prec - m/ram
         h = {k - m: c * inv_c0 for k, c in self.coeffs.items() if k != m}
         h_prec_steps = int((self.prec * self.ram).__floor__()) - m
-        if _is_exact(self.coeffs):
-            u = _exact_reciprocal(h, max(h_prec_steps, 1))
-        else:
-            u = _reciprocal_by_recurrence(h, h_prec_steps)
+        u = _exact_reciprocal(h, max(h_prec_steps, 1))
         prec = self.prec - 2 * Fraction(m, self.ram)
         coeffs = {k - m: c * inv_c0 for k, c in u.items()}
         return PuiseuxSeries(self.ram, coeffs, prec)
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
-            return self.scale(1 / other if isinstance(other, complex) else 1 / Fraction(other))
+            return self.scale(1 / Fraction(other))
+        if not isinstance(other, PuiseuxSeries):
+            return NotImplemented
         return self * other.invert()
 
     def exp(self):
@@ -300,8 +273,8 @@ class PuiseuxSeries:
         return total
 
     def to_json_obj(self):
-        values = {k: _coef_json(c) for k, c in self.coeffs.items()}
-        return series_json_obj(self.ram, self.prec, values, self.domain)
+        values = {k: str(c) for k, c in self.coeffs.items()}
+        return series_json_obj(self.ram, self.prec, values, RATIONAL)
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), sort_keys=True)
@@ -336,10 +309,6 @@ class PuiseuxSeries:
 
 
 # -- exact kernel ----------------------------------------------------------------------
-
-
-def _is_exact(coeffs):
-    return all(type(c) is int or type(c) is Fraction for c in coeffs.values())
 
 
 def _exact_product(a, b, bound):
@@ -426,24 +395,6 @@ def _exact_reciprocal(h, n):
     return v
 
 
-def _reciprocal_by_recurrence(h, n):
-    """``1 / (1 + h)`` below step ``n`` term by term, for any coefficients."""
-    u = {0: Fraction(1)}
-    for k in range(1, max(n, 0)):
-        acc = None
-        for j, hj in h.items():
-            if j > k:
-                continue
-            uk = u.get(k - j)
-            if uk is None:
-                continue
-            term = hj * uk
-            acc = term if acc is None else acc + term
-        if acc:
-            u[k] = -acc
-    return u
-
-
 def series_json_obj(ram, prec, values, domain):
     """The JSON layout of a series on the grid ``k / ram`` known below ``prec``.
 
@@ -464,15 +415,7 @@ def series_json_obj(ram, prec, values, domain):
     }
 
 
-def _coef_json(c):
-    if isinstance(c, (complex, float)):
-        return [c.real, c.imag]
-    return str(c)
-
-
 def _coef_unjson(v):
     if isinstance(v, str):
         return Fraction(v)
-    if isinstance(v, list):
-        return complex(v[0], v[1])
     raise DomainMismatch(f"cannot deserialize coefficient {v!r}")

@@ -57,6 +57,13 @@ def test_leibniz_on_random_polynomials(p):
         assert dv.apply_D(A * B, p) == dv.apply_D(A, p) * B + A * dv.apply_D(B, p)
 
 
+def test_leibniz_refuses_images_over_other_variables():
+    from triring.errors import DomainMismatch
+
+    with pytest.raises(DomainMismatch):
+        dv.leibniz(g("y0"), {"y0": Poly.var(HOMOG_VARS, "X2")})
+
+
 def test_variant_split_and_examples():
     P = poly_from_text("tau^2 y0")
     assert dv.apply_variant(P, "Dprime", P134) == poly_from_text("tau^2") * dv.apply_D(

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from triring import ideals
 from triring import multiplicity as mult
+from triring.derivation import apply_D
 from triring.errors import (
     ThresholdAmbiguous,
     TruncationExhausted,
@@ -92,8 +95,6 @@ def test_retry_resolves_high_order():
 def test_truncation_exhausted_on_deep_cancellation():
     # q - sum_{k<=K} tau^k/k! vanishes to order (K+1)(1-gamma), deeper
     # than the retry cap reaches from a tiny starting window
-    import math
-
     K = 60
     poly = text("q")
     for k in range(K + 1):
@@ -121,14 +122,97 @@ def test_generic_ord_nonvanishing_combination():
     assert rep.conclusive
 
 
-def test_generic_constructed_zero_has_positive_order():
-    gens = mult.generator_series_at(P134, 0.3, 24)
-    tau = gens["tau"]
-    shifted = tau - tau.coefficient(0)
-    radius = 0.3
-    scaled = [abs(shifted.coefficient(k)) * radius ** k for k in range(int(shifted.prec))]
-    first = next(k for k, m in enumerate(scaled) if m >= 1e-8 * max(scaled))
-    assert first >= 1
+def _tau_root(c, start):
+    # on 1/5,1/4,1/2, tau = z^(1/2) 2F1(7/10, 3/4; 3/2; z) / 2F1(1/5, 1/4; 1/2; z)
+    # is real on (0, 1); the real z near ``start`` where it equals c
+    al, be, ga = mp.mpf(1) / 5, mp.mpf(1) / 4, mp.mpf(1) / 2
+
+    def tau(z):
+        return (
+            z ** (1 - ga)
+            * mp.hyp2f1(al - ga + 1, be - ga + 1, 2 - ga, z)
+            / mp.hyp2f1(al, be, ga, z)
+        )
+
+    with mp.workdps(30):
+        return float(mp.findroot(lambda z: tau(z) - c, start))
+
+
+def test_generic_order_at_a_zero_of_tau_minus_one_half():
+    # tau passes 1/2 near z = 0.22125
+    z0 = _tau_root(mp.mpf(1) / 2, 0.22)
+    assert abs(z0 - 0.22125) < 1e-4
+    rep = mult.ord_at_generic(text("tau - 1/2"), P134, z0)
+    assert rep.ord == 1 and rep.conclusive
+    assert rep.truncation == mult.DEFAULT_ORDER
+    # N caps the derivatives tried: D^0 alone cannot decide
+    with pytest.raises(ThresholdAmbiguous):
+        mult.ord_at_generic(text("tau - 1/2"), P134, z0, N=1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("unit", ["1", "y0 + 2", "q y1 - tau"])
+def test_generic_order_of_a_power_of_tau_minus_one_half(k, unit):
+    z0 = _tau_root(mp.mpf(1) / 2, 0.22)
+    rep = mult.ord_at_generic(text("tau - 1/2") ** k * text(unit), P134, z0)
+    assert rep.ord == k and rep.conclusive
+
+
+def test_closed_form_u0_matches_the_series_at_zero():
+    # u0 and u0' from the closed form are the only numeric inputs of generic orders
+    from triring import hypergeom as hg
+
+    u0_zero = hg.u_series("u0", P134, 60)
+    z0 = 0.4
+    for dz in (0.02, -0.03, 0.02j):
+        closed, _ = hg.u_value_and_derivative("u0", P134, z0 + dz)
+        assert abs(closed - u0_zero.evaluate(z0 + dz)) < 1e-10
+
+
+@pytest.mark.parametrize("poly", ["y0 y1 - y2 + tau q", "tau^2 y2 - 3 q y0^2 + y1 y2 + 2"])
+def test_D_is_u0_squared_times_d_dz_on_generator_values(poly):
+    # (D P)(g(z0)) = u0(z0)^2 (P o g)'(z0): the identity generic orders rest on
+    from triring import hypergeom as hg
+
+    P = text(poly)
+    z0, h = 0.3 + 0.2j, 1e-5
+
+    def at(z, Q):
+        return mult._value_and_bound(Q, mult._generator_values(P134, z))[0]
+
+    u0, _ = hg.u_value_and_derivative("u0", P134, z0)
+    lhs = at(z0, apply_D(P, P134))
+    slope = (at(z0 + h, P) - at(z0 - h, P)) / (2 * h)
+    assert abs(lhs - u0 * u0 * slope) <= 1e-8 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_expanded_power_that_cancels_is_not_read_as_zero(k):
+    # at z0 = 0.25, tau - 1/2 is about 0.032 and its expanded k-th power
+    # cancels to about 0.032^k against terms of size about 1: a relative
+    # cut on that ratio would read it as zero, but it does not vanish
+    rep = mult.ord_at_generic(text("tau - 1/2") ** k, P134, 0.25)
+    assert rep.ord == 0 and rep.conclusive
+
+
+def test_generic_value_is_exact_and_its_bound_follows_the_slopes():
+    values = mult._generator_values(P134, 0.25)
+    tau = values["tau"]
+    value, bound, size = mult._value_and_bound(text("tau - 1/2") ** 2, values)
+    assert abs(value - (tau - 0.5) ** 2) <= 1e-15 * abs(tau - 0.5) ** 2
+    # tau d/dtau (tau - 1/2)^2 = 2 tau (tau - 1/2), plus a second-order term
+    slope = abs(2 * tau * (tau - 0.5))
+    eps = mult.GENERIC_THRESHOLD
+    assert eps * slope <= bound <= eps * slope * 1.01
+    assert abs(size - (abs(tau) ** 2 + abs(tau) + 0.25)) < 1e-12
+
+
+def test_generic_order_stops_at_the_term_cap(monkeypatch):
+    # a positive order whose derivative outgrows the cap is ambiguous, not guessed
+    z0 = _tau_root(mp.mpf(1) / 2, 0.22)
+    monkeypatch.setattr(mult, "GENERIC_MAX_TERMS", 1)
+    with pytest.raises(ThresholdAmbiguous):
+        mult.ord_at_generic(text("tau - 1/2"), P134, z0)
 
 
 def test_generic_orders_are_natural_numbers():
@@ -153,25 +237,12 @@ def test_generic_rejects_bad_points():
         mult.ord_at_generic(text("y0"), P134, 1.02)
     with pytest.raises(ValueError):
         mult.ord_at_generic(text("y0"), P134, 1e-9)
+    with pytest.raises(ValueError):
+        mult.ord_at_generic(text("y0"), P134, 0.3, N=0)
     from triring.errors import CutLineViolation
 
     with pytest.raises(CutLineViolation):
         mult.ord_at_generic(text("y0"), P134, -0.4)
-
-
-def test_taylor_recurrence_matches_direct_series():
-    # recentred u0 evaluated near z0 must agree with the z = 0 series
-    from triring import hypergeom as hg
-
-    u0_zero = hg.u_series("u0", P134, 60)
-    z0 = 0.4
-    taylor = mult.taylor_u_series(P134, z0, 20, "u0")
-    for dz in (0.02, -0.03, 0.02j):
-        direct = u0_zero.evaluate(z0 + dz)
-        recentred = sum(
-            taylor.coefficient(k) * dz ** k for k in range(int(taylor.prec))
-        )
-        assert abs(direct - recentred) < 1e-10
 
 
 # -- hypersurface distance ------------------------------------------------------

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triring.errors import (
+    DomainMismatch,
     InconclusiveOrder,
     NonpositiveOrder,
     NonUnitInverse,
 )
-from triring.series import COMPLEX, RATIONAL, PuiseuxSeries
+from triring.series import RATIONAL, PuiseuxSeries
 
 
 def series_of(mapping, prec):
@@ -186,12 +187,30 @@ def test_normalize_ram():
     assert n.coefficient(1) == 1 and n.coefficient(2) == 2
 
 
-def test_rational_coerces_into_complex():
-    r = series_of({0: 1, 1: 2}, 4)
-    c = PuiseuxSeries(1, {0: 1j}, 4)
-    out = r + c
-    assert out.domain == COMPLEX
-    assert out.coefficient(0) == 1 + 1j
+@pytest.mark.parametrize("value", [0.5, 1j, 2 + 0j])
+def test_float_and_complex_coefficients_are_refused(value):
+    with pytest.raises(DomainMismatch):
+        PuiseuxSeries(1, {0: 1, 1: value}, 4)
+    with pytest.raises(DomainMismatch):
+        PuiseuxSeries.constant(value, 4)
+    with pytest.raises(DomainMismatch):
+        series_of({0: 1}, 4).scale(value)
+
+
+@pytest.mark.parametrize("value", [1j, 0.5])
+def test_float_and_complex_scalars_do_not_mix_in(value):
+    s = series_of({0: 1, 1: 2}, 4)
+    for op in (
+        lambda: s + value,
+        lambda: value + s,
+        lambda: s - value,
+        lambda: value - s,
+        lambda: s * value,
+        lambda: value * s,
+        lambda: s / value,
+    ):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_json_round_trip_rational():

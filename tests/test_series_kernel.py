@@ -5,9 +5,7 @@ multiplication and exact ``invert`` through Newton's iteration on top
 of it.  These tests compare both with a test-local ``Fraction``
 convolution and the term-by-term reciprocal recurrence: same
 coefficients, same ``prec``, no coefficient at or past the truncation
-bound, and ``int`` wherever a coefficient is integral.  Series with
-complex coefficients keep the plain loops; they are checked bit for bit
-against copies of those loops.
+bound, and ``int`` wherever a coefficient is integral.
 """
 
 from fractions import Fraction
@@ -48,7 +46,7 @@ def recurrence_invert(f):
     """``(ram, coeffs, prec)`` of ``1 / f`` by the term-by-term recurrence."""
     m = min(f.coeffs)
     c0 = f.coeffs[m]
-    inv_c0 = (1 / c0) if isinstance(c0, complex) else Fraction(1) / c0
+    inv_c0 = Fraction(1) / c0
     h = {k - m: c * inv_c0 for k, c in f.coeffs.items() if k != m}
     steps = int((f.prec * f.ram).__floor__()) - m
     u = {0: Fraction(1)}
@@ -107,16 +105,6 @@ def exact_series(draw, min_terms=0):
     return PuiseuxSeries(ram, coeffs, prec)
 
 
-@st.composite
-def complex_series(draw):
-    ram = draw(st.sampled_from([1, 2, 3]))
-    # parts of moderate size, so the recurrence never overflows to inf or nan
-    parts = st.floats(-4, 4, allow_nan=False).filter(lambda x: x == 0 or abs(x) >= 0.5)
-    slots = draw(st.lists(st.integers(-4, 12), min_size=1, max_size=10, unique=True))
-    coeffs = {k: complex(draw(parts), draw(parts)) for k in slots}
-    return PuiseuxSeries(ram, coeffs, Fraction(draw(st.integers(-4, 40)), ram))
-
-
 @settings(max_examples=300, deadline=None)
 @given(a=exact_series(), b=exact_series())
 def test_exact_product_matches_schoolbook(a, b):
@@ -132,28 +120,6 @@ def test_newton_inverse_matches_recurrence(f):
         return
     inverse = f.invert()
     assert_matches(inverse, recurrence_invert(f))
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=complex_series(), b=complex_series())
-def test_complex_product_is_the_plain_loop(a, b):
-    assert_matches(a * b, schoolbook_mul(a, b))
-
-
-@settings(max_examples=100, deadline=None)
-@given(f=complex_series())
-def test_complex_inverse_is_the_recurrence(f):
-    if not f.coeffs:
-        return
-    assert_matches(f.invert(), recurrence_invert(f))
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=exact_series(), b=complex_series())
-def test_rational_times_complex_takes_the_loop(a, b):
-    product = a * b
-    assert_matches(product, schoolbook_mul(a, b))
-    assert all(isinstance(c, complex) for c in product.coeffs.values())
 
 
 def test_empty_operand_gives_empty_product():
