@@ -162,7 +162,7 @@ def _cmd_ideal(args):
         return 0 if ok else IDENTITY_ERROR
     if args.action == "stable":
         P = _parse_poly_arg(args.gen)
-        cert = ideals.principal_stability(P, p, search_bound=args.search_bound)
+        cert = ideals.principal_stability(P, p, step_budget=args.budget)
         payload = {
             "params": p.label(),
             "generator": P.to_json_obj(),
@@ -174,10 +174,9 @@ def _cmd_ideal(args):
             payload["cofactor"] = cof.to_json_obj()
             payload["cofactor_affine_form"] = cert.affine_cofactor_form
             lines.append(f"cofactor: {cof.to_text()}")
-        elif cert.witness:
-            idx, n, escaped = cert.witness
-            payload["witness_power"] = n
-            lines.append(f"D^{n}(gen) escapes the ideal")
+        else:
+            payload["witness_power"] = cert.witness[1]
+            lines.append(f"D^{cert.witness[1]}(gen) escapes the ideal")
         _emit(args, payload, lines)
         return 0
     if args.action == "member":
@@ -228,7 +227,7 @@ def _cmd_hyper(args):
         rep = hypergeom.numeric_checks(p, samples=samples, N=args.order)
         worst_w = max(rep.wronskian_dev.values())
         worst_conn = rep.max_connection_residual()
-        ok = worst_w < 1e-9 and worst_conn < 1e-6 and rep.omega_matches_statement
+        ok = rep.passed()
         payload = dict(rep.as_dict(), passed=ok)
         lines = [
             f"wronskian deviation (max): {worst_w:.3e}",
@@ -358,11 +357,7 @@ def _cmd_verify(args):
     ) * kap
 
     rep = hypergeom.numeric_checks(p, N=max(N, 40))
-    results["numeric_connection_formulas"] = (
-        max(rep.wronskian_dev.values()) < 1e-9
-        and rep.max_connection_residual() < 1e-6
-        and rep.omega_matches_statement
-    )
+    results["numeric_connection_formulas"] = rep.passed()
 
     ok = all(results.values())
     payload = {"params": p.label(), "order": N, "checks": results, "passed": ok}
@@ -412,8 +407,9 @@ def build_parser():
     p_ideal.add_argument("--gen", default=None, help="generator polynomial")
     p_ideal.add_argument("--poly", default=None)
     p_ideal.add_argument("--gens", nargs="*", default=[])
-    p_ideal.add_argument("--search-bound", type=int, default=5)
-    p_ideal.add_argument("--budget", type=int, default=ideals.DEFAULT_STEP_BUDGET)
+    p_ideal.add_argument("--budget", type=int, default=ideals.DEFAULT_STEP_BUDGET,
+                         help="cap on the division steps of member's Buchberger run "
+                              "and of stable's division (default: %(default)s)")
     p_ideal.add_argument("--emit", choices=("text", "json"), default="text")
     p_ideal.set_defaults(fn=_cmd_ideal)
 

@@ -464,6 +464,13 @@ class NumericReport:
         )
         return max(vals) if vals else 0.0
 
+    def passed(self):
+        return (
+            max(self.wronskian_dev.values()) < 1e-9
+            and self.max_connection_residual() < 1e-6
+            and self.omega_matches_statement
+        )
+
     def as_dict(self):
         c = lambda v: [v.real, v.imag]
         return {

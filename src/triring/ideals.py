@@ -1,11 +1,12 @@
 """Stable-ideal certificates and ideal-membership utilities.
 
-The certificates here are constructive: a stability verdict carries the
+The certificates here are constructive: a "stable" verdict carries the
 cofactors that exhibit each derived generator inside the ideal, and an
-instability verdict carries the offending generator together with its
-escaping derivative.  Membership runs Buchberger with the graded-lex
-order over exact rationals; positive answers return cofactors in terms
-of the original generators, re-checkable by direct expansion.
+"unstable" verdict carries the witness (gen index, 1, D(gen)) of the
+first generator whose derivative escapes.  Membership runs Buchberger
+with the graded-lex order over exact rationals; positive answers return
+cofactors in terms of the original generators, re-checkable by direct
+expansion.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .params import TriangleParams, derived_constants, eta
 from .ring import AFFINE_VARS, HOMOG_VARS, Poly, resultant
 
 DEFAULT_STEP_BUDGET = 10 ** 5
-DEFAULT_SEARCH_BOUND = 5
 
 
 def kappa() -> Poly:
@@ -146,9 +146,9 @@ def membership(P, generators, step_budget=DEFAULT_STEP_BUDGET) -> MembershipResu
 @dataclass
 class StabilityCertificate:
     generators: list
-    verdict: str  # "stable" | "unstable" | "undetermined"
+    verdict: str  # "stable" | "unstable"
     cofactors: dict = field(default_factory=dict)  # gen index -> cofactor list
-    witness: tuple | None = None  # (gen index, n, D^n gen) for unstable
+    witness: tuple | None = None  # (gen index, 1, D(gen)) for unstable
     affine_cofactor_form: bool | None = None  # principal case: F affine in y's
 
     def __bool__(self):
@@ -166,55 +166,38 @@ def _cofactor_is_affine_weight_form(F):
     return True
 
 
-def principal_stability(P, params, search_bound=DEFAULT_SEARCH_BOUND):
+def principal_stability(P, params, step_budget=DEFAULT_STEP_BUDGET):
     """Stability certificate for the principal ideal (P).
 
     (P) is D-stable exactly when P divides D(P); the certificate then
     carries the cofactor F with D(P) = F P and whether F has the affine
     weight-one shape expected for irreducible P.  Otherwise the witness
-    records the least n (at most ``search_bound``) with D^n P outside (P).
+    is (0, 1, D(P)).
     """
-    if not P:
-        raise ZeroPolynomial("the zero polynomial generates the zero ideal")
-    DP = apply_D(P, params)
-    quo, rem = DP.divmod_single(P)
-    if not rem:
-        return StabilityCertificate(
-            generators=[P],
-            verdict="stable",
-            cofactors={0: [quo]},
-            affine_cofactor_form=_cofactor_is_affine_weight_form(quo),
-        )
-    current = P
-    for n in range(1, search_bound + 1):
-        current = apply_D(current, params)
-        _, r = current.divmod_single(P)
-        if r:
-            return StabilityCertificate(
-                generators=[P], verdict="unstable", witness=(0, n, current)
-            )
-    return StabilityCertificate(generators=[P], verdict="undetermined")
+    cert = certify_stability([P], params, step_budget=step_budget)
+    if cert:
+        cert.affine_cofactor_form = _cofactor_is_affine_weight_form(cert.cofactors[0][0])
+    return cert
 
 
 def certify_stability(generators, params, step_budget=DEFAULT_STEP_BUDGET):
     """D-stability certificate for a finitely generated ideal.
 
     Stability of the ideal is equivalent to D(g) in the ideal for every
-    generator g; cofactors witness each containment.
+    generator g; cofactors witness each containment.  One Groebner basis
+    serves every generator's reduction.
     """
     gens_list = [g for g in generators if g]
-    if not gens_list:
-        raise ZeroPolynomial("ideal needs at least one nonzero generator")
+    basis, reps = groebner_basis(gens_list, step_budget=step_budget)
     cofactors = {}
     for idx, g in enumerate(gens_list):
-        res = membership(apply_D(g, params), gens_list, step_budget=step_budget)
-        if not res:
+        Dg = apply_D(g, params)
+        rem, quot_rep = _reduce(Dg, reps, basis, _Budget(step_budget))
+        if rem:
             return StabilityCertificate(
-                generators=gens_list,
-                verdict="unstable",
-                witness=(idx, 1, apply_D(g, params)),
+                generators=gens_list, verdict="unstable", witness=(idx, 1, Dg)
             )
-        cofactors[idx] = res.cofactors
+        cofactors[idx] = quot_rep
     return StabilityCertificate(
         generators=gens_list, verdict="stable", cofactors=cofactors
     )
@@ -274,24 +257,17 @@ def certify_case_one(params, raise_on_failure=True) -> CaseOneReport:
     expected_H = Fraction(-1, 4) * (
         d.a * y1 ** 2 + d.b * y2 ** 2 + d.c * (y1 - y2) ** 2
     )
-    checks = {
-        "H_closed_form": H == expected_H,
-        "K_closed_form": K == expected_case_one_cubic(params),
-        "R1_identity": R1 == Fraction(-1, 256) * e * y2 ** 6,
-        "R2_identity": R2 == Fraction(-1, 256) * e * y1 ** 6,
+    pairs = {
+        "H_closed_form": (H, expected_H),
+        "K_closed_form": (K, expected_case_one_cubic(params)),
+        "R1_identity": (R1, Fraction(-1, 256) * e * y2 ** 6),
+        "R2_identity": (R2, Fraction(-1, 256) * e * y1 ** 6),
     }
-    if raise_on_failure:
-        for name, ok in checks.items():
-            if not ok:
-                residual = {
-                    "H_closed_form": H - expected_H,
-                    "K_closed_form": K - expected_case_one_cubic(params),
-                    "R1_identity": R1 - Fraction(-1, 256) * e * y2 ** 6,
-                    "R2_identity": R2 - Fraction(-1, 256) * e * y1 ** 6,
-                }[name]
-                raise IdentityFailed(
-                    f"{name} failed for params {params.label()}", residual
-                )
+    checks = {name: got == want for name, (got, want) in pairs.items()}
+    failed = [name for name, ok in checks.items() if not ok]
+    if raise_on_failure and failed:
+        got, want = pairs[failed[0]]
+        raise IdentityFailed(f"{failed[0]} failed for params {params.label()}", got - want)
     return CaseOneReport(params, H, K, R1, R2, e, checks)
 
 

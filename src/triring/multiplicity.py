@@ -32,7 +32,7 @@ from .errors import (
     TruncationExhausted,
     ZeroPolynomial,
 )
-from .derivation import apply_D, is_x_homogeneous, leibniz, x_degree
+from .derivation import apply_D, dehomogenize, is_x_homogeneous, leibniz, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
 from .series import PuiseuxSeries
@@ -295,7 +295,7 @@ def _coordinate_min_ord(params, N):
     return min(Fraction(0), min(vals))
 
 
-def log_dist_hypersurface(U: Poly, params: TriangleParams, N=DEFAULT_ORDER, point="zero"):
+def log_dist_hypersurface(U: Poly, params: TriangleParams, N=DEFAULT_ORDER):
     """-log Dist of the zero hypersurface of U from the coordinate point.
 
     Exact at the singular point 0: combines the order of U evaluated on
@@ -303,14 +303,10 @@ def log_dist_hypersurface(U: Poly, params: TriangleParams, N=DEFAULT_ORDER, poin
     degree correction for unbounded coordinates.  The result is a
     nonnegative element of (1/ram) Z.
     """
-    if point not in ("zero", "0", 0):
-        raise ValueError("only the exact path at the singular point is supported")
     if not U:
         raise ZeroPolynomial("the zero polynomial cuts out no hypersurface")
     if not is_x_homogeneous(U):
         raise NotHomogeneous("U must be homogeneous in X0..X4")
-    from .derivation import dehomogenize
-
     d = derived_constants(params)
     value_ord = ord_at_zero(dehomogenize(U), params, N).ord
     # each X-coefficient is a polynomial in t alone; substituting the

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -237,6 +238,14 @@ def test_numeric_checks_reference_triple():
     assert all(v < 1e-6 for v in rep.connection_at_one.values())
     assert all(v < 1e-6 for v in rep.connection_at_inf.values())
     assert abs(rep.theta_gamma_route - rep.theta_series_route) < 1e-6
+
+
+def test_numeric_report_pass_rule():
+    rep = hg.numeric_checks(P134, samples=(0.1, 0.3), N=60)
+    assert rep.passed()
+    assert not replace(rep, omega_matches_statement=False).passed()
+    assert not replace(rep, wronskian_dev={0.1: 1e-8}).passed()
+    assert not replace(rep, connection_at_inf={-30.0: 1e-5}).passed()
 
 
 def test_omega_statement_form_wins():

@@ -6,7 +6,7 @@ import sympy as sp
 
 from triring import ideals
 from triring.derivation import apply_D, dehomogenize, homog_D, rankin_bracket
-from triring.errors import BasisBudgetExceeded
+from triring.errors import BasisBudgetExceeded, IdentityFailed
 from triring.params import derived_constants, validate
 from triring.ring import AFFINE_VARS, Poly, weight
 
@@ -58,6 +58,59 @@ def test_principal_instability_of_y0():
     idx, n, escaped = cert.witness
     assert n == 1
     assert escaped == apply_D(g("y0"), P134)
+
+
+def _principal_cases():
+    q, d01, d02, d12 = (g("q"), g("y0") - g("y1"), g("y0") - g("y2"), g("y1") - g("y2"))
+    cases = dict(ideals.stable_principal_ideals())
+    cases["q*(y0-y1)^2*(y1-y2)"] = q * d01 ** 2 * d12
+    cases["q^2*(y0-y2)*(y1-y2)"] = q ** 2 * d02 * d12
+    cases["y0"] = g("y0")
+    cases["tau"] = g("tau")
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_principal_cases()))
+def test_principal_stability_agrees_with_certify_stability(name):
+    P = _principal_cases()[name]
+    principal = ideals.principal_stability(P, P134)
+    general = ideals.certify_stability([P], P134)
+    assert principal.verdict == general.verdict
+    assert principal.verdict == ("unstable" if name in ("y0", "tau") else "stable")
+    assert principal.cofactors == general.cofactors
+    assert principal.witness == general.witness
+    if principal:
+        assert principal.cofactors[0][0] * P == apply_D(P, P134)
+    else:
+        assert principal.witness == (0, 1, apply_D(P, P134))
+
+
+def test_principal_stability_counts_division_steps():
+    P = g("q") * (g("y0") - g("y1"))
+    with pytest.raises(BasisBudgetExceeded):
+        ideals.principal_stability(P, P134, step_budget=0)
+    assert ideals.principal_stability(P, P134, step_budget=100).verdict == "stable"
+
+
+@pytest.mark.parametrize("gens", [
+    [g("y0") - g("y1"), g("y0") - g("y2")],
+    [g("y0"), g("y1"), g("y2")],
+])
+def test_certify_stability_builds_one_basis(gens, monkeypatch):
+    calls = []
+    real = ideals.groebner_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counting)
+    cert = ideals.certify_stability(gens, P134)
+    assert cert.verdict == "stable"
+    assert len(calls) == 1
+    for idx, gen in enumerate(gens):
+        total = Poly.sum(AFFINE_VARS, [c * h for c, h in zip(cert.cofactors[idx], gens)])
+        assert total == apply_D(gen, P134)
 
 
 def test_membership_examples():
@@ -121,6 +174,19 @@ def test_case_one_reference_triple():
     k_y1_cubed = report.K.terms.get((0, 0, 0, 3, 0))
     expected = Fraction(1, 8) * (d.a ** 2 - 4 * d.c + d.a * (d.c - 4))
     assert k_y1_cubed == expected
+
+
+def test_case_one_failure_raises_with_residual(monkeypatch):
+    real = ideals.expected_case_one_cubic
+    y1_cubed = g("y1") ** 3
+    monkeypatch.setattr(ideals, "expected_case_one_cubic", lambda p: real(p) + y1_cubed)
+    with pytest.raises(IdentityFailed) as info:
+        ideals.certify_case_one(P134)
+    assert "K_closed_form" in str(info.value)
+    assert info.value.residual == -y1_cubed
+    report = ideals.certify_case_one(P134, raise_on_failure=False)
+    assert report.checks["K_closed_form"] is False
+    assert report.checks["H_closed_form"] is True
 
 
 @pytest.mark.parametrize("p", random_valid_triples(10, seed=77))
