@@ -62,7 +62,7 @@ class NotHomogeneous(TriringError):
 # --- ideals -----------------------------------------------------------------
 
 class BasisBudgetExceeded(TriringError):
-    """Buchberger step budget exhausted before the basis stabilised."""
+    """A division ran out of its step budget; the message names the reduction."""
 
 
 class IdentityFailed(TriringError):

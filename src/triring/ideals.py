@@ -54,13 +54,14 @@ def _mono_lcm(e1, e2):
 
 
 class _Budget:
-    def __init__(self, steps):
+    def __init__(self, steps, task):
         self.left = steps
+        self.task = task  # the reduction an overrun names
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise BasisBudgetExceeded("S-polynomial reduction budget exhausted")
+            raise BasisBudgetExceeded(f"step budget exhausted in {self.task}")
 
 
 def _reduce(P, reps, basis, budget):
@@ -88,7 +89,7 @@ def groebner_basis(generators, step_budget=DEFAULT_STEP_BUDGET):
     if not gens_list:
         raise ZeroPolynomial("ideal needs at least one nonzero generator")
     vars = gens_list[0].vars
-    budget = _Budget(step_budget)
+    budget = _Budget(step_budget, "the Buchberger S-polynomial reductions")
     basis = []
     reps = {}
     unit = lambda i: [
@@ -134,7 +135,7 @@ class MembershipResult:
 def membership(P, generators, step_budget=DEFAULT_STEP_BUDGET) -> MembershipResult:
     """Decide P in (generators) over Q; positive answers carry cofactors."""
     basis, reps = groebner_basis(generators, step_budget=step_budget)
-    rem, quot_rep = _reduce(P, reps, basis, _Budget(step_budget))
+    rem, quot_rep = _reduce(P, reps, basis, _Budget(step_budget, "the final membership reduction"))
     if rem:
         return MembershipResult(False, None)
     return MembershipResult(True, quot_rep)
@@ -192,7 +193,8 @@ def certify_stability(generators, params, step_budget=DEFAULT_STEP_BUDGET):
     cofactors = {}
     for idx, g in enumerate(gens_list):
         Dg = apply_D(g, params)
-        rem, quot_rep = _reduce(Dg, reps, basis, _Budget(step_budget))
+        budget = _Budget(step_budget, f"the reduction of D(g{idx})")
+        rem, quot_rep = _reduce(Dg, reps, basis, budget)
         if rem:
             return StabilityCertificate(
                 generators=gens_list, verdict="unstable", witness=(idx, 1, Dg)

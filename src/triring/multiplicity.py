@@ -2,14 +2,15 @@
 
 Orders are computed in the z-coordinate throughout (the coordinate of
 the hypergeometric argument); reports carry that label explicitly.  At
-the singular point 0 the computation is exact: the five generator
-series are substituted into the polynomial and the least surviving
-exponent is read off, retrying at doubled order while the result is
-inconclusive.  At a generic point u0 is a unit and the derivation D
-acts as u0^2 d/dz, so the order of P is the least n with (D^n P)(z0)
-nonzero: the exact iterates D^n P are evaluated at the five generator
-values at z0, and the first whose value stands clear of the error those
-values can carry gives the order.
+the singular point 0 the computation is exact, and ``ord_at_zero`` and
+the audit share it: the series of the monomials become integer columns,
+one per exponent, and the order of a coefficient vector is the exponent
+of the first column with a nonzero dot product, retrying at doubled
+order while every column vanishes.  At a generic point u0 is a unit and
+the derivation D acts as u0^2 d/dz, so the order of P is the least n
+with (D^n P)(z0) nonzero: the exact iterates D^n P are evaluated at the
+five generator values at z0, and the first whose value stands clear of
+the error those values can carry gives the order.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from . import hypergeom
 from .errors import (
     CutLineViolation,
-    InconclusiveOrder,
     NotHomogeneous,
     ThresholdAmbiguous,
     TruncationExhausted,
@@ -35,7 +35,6 @@ from .errors import (
 from .derivation import apply_D, dehomogenize, is_x_homogeneous, leibniz, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
-from .series import PuiseuxSeries
 
 DEFAULT_ORDER = 24
 MAX_DOUBLINGS = 3
@@ -75,59 +74,133 @@ def generator_series(params: TriangleParams, N: int):
     }
 
 
-def substitute_series(P: Poly, images: dict) -> PuiseuxSeries:
-    """Evaluate a polynomial on series images of its variables."""
-    if not P:
-        raise ZeroPolynomial("refusing to expand the zero polynomial")
-    prec_floor = min(s.prec for s in images.values())
-    total = None
-    powers = {name: {1: s} for name, s in images.items()}
+def _monomial_rows(params, monomials, N):
+    """Integer rows ``(ram, prec, scale, coeffs)`` of the monomials' series at order N.
 
-    def power(name, e):
-        cache = powers[name]
-        top = max(k for k in cache if k <= e)
-        acc = cache[top]
-        for k in range(top + 1, e + 1):
-            acc = acc * images[name]
-            cache[k] = acc
-        return acc
+    ``coeffs[k] / scale`` is the coefficient of x^(k/ram).  A monomial (an
+    exponent tuple over ``AFFINE_VARS``) is its prefix, the exponents
+    before its last nonzero one, times a power of its last variable.
+    Walked in sorted order, monomials sharing a prefix come together, so
+    each prefix and power is built once.  The constant monomial is 1 to
+    the least ``prec`` of the five generators.
+    """
+    gens = generator_series(params, N)
+    series = [gens[v] for v in AFFINE_VARS]
+    powers = [[None, s] for s in series]
+    monomials = list(monomials)
+    rows = [None] * len(monomials)
+    # (i, product of the factors at positions <= i) of the monomial before
+    path, before = [], ()
+    for idx in sorted(range(len(monomials)), key=monomials.__getitem__):
+        exps = monomials[idx]
+        same = next((i for i, (a, b) in enumerate(zip(exps, before)) if a != b), len(before))
+        while path and path[-1][0] >= same:
+            path.pop()
+        for i in range(same, len(exps)):
+            if exps[i]:
+                pw = powers[i]
+                while len(pw) <= exps[i]:
+                    pw.append(pw[-1] * series[i])
+                path.append((i, path[-1][1] * pw[exps[i]] if path else pw[exps[i]]))
+        before = exps
+        if not path:
+            rows[idx] = (1, min(s.prec for s in series), 1, {0: 1})
+            continue
+        value = path[-1][1]
+        scale = math.lcm(*[c.denominator for c in value.coeffs.values()])
+        coeffs = {k: c.numerator * (scale // c.denominator) for k, c in value.coeffs.items()}
+        rows[idx] = (value.ram, value.prec, scale, coeffs)
+    return rows
 
-    for exps, coef in P.terms.items():
-        term = None
-        for name, e in zip(P.vars, exps):
-            if not e:
-                continue
-            factor = power(name, e)
-            term = factor if term is None else term * factor
-        if term is None:
-            term = PuiseuxSeries.constant(coef, prec_floor)
-        else:
-            term = term.scale(coef)
-        total = term if total is None else total + term
-    return total
+
+def _integer_columns(rows):
+    """The rows as ``(ram, ((k, column), ...))`` with integer columns.
+
+    Every row is put on one ``ram`` grid and cut at the least ``prec``
+    of the rows.  Column ``k`` holds the coefficients of x^(k/ram), one
+    per row in row order, times the lcm of their denominators; a
+    positive scale per column keeps each zero test of a dot product
+    exact.  Columns come in increasing order of ``k``, and every column
+    is a tuple, so a shared result cannot be changed by its readers.
+    """
+    ram = math.lcm(*[r for r, _, _, _ in rows])
+    limit = min(prec for _, prec, _, _ in rows) * ram
+    grid = [c if r == ram else {k * (ram // r): n for k, n in c.items()} for r, _, _, c in rows]
+    scales = [scale for _, _, scale, _ in rows]
+    columns = []
+    for k in sorted(k for k in set().union(*grid) if k < limit):
+        entries = [g.get(k, 0) for g in grid]
+        col = 1
+        for n, d in zip(entries, scales):
+            col = math.lcm(col, d // math.gcd(n, d))
+        # a list first: tuple() of a generator allocates and then shrinks, so
+        # freed columns would pile up in CPython's free list of their size
+        columns.append((k, tuple([n * col // d for n, d in zip(entries, scales)])))
+    return ram, tuple(columns)
+
+
+def _first_orders(columns_at, vectors, N):
+    """Orders at 0 of integer vectors by index, and the last order tried.
+
+    A vector's order is k / ram for the first column k of
+    ``columns_at(order)`` with a nonzero dot product; vectors meeting only
+    zero columns retry at ``max(2 * order, 1)``, up to MAX_DOUBLINGS times.
+    """
+    pending, orders = list(range(len(vectors))), {}
+    order = order_used = N
+    for _ in range(MAX_DOUBLINGS + 1):
+        if not pending:
+            break
+        order_used = order
+        ram, columns = columns_at(order)
+        still = []
+        for idx in pending:
+            vector = vectors[idx]
+            for k, column in columns:
+                if sum(map(mul, column, vector)):
+                    orders[idx] = Fraction(k, ram)
+                    break
+            else:
+                still.append(idx)
+        pending = still
+        order = max(2 * order, 1)
+    return orders, order_used
 
 
 def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
-    """Exact z-coordinate vanishing order at 0, with automatic retries."""
+    """Exact z-coordinate vanishing order at 0, with automatic retries.
+
+    Columns as in ``bound_audit``, uncached, for P's monomials (variables
+    matched by name); ``truncation`` is the least ``prec`` of their
+    series.  N must be nonnegative; N = 0 retries from order 1.
+    """
     if not P:
         raise ZeroPolynomial("the zero polynomial has no order")
-    order = N
-    for _ in range(MAX_DOUBLINGS + 1):
-        gens = generator_series(params, order)
-        value = substitute_series(P, {v: gens[v] for v in AFFINE_VARS})
-        try:
-            return OrdReport(
-                point="zero",
-                poly=P.to_text(),
-                ord=value.ord(),
-                conclusive=True,
-                truncation=value.prec,
-                domain="rational",
-            )
-        except InconclusiveOrder:
-            order = max(2 * order, 1)
-    raise TruncationExhausted(
-        f"order of {P.to_text()} at zero still inconclusive at N={order // 2}"
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    affine = P.rename_ring(AFFINE_VARS, {v: v for v in AFFINE_VARS})
+    scale = math.lcm(*[c.denominator for c in affine.terms.values()])
+    vector = [c.numerator * (scale // c.denominator) for c in affine.terms.values()]
+    truncation = None
+
+    def columns_at(order):
+        nonlocal truncation
+        rows = _monomial_rows(params, affine.terms, order)
+        truncation = min(prec for _, prec, _, _ in rows)
+        return _integer_columns(rows)
+
+    orders, order_used = _first_orders(columns_at, [vector], N)
+    if not orders:
+        raise TruncationExhausted(
+            f"order of {P.to_text()} at zero still inconclusive at N={order_used}"
+        )
+    return OrdReport(
+        point="zero",
+        poly=P.to_text(),
+        ord=orders[0],
+        conclusive=True,
+        truncation=truncation,
+        domain="rational",
     )
 
 
@@ -287,14 +360,6 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
 # -- hypersurface distance ------------------------------------------------------------
 
 
-def _coordinate_min_ord(params, N):
-    gens = generator_series(params, N)
-    vals = []
-    for name in ("q", "y0", "y1", "y2"):
-        vals.append(gens[name].ord())
-    return min(Fraction(0), min(vals))
-
-
 def log_dist_hypersurface(U: Poly, params: TriangleParams, N=DEFAULT_ORDER):
     """-log Dist of the zero hypersurface of U from the coordinate point.
 
@@ -310,15 +375,12 @@ def log_dist_hypersurface(U: Poly, params: TriangleParams, N=DEFAULT_ORDER):
     d = derived_constants(params)
     value_ord = ord_at_zero(dehomogenize(U), params, N).ord
     # each X-coefficient is a polynomial in t alone; substituting the
-    # tau series gives order (lowest t-degree) * (1 - gamma) exactly
+    # tau series gives order (lowest t-degree) * (1 - gamma) exactly, so
+    # the least of these comes from the lowest t-degree in all of U
     t_idx = U.vars.index("t")
-    lowest_t = {}
-    for exps, _ in U.terms.items():
-        key = exps[:t_idx] + exps[t_idx + 1:]
-        e_t = exps[t_idx]
-        lowest_t[key] = min(lowest_t.get(key, e_t), e_t)
-    min_coeff_ord = min(m * d.w for m in lowest_t.values())
-    correction = x_degree(U) * _coordinate_min_ord(params, N)
+    min_coeff_ord = min(exps[t_idx] * d.w for exps in U.terms)
+    gens = generator_series(params, N)
+    correction = x_degree(U) * min(Fraction(0), *[gens[v].ord() for v in ("q", "y0", "y1", "y2")])
     return value_ord - min_coeff_ord - correction
 
 
@@ -365,61 +427,16 @@ def profile_bound(profile):
     return m1, m2, m1 * m2 ** 4
 
 
-def _monomial_series_cache(params, profile, N):
-    """Series of every monomial in the profile box, keyed by exponents.
-
-    Each monomial is its parent (the same exponents with the last
-    nonzero one lowered by one) times one generator, so the box costs
-    one series product per monomial of total degree two or more.
-    """
-    gens = generator_series(params, N)
-    boxes = {}
-    for exps in itertools.product(*(range(d + 1) for d in profile)):
-        last = max((i for i, e in enumerate(exps) if e), default=None)
-        if last is None:
-            prec = min(g.prec for g in gens.values())
-            boxes[exps] = PuiseuxSeries.constant(Fraction(1), prec)
-            continue
-        gen = gens[AFFINE_VARS[last]]
-        parent = exps[:last] + (exps[last] - 1,) + exps[last + 1:]
-        boxes[exps] = boxes[parent] * gen if any(parent) else gen
-    return boxes
-
-
-def _integer_columns(box):
-    """The box as ``(ram, ((k, column), ...))`` with integer columns.
-
-    Every series is put on one ``ram`` grid and cut at the least ``prec``
-    of the box.  Column ``k`` holds the coefficients of x^(k/ram), one
-    per monomial in box order, times the lcm of their denominators; a
-    positive scale per column keeps each zero test of a dot product
-    exact.  Columns come in increasing order of ``k``, and every column
-    is a tuple, so a shared result cannot be changed by its readers.
-    """
-    series = list(box.values())
-    ram = math.lcm(*(s.ram for s in series))
-    limit = min(s.prec for s in series) * ram
-    rows = []
-    for s in series:
-        f = ram // s.ram
-        rows.append({k * f: c for k, c in s.coeffs.items() if k * f < limit})
-    columns = []
-    for k in sorted(set().union(*rows)):
-        entries = [row.get(k, 0) for row in rows]
-        scale = math.lcm(*(c.denominator for c in entries))
-        columns.append((k, tuple(int(c * scale) for c in entries)))
-    return ram, tuple(columns)
-
-
 @lru_cache(maxsize=32)
 def _box_columns(params: TriangleParams, profile: tuple, N: int):
     """Integer columns of the profile box at order N, cached per process.
 
     Bounded like ``generator_series``.  Only the immutable
-    ``(ram, columns)`` of ``_integer_columns`` is kept; the series of the
-    box are dropped once their columns are built.
+    ``(ram, columns)`` of ``_integer_columns`` is kept.  Rows come in
+    ``itertools.product`` order, the order of each sample's draws.
     """
-    return _integer_columns(_monomial_series_cache(params, profile, N))
+    box = itertools.product(*(range(d + 1) for d in profile))
+    return _integer_columns(_monomial_rows(params, box, N))
 
 
 def bound_audit(
@@ -436,17 +453,16 @@ def bound_audit(
     reports the maximum against M1*M2^4.  ``samples`` and ``N`` must be
     nonnegative; N = 0 retries from order 1.
 
-    A sample is evaluated as integer dot products: the monomial series
-    of the box become integer columns, one per exponent below the box's
-    precision, each scaled by the lcm of its denominators.  The columns
-    of each (params, profile, order) are built once per process and kept
-    in a cache of at most 32 boxes (``_box_columns``), so auditing a box
-    again with new seeds costs only the dot products.  The order of
-    a sample is the exponent of the first column whose dot product with
-    its coefficient vector is nonzero.  When every column gives zero the
-    sample is inconclusive and retries on the box at doubled order; any
-    that stay inconclusive are skipped and counted, never silently
-    dropped.  ``order_used`` is the truncation order of the last box built.
+    A sample is evaluated as integer dot products (``_first_orders``):
+    the monomial series of the box become integer columns, one per
+    exponent below the box's precision, each scaled by the lcm of its
+    denominators.  The columns of each (params, profile, order) are
+    built once per process and kept in a cache of at most 32 boxes
+    (``_box_columns``), so auditing a box again with new seeds costs
+    only the dot products.  Samples whose columns all give zero retry on
+    the box at doubled order; any that stay inconclusive are skipped and
+    counted, never silently dropped.  ``order_used`` is the truncation
+    order of the last box built.
     """
     profile = tuple(int(d) for d in profile)
     if len(profile) != 5 or any(d < 0 for d in profile):
@@ -461,26 +477,7 @@ def bound_audit(
     size = math.prod(d + 1 for d in profile)
     draws = [[rng.choice(nonzero) for _ in range(size)] for _ in range(samples)]
 
-    pending = list(range(samples))
-    order = order_used = N
-    results = {}
-    for _ in range(MAX_DOUBLINGS + 1):
-        if not pending:
-            break
-        order_used = order
-        ram, columns = _box_columns(params, profile, order)
-        still = []
-        for idx in pending:
-            sample = draws[idx]
-            for k, column in columns:
-                if sum(map(mul, column, sample)):
-                    results[idx] = Fraction(k, ram)
-                    break
-            else:
-                still.append(idx)
-        pending = still
-        order = max(2 * order, 1)
-    skipped = len(pending)
+    results, order_used = _first_orders(partial(_box_columns, params, profile), draws, N)
     ords = [results[i] for i in sorted(results)]
     max_ord = max(ords) if ords else None
     ratio = None if max_ord is None or not bound else Fraction(max_ord) / bound
@@ -494,7 +491,7 @@ def bound_audit(
         order_used=order_used,
         max_ord=max_ord,
         ratio=ratio,
-        skipped=skipped,
+        skipped=samples - len(results),
         all_within_bound=all(o <= bound for o in ords),
         ords=ords,
     )

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from triring.multiplicity import generator_series
 from triring.params import is_valid, validate
 from triring.ring import AFFINE_VARS, Poly
+from triring.series import PuiseuxSeries
 
 
 @pytest.fixture
@@ -54,3 +56,39 @@ def random_isobaric(rng, weight, coeff_range=6):
             out = out + Poly(vars, {exps: Fraction(rng.randint(-coeff_range, coeff_range))})
         if out:
             return out
+
+
+def series_sum(P, params, N):
+    """P on the generator series at order N, summed in ``PuiseuxSeries`` arithmetic.
+
+    A reference for the exact evaluator at 0: each coefficient times the
+    product of generator powers, a constant term certified to the least
+    ``prec`` of the five generators.  Its ``ord()`` and ``prec`` are what
+    ``ord_at_zero`` reports at N when the sum is conclusive.
+    """
+    gens = generator_series(params, N)
+    floor = min(gens[v].prec for v in AFFINE_VARS)
+    total = None
+    for exps, coef in P.terms.items():
+        term = None
+        for name, e in zip(P.vars, exps):
+            for _ in range(e):
+                term = gens[name] if term is None else term * gens[name]
+        term = PuiseuxSeries.constant(coef, floor) if term is None else term.scale(coef)
+        total = term if total is None else total + term
+    return total
+
+
+def reference_order(P, params, N, doublings):
+    """``(ord, prec)`` of ``series_sum`` at the first of N, 2N, ... that decides.
+
+    Tries ``doublings`` doublings past N, as ``ord_at_zero`` does, and
+    returns None when every sum vanishes to its ``prec``.
+    """
+    order = N
+    for _ in range(doublings + 1):
+        value = series_sum(P, params, order)
+        if value.coeffs:
+            return value.ord(), value.prec
+        order = max(2 * order, 1)
+    return None

@@ -3,9 +3,10 @@
 The files under ``tests/golden`` are the ``--emit json`` stdout of
 ``triring audit`` (and one library report) as produced by the series-sum
 evaluation the integer columns replaced; the audit must reproduce them
-byte for byte.  The property test recomputes every sampled order through
-``ord_at_zero``, which substitutes the generator series into a ``Poly``
-and never touches the column matrix.
+byte for byte.  ``ord_at_zero`` reads the same integer columns, so the
+property test checks both against ``series_sum`` of ``conftest``, which
+sums scaled generator series and never touches the column matrix: every
+sampled order, and the order and truncation ``ord_at_zero`` reports.
 """
 
 import itertools
@@ -23,6 +24,8 @@ from triring.cli import run
 from triring.errors import TruncationExhausted
 from triring.params import validate
 from triring.ring import AFFINE_VARS, Poly
+
+from conftest import reference_order
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,9 +90,13 @@ def test_audit_orders_match_ord_at_zero(profile, triple, N, seed):
     audit = mult.bound_audit(profile, triple, samples=samples, N=N, seed=seed)
     expected = []
     for P in _sampled_polys(profile, samples, seed):
-        try:
-            expected.append(mult.ord_at_zero(P, triple, N).ord)
-        except TruncationExhausted:
-            pass
+        reference = reference_order(P, triple, N, mult.MAX_DOUBLINGS)
+        if reference is None:
+            with pytest.raises(TruncationExhausted):
+                mult.ord_at_zero(P, triple, N)
+            continue
+        report = mult.ord_at_zero(P, triple, N)
+        assert (report.ord, report.truncation) == reference
+        expected.append(reference[0])
     assert audit.ords == expected
     assert audit.skipped == samples - len(expected)

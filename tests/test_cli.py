@@ -208,3 +208,17 @@ def test_env_var_below_one_exits_one_naming_the_variable(capsys, monkeypatch, va
     assert code == 1
     assert out == ""
     assert err == f"error: TRIRING_ORDER must be at least 1, got {value!r}\n"
+
+
+@pytest.mark.parametrize("argv, task", [
+    (["ideal", "stable", "--params", "1/5,1/4,1/2", "--gen", "q y0 - q y1"],
+     "the reduction of D(g0)"),
+    (["ideal", "member", "--poly", "y0^2", "--gens", "y0"], "the final membership reduction"),
+    (["ideal", "member", "--poly", "y0^2", "--gens", "y0 y1 - 1", "y0^2 - y1"],
+     "the Buchberger S-polynomial reductions"),
+])
+def test_budget_overrun_names_the_reduction(capsys, argv, task):
+    assert run(argv + ["--budget", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: step budget exhausted in {task}\n"

@@ -1,4 +1,4 @@
-"""CLI stdout of expand, verify, derive, bracket and ideal against frozen outputs.
+"""CLI stdout of expand, verify, derive, bracket, ideal, ord and dist against frozen outputs.
 
 The files under ``tests/golden`` named in ``CASES`` are the stdout of
 ``triring`` for each argument list.  The expand, verify and
@@ -6,8 +6,10 @@ certify-case1 files on 1/5,1/4,1/2 were captured when the expansions at
 1 and infinity still carried polynomial coefficients inside the series
 core; the derive, bracket, ideal and remaining certify-case1 files were
 captured when ``Poly`` stored every coefficient as a ``Fraction`` and
-divided by repeated leading-term searches.  Both rewrites must
-reproduce them byte for byte, and with the same exit code.
+divided by repeated leading-term searches; the ord and dist files were
+captured when the order at 0 was read off a sum of scaled series rather
+than the integer columns the audit uses.  Every rewrite must reproduce
+them byte for byte, and with the same exit code.
 """
 
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from triring.cli import run
+from triring.ring import poly_from_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,6 +27,17 @@ DERIVE_POLY = "y0^2 y1 - 3/7 * q tau y2"
 #: a member whose cofactor on the generator 2 q y0 is 1/2
 MEMBER = ["ideal", "member", "--poly", "q y0 y1 - q y1^2 + q y0",
           "--gens", "2 * q y0", "y0 - y1"]
+#: (y0 - y2)^9 y1 expanded; at --order 8 its order needs one doubling
+POW9 = (poly_from_text("y0 - y2") ** 9 * poly_from_text("y1")).to_text()
+ORD_POLYS = {
+    "pow9_1_5_1_4_1_2_order8": (T1, POW9, "8"),
+    "rational_1_5_1_4_1_2": (T1, "3/7 * q y0^2 - 1/2 * tau y1 y2 + 5/3", "24"),
+    "1_8_1_6_1_3": (T2, "q y0^2 - 2 * q y0 y1 + q y1^2 - tau^2 y2", "24"),
+}
+DIST_POLYS = {
+    "1_5_1_4_1_2": (T1, "X0 X2 - t X3^2"),
+    "1_8_1_6_1_3": (T2, "X1 X3 X4 - X0 X2^2 + 2/3 * t X0^3"),
+}
 
 
 def _cases():
@@ -59,6 +73,12 @@ def _cases():
         ["ideal", "stable", "--params", T1, "--gens", "q", "y0 - y1", "--emit", "json"], 1)
     cases["ideal_member_nonunit.json"] = (MEMBER + ["--emit", "json"], 0)
     cases["ideal_member_nonunit.txt"] = (MEMBER, 0)
+    for label, (triple, poly, order) in ORD_POLYS.items():
+        argv = ["ord", "--at", "0", "--params", triple, "--order", order, poly]
+        cases[f"ord_zero_{label}.json"] = (argv + ["--emit", "json"], 0)
+        cases[f"ord_zero_{label}.txt"] = (argv, 0)
+    for label, (triple, poly) in DIST_POLYS.items():
+        cases[f"dist_{label}.json"] = (["dist", "--params", triple, "--emit", "json", poly], 0)
     return cases
 
 

@@ -1,20 +1,27 @@
+import gc
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triring import ideals
 from triring import multiplicity as mult
 from triring.derivation import apply_D
 from triring.errors import (
+    DomainMismatch,
     ThresholdAmbiguous,
     TruncationExhausted,
     ZeroPolynomial,
 )
 from triring.params import derived_constants, validate
 from triring.ring import AFFINE_VARS, HOMOG_VARS, Poly, poly_from_text
+
+from conftest import reference_order
 
 P134 = validate(Fraction(1, 5), Fraction(1, 4), Fraction(1, 2))
 TRIPLES = [
@@ -90,6 +97,67 @@ def test_retry_resolves_high_order():
     assert rep.ord == 20 * (1 - P134.gamma)
     with pytest.raises(ZeroPolynomial):
         mult.ord_at_zero(ideals.kappa() - ideals.kappa(), P134, N=4)
+
+
+#: variable tuples for random polynomials: the full ring, sub-tuples, another order
+SUB_VARS = [AFFINE_VARS, ("y0", "y1"), ("y2", "tau", "q"), ("y1", "y0")]
+
+
+@st.composite
+def sparse_polys(draw):
+    vars = draw(st.sampled_from(SUB_VARS))
+    exps = st.tuples(*(st.integers(0, 3) for _ in vars))
+    coefs = st.fractions(-5, 5, max_denominator=7).filter(bool)
+    terms = draw(st.dictionaries(exps, coefs, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        terms[(0,) * len(vars)] = draw(coefs)
+    return Poly(vars, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=sparse_polys(), triple=st.sampled_from(TRIPLES), N=st.integers(1, 8))
+def test_ord_at_zero_matches_the_series_sum(P, triple, N):
+    reference = reference_order(P, triple, N, mult.MAX_DOUBLINGS)
+    if reference is None:
+        with pytest.raises(TruncationExhausted):
+            mult.ord_at_zero(P, triple, N)
+    else:
+        report = mult.ord_at_zero(P, triple, N)
+        assert (report.ord, report.truncation) == reference
+
+
+def test_ord_at_zero_maps_variables_by_name():
+    want = P134.gamma - 1
+    assert mult.ord_at_zero(text("y0 - y1", vars=("y0", "y1")), P134).ord == want
+    assert mult.ord_at_zero(text("y0 - y1", vars=("y1", "y0")), P134).ord == want
+    assert mult.ord_at_zero(text("y0 - y1"), P134).ord == want
+    with pytest.raises(DomainMismatch):
+        mult.ord_at_zero(text("X0 - X1", vars=("X0", "X1")), P134)
+    with pytest.raises(DomainMismatch):
+        mult.ord_at_zero(text("y0 X0", vars=("y0", "X0")), P134)
+
+
+def test_exact_orders_reject_negative_truncation():
+    with pytest.raises(ValueError):
+        mult.ord_at_zero(text("y0 - y1"), P134, N=-1)
+    with pytest.raises(ValueError):
+        mult.log_dist_hypersurface(text("X0 X2 - t X3^2", vars=HOMOG_VARS), P134, N=-1)
+
+
+def test_warm_exact_orders_leave_no_cyclic_garbage():
+    # the expanded (y0 - y2)^9 y1 at N = 8 decides after one doubling
+    P = text("y0 - y2") ** 9 * text("y1")
+    mult.ord_at_zero(P, P134, N=8)
+    mult.bound_audit((1, 1, 1, 1, 1), P134, samples=5, N=4, seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        mult.ord_at_zero(P, P134, N=8)
+        assert gc.collect() == 0
+        mult.bound_audit((1, 1, 1, 1, 1), P134, samples=5, N=4, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_truncation_exhausted_on_deep_cancellation():
@@ -334,18 +402,21 @@ def test_audit_rejects_negative_arguments_before_building(kwargs):
 
 def test_audit_builds_each_box_once(monkeypatch):
     builds = []
-    build = mult._monomial_series_cache
+    build = mult._monomial_rows
 
-    def counting(params, profile, N):
-        builds.append((params, profile, N))
-        return build(params, profile, N)
+    def counting(params, monomials, N):
+        monomials = tuple(monomials)
+        builds.append((params, monomials, N))
+        return build(params, monomials, N)
 
-    monkeypatch.setattr(mult, "_monomial_series_cache", counting)
+    monkeypatch.setattr(mult, "_monomial_rows", counting)
     mult._box_columns.cache_clear()
     a1 = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=6, N=4, seed=1)
     a2 = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=6, N=4, seed=2)
     assert a1.ords != a2.ords
-    assert builds == [(P134, (1, 1, 1, 0, 1), 4)]
+    # one build, of the whole box in itertools.product order
+    box = tuple(itertools.product(range(2), range(2), range(2), range(1), range(2)))
+    assert builds == [(P134, box, 4)]
     assert mult._box_columns.cache_info().hits == 1
 
 
