@@ -303,37 +303,6 @@ def ode_residual_series(u, params: TriangleParams, N=DEFAULT_ORDER):
 
 # -- Gamma and the connection constants ----------------------------------------
 
-_LANCZOS_G = 7
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_complex(z):
-    """Lanczos approximation of Gamma, good to ~13 significant digits."""
-    z = complex(z)
-    if z.real < 0.5:
-        # reflection; poles at nonpositive integers surface as overflow
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise ValueError(f"Gamma pole at {z}")
-        return cmath.pi / (s * gamma_complex(1 - z))
-    z -= 1
-    x = complex(_LANCZOS_COEFFS[0])
-    for i, coef in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        x += coef / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    value = math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
-    return value
-
 
 @dataclass(frozen=True)
 class ConnectionConstants:
@@ -364,14 +333,15 @@ class ConnectionConstants:
 
 
 def connection_constants(params: TriangleParams) -> ConnectionConstants:
+    """The constants by ``math.gamma``: each argument lies in (-1, 0) or (0, 1)."""
     al, be, ga = (float(v) for v in params.as_tuple())
-    G = gamma_complex
+    G = math.gamma
     return ConnectionConstants(
-        theta=G(ga) * G(ga - al - be) / (G(ga - al) * G(ga - be)),
-        theta1=G(ga) * G(al + be - ga) / (G(al) * G(be)),
-        omega=G(ga) * G(be - al) / (G(ga - al) * G(be)),
-        omega_alt=G(ga) * G(be - al) / (G(ga - al) * G(al)),
-        omega1=G(ga) * G(al - be) / (G(al) * G(ga - be)),
+        theta=complex(G(ga) * G(ga - al - be) / (G(ga - al) * G(ga - be))),
+        theta1=complex(G(ga) * G(al + be - ga) / (G(al) * G(be))),
+        omega=complex(G(ga) * G(be - al) / (G(ga - al) * G(be))),
+        omega_alt=complex(G(ga) * G(be - al) / (G(ga - al) * G(al))),
+        omega1=complex(G(ga) * G(al - be) / (G(al) * G(ga - be))),
         zeta1=cmath.exp(1j * cmath.pi * ga / 2),
     )
 
@@ -389,6 +359,8 @@ def hyp2f1_numeric(a, b, c, z, tol=1e-15, max_terms=200_000):
     if abs(z) >= 1:
         raise ValueError("series evaluation needs |z| < 1")
     a, b, c = float(a), float(b), float(c)
+    if c <= 0 and c.is_integer():
+        raise PolarParameter(f"lower parameter {c} is a nonpositive integer")
     term = 1.0 + 0j
     total = 1.0 + 0j
     for n in range(1, max_terms):
@@ -426,20 +398,31 @@ def _check_sample(z):
     return z
 
 
-def u_value_and_derivative(which, params, z):
-    """Closed-form numeric (u, u') at a point of the cut unit disk."""
-    z = complex(z)
+def _u_closed_form(which, params, z):
+    """u = pref * 2F1(a, b; c; z) at z: ``(pref, g0, s, (a, b, c))``, pref = z^g0 (1-z)^s."""
     al, be, ga = (float(v) for v in params.as_tuple())
     s = (al + be - ga + 1) / 2
     if which == "u0":
         g0, F_args = ga / 2, (al, be, ga)
     else:
         g0, F_args = 1 - ga / 2, (al - ga + 1, be - ga + 1, 2 - ga)
-    F = hyp2f1_numeric(*F_args, z)
-    a1, b1, c1 = F_args
+    return z ** g0 * (1 - z) ** s, g0, s, F_args
+
+
+def u_value(which, params, z):
+    """Closed-form numeric u at a point of the cut unit disk."""
+    z = complex(z)
+    pref, _, _, F_args = _u_closed_form(which, params, z)
+    return pref * hyp2f1_numeric(*F_args, z)
+
+
+def u_value_and_derivative(which, params, z):
+    """Closed-form numeric (u, u') at a point of the cut unit disk."""
+    z = complex(z)
+    pref, g0, s, (a1, b1, c1) = _u_closed_form(which, params, z)
+    F = hyp2f1_numeric(a1, b1, c1, z)
     # d/dz 2F1(a,b;c;z) = (ab/c) 2F1(a+1,b+1;c+1;z)
     Fp = a1 * b1 / c1 * hyp2f1_numeric(a1 + 1, b1 + 1, c1 + 1, z)
-    pref = z ** g0 * (1 - z) ** s
     u = pref * F
     up = pref * ((g0 / z - s / (1 - z)) * F + Fp)
     return u, up
@@ -487,6 +470,16 @@ class NumericReport:
         }
 
 
+def _infinity_residuals(params, k, z):
+    """``omega_variant_check`` at z with the constants ``k`` already made."""
+    al, be, ga = (float(v) for v in params.as_tuple())
+    lhs = hyp2f1_numeric_ext(al, be, ga, z)
+    t1 = hyp2f1_numeric(al, 1 - ga + al, 1 - be + al, 1 / z)
+    t2 = hyp2f1_numeric(be, 1 - ga + be, 1 - al + be, 1 / z)
+    rhs = lambda om: om * (-z) ** (-al) * t1 + k.omega1 * (-z) ** (-be) * t2
+    return abs(lhs - rhs(k.omega)) / abs(lhs), abs(lhs - rhs(k.omega_alt)) / abs(lhs)
+
+
 def omega_variant_check(params, z=-30.0):
     """Residuals of the expansion at infinity under both omega variants.
 
@@ -494,16 +487,7 @@ def omega_variant_check(params, z=-30.0):
     statement form (Gamma(beta) in the denominator) is the one that
     matches, the alternative fails by orders of magnitude.
     """
-    al, be, ga = (float(v) for v in params.as_tuple())
-    k = connection_constants(params)
-    z = complex(z)
-    lhs = hyp2f1_numeric_ext(al, be, ga, z)
-    t1 = hyp2f1_numeric(al, 1 - ga + al, 1 - be + al, 1 / z)
-    t2 = hyp2f1_numeric(be, 1 - ga + be, 1 - al + be, 1 / z)
-    rhs = lambda om: om * (-z) ** (-al) * t1 + k.omega1 * (-z) ** (-be) * t2
-    r_stmt = abs(lhs - rhs(k.omega)) / abs(lhs)
-    r_alt = abs(lhs - rhs(k.omega_alt)) / abs(lhs)
-    return r_stmt, r_alt
+    return _infinity_residuals(params, connection_constants(params), z)
 
 
 def numeric_checks(params: TriangleParams, samples=(0.1, 0.3, 0.5j), N=NUMERIC_CHECK_ORDER):
@@ -533,36 +517,25 @@ def numeric_checks(params: TriangleParams, samples=(0.1, 0.3, 0.5j), N=NUMERIC_C
     conn1 = {}
     for z in (1e-3, 1e-2, 0.1):
         lhs = hyp2f1_numeric(al, be, ga, 1 - z)
-        rhs = k.theta * hyp2f1_numeric(al, be, al + be - ga + 1, z) + k.theta1 * z ** (
-            ga - al - be
-        ) * hyp2f1_numeric(ga - al, ga - be, ga - al - be + 1, z)
-        conn1[z] = abs(lhs - rhs) / abs(lhs)
+        first = hyp2f1_numeric(al, be, al + be - ga + 1, z)
+        second = k.theta1 * z ** (ga - al - be) * hyp2f1_numeric(
+            ga - al, ga - be, ga - al - be + 1, z
+        )
+        conn1[z] = abs(lhs - (k.theta * first + second)) / abs(lhs)
+        if z == 1e-3:
+            # theta by series: peel the second connection term off 2F1 near 1
+            theta_series = (lhs - second) / first
 
-    conn_inf = {}
-    for z in (-30.0, complex(-5, 3)):
-        lhs = hyp2f1_numeric_ext(al, be, ga, z)
-        rhs = k.omega * (-z) ** (-al) * hyp2f1_numeric(
-            al, 1 - ga + al, 1 - be + al, 1 / z
-        ) + k.omega1 * (-z) ** (-be) * hyp2f1_numeric(be, 1 - ga + be, 1 - al + be, 1 / z)
-        conn_inf[z] = abs(lhs - rhs) / abs(lhs)
-
-    # theta by series: peel the second connection term off 2F1 near 1
-    z = 1e-3
-    theta_series = (
-        hyp2f1_numeric(al, be, ga, 1 - z)
-        - k.theta1
-        * z ** (ga - al - be)
-        * hyp2f1_numeric(ga - al, ga - be, ga - al - be + 1, z)
-    ) / hyp2f1_numeric(al, be, al + be - ga + 1, z)
-
-    r_stmt, r_alt = omega_variant_check(params)
+    # the residuals at z = -30 also decide between the two omega variants
+    residuals = {z: _infinity_residuals(params, k, z) for z in (-30.0, complex(-5, 3))}
+    r_stmt, r_alt = residuals[-30.0]
     return NumericReport(
         params=params,
         order=N,
         wronskian_dev=wron,
         ode_residual=ode,
         connection_at_one=conn1,
-        connection_at_inf=conn_inf,
+        connection_at_inf={z: r[0] for z, r in residuals.items()},
         theta_gamma_route=k.theta,
         theta_series_route=theta_series,
         omega_matches_statement=(r_stmt < 1e-6 < r_alt),

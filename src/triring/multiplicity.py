@@ -43,7 +43,6 @@ MAX_DOUBLINGS = 3
 # u_value_and_derivative against mpmath at 30 digits (2.3e-14 over 400
 # points of the cut disk on triples with denominators up to 20)
 GENERIC_THRESHOLD = 1e-12
-GENERIC_ABS_FLOOR = 1e-12
 # D^n P grows with n; a derivative with more terms is not differentiated again
 GENERIC_MAX_TERMS = 10000
 
@@ -210,8 +209,7 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
 def _generator_values(params, z0):
     """tau, q, y0, y1, y2 at z0 from the closed-form u0, u0', u1."""
     u0, u0_d = hypergeom.u_value_and_derivative("u0", params, z0)
-    u1, _ = hypergeom.u_value_and_derivative("u1", params, z0)
-    tau = u1 / u0
+    tau = hypergeom.u_value("u1", params, z0) / u0
     y0 = u0 * u0_d
     u0sq = u0 * u0
     return {
@@ -257,7 +255,7 @@ def _scaled_iterates(P: Poly, params):
 
 
 def _value_and_bound(P: Poly, values, scale=1):
-    """P / scale exactly at the float ``values``, and a bound on its input error.
+    """P / scale exactly at the float ``values``, a bound on its input error, and their unit.
 
     The value carries no rounding: every term is a Gaussian integer over
     one common denominator.  If each input may be off by a relative error
@@ -265,16 +263,21 @@ def _value_and_bound(P: Poly, values, scale=1):
     sum_i |x_i dP/dx_i| (the sum over variables of |sum_t e_i(t) t|, t the
     terms), plus a second-order remainder of at most that squared times
     sum_t deg(t)^2 |t|.  Terms that cancel do not inflate the bound; only
-    the sensitivity of P to its inputs does.  Also returns sum_t |t|.
+    the sensitivity of P to its inputs does.
+
+    Value and bound are floats in one ``unit``, a Fraction: 2^E over the
+    common denominator, E the bit length of the largest term, so both
+    stay near that term's size whatever the scale of P: no conversion
+    overflows, and a constant factor of P cancels from their ratio.  The
+    value is ``value * unit``.
     """
     point, K = _gaussian_point(values, P.vars)
     top = max(sum(exps) for exps in P.terms)
     lcm = math.lcm(*(Fraction(c).denominator for c in P.terms.values()))
-    den = (lcm * scale) << (K * top)
     powers = [[(1, 0)] for _ in point]
     value = [0, 0]
     slopes = [[0, 0] for _ in point]
-    size = remainder = 0.0
+    terms = []
     for exps, coef in P.terms.items():
         deg = sum(exps)
         re, im = int(coef * lcm) << (K * (top - deg)), 0
@@ -293,13 +296,15 @@ def _value_and_bound(P: Poly, values, scale=1):
             if e:
                 slopes[i][0] += e * re
                 slopes[i][1] += e * im
-        mag = abs(complex(re / den, im / den))
-        size += mag
-        remainder += deg * deg * mag
-    sensitivity = sum(abs(complex(re / den, im / den)) for re, im in slopes)
+        terms.append((deg * deg, re, im))
+    shift = 1 << max(max(abs(re), abs(im)).bit_length() for _, re, im in terms)
+    mag = lambda re, im: abs(complex(re / shift, im / shift))
+    remainder = sum(d2 * mag(re, im) for d2, re, im in terms)
+    sensitivity = sum(mag(re, im) for re, im in slopes)
     eps = GENERIC_THRESHOLD
     bound = eps * (sensitivity + eps * remainder)
-    return complex(value[0] / den, value[1] / den), bound, size
+    unit = Fraction(shift, (lcm * scale) << (K * top))
+    return complex(value[0] / shift, value[1] / shift), bound, unit
 
 
 def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdReport:
@@ -313,8 +318,10 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
     generator values could cause in it (``_value_and_bound``); a value
     within that bound is read as zero.  The value is computed exactly at
     those values, so terms that cancel cost no precision, and the ratio
-    of value to bound is the margin of the decision.  A sum of term
-    magnitudes below ``GENERIC_ABS_FLOOR``, a D^n P of more than
+    of value to bound is the margin of the decision.  Value and bound are
+    compared in a unit taken from the largest term, so the decision is
+    scale-free: there is no absolute floor, and c * P has the order of P
+    for every constant c != 0.  A D^n P of more than
     ``GENERIC_MAX_TERMS`` terms still to differentiate, or no n < N
     clearing its bound, is ambiguous.
     """
@@ -333,13 +340,7 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
         multiple, scale = next(iterates)
         if not multiple:
             raise TruncationExhausted(f"D^{n} P is the zero polynomial")
-        value, bound, size = _value_and_bound(multiple, values, scale)
-        if size == 0.0:
-            raise TruncationExhausted(f"every term of D^{n} P is exactly zero at {z0}")
-        if size < GENERIC_ABS_FLOOR:
-            raise ThresholdAmbiguous(
-                f"the terms of D^{n} P sum to {size:.3e} in magnitude, below the trust floor"
-            )
+        value, bound, _ = _value_and_bound(multiple, values, scale)
         if abs(value) > bound:
             return OrdReport(
                 point=str(z0),

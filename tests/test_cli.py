@@ -222,3 +222,11 @@ def test_budget_overrun_names_the_reduction(capsys, argv, task):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: step budget exhausted in {task}\n"
+
+
+def test_generic_ord_of_a_huge_coefficient(capsys):
+    # a 401-digit coefficient must not overflow the float conversions
+    code, out, _ = invoke(capsys, "ord", "--at", "0.3", "--params", "1/5,1/4,1/2",
+                          f"{10 ** 400} * y0 y1 + tau")
+    assert code == 0
+    assert out.endswith(") = 0  [z-coordinate]\n")

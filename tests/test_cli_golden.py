@@ -8,8 +8,10 @@ core; the derive, bracket, ideal and remaining certify-case1 files were
 captured when ``Poly`` stored every coefficient as a ``Fraction`` and
 divided by repeated leading-term searches; the ord and dist files were
 captured when the order at 0 was read off a sum of scaled series rather
-than the integer columns the audit uses.  Every rewrite must reproduce
-them byte for byte, and with the same exit code.
+than the integer columns the audit uses; the generic ord files were
+captured when generic orders still had an absolute trust floor and
+Gamma was a Lanczos approximation.  Every rewrite must reproduce them
+byte for byte, and with the same exit code.
 """
 
 from pathlib import Path
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from triring.cli import run
+from triring.ideals import kappa
 from triring.ring import poly_from_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,6 +36,18 @@ ORD_POLYS = {
     "pow9_1_5_1_4_1_2_order8": (T1, POW9, "8"),
     "rational_1_5_1_4_1_2": (T1, "3/7 * q y0^2 - 1/2 * tau y1 y2 + 5/3", "24"),
     "1_8_1_6_1_3": (T2, "q y0^2 - 2 * q y0 y1 + q y1^2 - tau^2 y2", "24"),
+}
+#: generic points: README's example; an expanded power that cancels to
+#: order 0; order 2 at the root of tau = 1/2 on 1/5,1/4,1/2; and kappa
+TAU_HALF = poly_from_text("tau - 1/2")
+GENERIC_ORD = {
+    "readme_1_5_1_4_1_2": (T1, "0.3+0.2i", "y0 y1 + tau", ("json", "text")),
+    "tau_half_pow8_1_5_1_4_1_2": (T1, "0.25", (TAU_HALF ** 8).to_text(), ("json",)),
+    "tau_half_sq_unit_1_5_1_4_1_2": (
+        T1, "0.22125195410815288", (TAU_HALF ** 2 * poly_from_text("y0 + 2")).to_text(),
+        ("json", "text"),
+    ),
+    "kappa_1_8_1_6_1_3": (T2, "0.3j", kappa().to_text(), ("json",)),
 }
 DIST_POLYS = {
     "1_5_1_4_1_2": (T1, "X0 X2 - t X3^2"),
@@ -77,6 +92,11 @@ def _cases():
         argv = ["ord", "--at", "0", "--params", triple, "--order", order, poly]
         cases[f"ord_zero_{label}.json"] = (argv + ["--emit", "json"], 0)
         cases[f"ord_zero_{label}.txt"] = (argv, 0)
+    for label, (triple, at, poly, emits) in GENERIC_ORD.items():
+        argv = ["ord", "--at", at, "--params", triple, poly]
+        for emit in emits:
+            ext = "json" if emit == "json" else "txt"
+            cases[f"ord_generic_{label}.{ext}"] = (argv + ["--emit", emit], 0)
     for label, (triple, poly) in DIST_POLYS.items():
         cases[f"dist_{label}.json"] = (["dist", "--params", triple, "--emit", "json", poly], 0)
     return cases

@@ -178,17 +178,8 @@ def test_tau_q_series():
 # -- Gamma and numerics ---------------------------------------------------------
 
 
-def test_gamma_against_math_and_mpmath():
-    for x in (0.07, 0.5, 1.0, 2.5, 7.3, -0.45, -1.3):
-        assert abs(hg.gamma_complex(x) - math.gamma(x)) <= 1e-12 * abs(math.gamma(x))
-    for z in (0.3 + 0.7j, -0.2 + 1.1j, 2.0 - 3.0j):
-        ours = hg.gamma_complex(z)
-        theirs = complex(mp.gamma(z))
-        assert abs(ours - theirs) <= 1e-11 * abs(theirs)
-
-
 def test_connection_constants_against_mpmath():
-    """theta and omega, hence the Lanczos Gamma, on every triple of the eta scan.
+    """theta and omega, hence ``math.gamma``, on every triple of the eta scan.
 
     The worst relative error is about 5e-14; 1e-12 also keeps the
     absolute 1e-11 on 1/5,1/4,1/2, where |theta| = |omega| = 3.18.
@@ -229,6 +220,33 @@ def test_hyp2f1_numeric_raises_when_terms_run_out():
     ours = hg.hyp2f1_numeric(0.2, 0.25, 0.5, 0.999)
     theirs = complex(mp.hyp2f1(0.2, 0.25, 0.5, 0.999))
     assert abs(ours - theirs) < 1e-10 * abs(theirs)
+
+
+@pytest.mark.parametrize("c", [0, -1.0, -2])
+def test_hyp2f1_numeric_rejects_a_polar_lower_parameter(c):
+    with pytest.raises(PolarParameter):
+        hg.hyp2f1_numeric(0.2, 0.25, c, 0.3)
+
+
+def test_each_2f1_sum_is_made_once(monkeypatch):
+    from triring import multiplicity as mult
+
+    calls = []
+    plain = hg.hyp2f1_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(hg, "hyp2f1_numeric", counted)
+    # three sums at each of 1 - z = 0.999, 0.99, 0.9 and two z at infinity;
+    # theta by series and the omega variants reuse them
+    hg.numeric_checks(P134)
+    assert len(calls) == 15
+    calls.clear()
+    # u0, u0' and u1: u1's derivative is not summed
+    mult._generator_values(P134, 0.3 + 0.2j)
+    assert len(calls) == 3
 
 
 def test_numeric_checks_reference_triple():

@@ -246,7 +246,8 @@ def test_D_is_u0_squared_times_d_dz_on_generator_values(poly):
     z0, h = 0.3 + 0.2j, 1e-5
 
     def at(z, Q):
-        return mult._value_and_bound(Q, mult._generator_values(P134, z))[0]
+        value, _, unit = mult._value_and_bound(Q, mult._generator_values(P134, z))
+        return value * float(unit)
 
     u0, _ = hg.u_value_and_derivative("u0", P134, z0)
     lhs = at(z0, apply_D(P, P134))
@@ -266,13 +267,13 @@ def test_expanded_power_that_cancels_is_not_read_as_zero(k):
 def test_generic_value_is_exact_and_its_bound_follows_the_slopes():
     values = mult._generator_values(P134, 0.25)
     tau = values["tau"]
-    value, bound, size = mult._value_and_bound(text("tau - 1/2") ** 2, values)
+    value, bound, unit = mult._value_and_bound(text("tau - 1/2") ** 2, values)
+    value, bound = value * float(unit), bound * float(unit)
     assert abs(value - (tau - 0.5) ** 2) <= 1e-15 * abs(tau - 0.5) ** 2
     # tau d/dtau (tau - 1/2)^2 = 2 tau (tau - 1/2), plus a second-order term
     slope = abs(2 * tau * (tau - 0.5))
     eps = mult.GENERIC_THRESHOLD
     assert eps * slope <= bound <= eps * slope * 1.01
-    assert abs(size - (abs(tau) ** 2 + abs(tau) + 0.25)) < 1e-12
 
 
 def test_generic_order_stops_at_the_term_cap(monkeypatch):
@@ -294,10 +295,25 @@ def test_generic_orders_are_natural_numbers():
         assert isinstance(rep.ord, int) and rep.ord >= 0
 
 
-def test_generic_threshold_ambiguity_detected():
+def test_generic_tiny_constant_has_order_zero():
+    # no absolute floor: a nonzero constant does not vanish, however small
     tiny = Poly.const(AFFINE_VARS, Fraction(1, 10 ** 40))
-    with pytest.raises(ThresholdAmbiguous):
-        mult.ord_at_generic(tiny, P134, 0.3)
+    assert mult.ord_at_generic(tiny, P134, 0.3).ord == 0
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 10 ** 13), Fraction(1, 10 ** 40), Fraction(10 ** 40),
+                               Fraction(10 ** 400), Fraction(1, 10 ** 400)])
+@pytest.mark.parametrize("poly, at_root, order", [
+    ("y0 y1 - y2 + tau q", False, 0),
+    # (tau - 1/2)^2 (y0 + 2), expanded
+    ("tau^2 y0 - tau y0 + 2 * tau^2 + 1/4 * y0 - 2 * tau + 1/2", True, 2),
+])
+def test_generic_order_is_scale_free(c, poly, at_root, order):
+    # a constant factor neither overflows the float conversions nor moves the order
+    z0 = _tau_root(mp.mpf(1) / 2, 0.22) if at_root else 0.3 + 0.2j
+    P = text(poly)
+    assert mult.ord_at_generic(P, P134, z0).ord == order
+    assert mult.ord_at_generic(c * P, P134, z0).ord == order
 
 
 def test_generic_rejects_bad_points():
