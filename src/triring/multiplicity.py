@@ -35,6 +35,7 @@ from .errors import (
 from .derivation import apply_D, dehomogenize, is_x_homogeneous, leibniz, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
+from .series import _ceil_steps, _int_product
 
 DEFAULT_ORDER = 24
 MAX_DOUBLINGS = 3
@@ -76,15 +77,16 @@ def generator_series(params: TriangleParams, N: int):
 def _monomial_rows(params, monomials, N):
     """Integer rows ``(ram, prec, scale, coeffs)`` of the monomials' series at order N.
 
-    ``coeffs[k] / scale`` is the coefficient of x^(k/ram).  A monomial (an
-    exponent tuple over ``AFFINE_VARS``) is its prefix, the exponents
-    before its last nonzero one, times a power of its last variable.
-    Walked in sorted order, monomials sharing a prefix come together, so
-    each prefix and power is built once.  The constant monomial is 1 to
-    the least ``prec`` of the five generators.
+    ``coeffs[k] / scale`` is the coefficient of x^(k/ram), ``scale`` the
+    least common denominator.  A monomial (an exponent tuple over
+    ``AFFINE_VARS``) is its prefix, the exponents before its last nonzero
+    one, times a power of its last variable.  Walked in sorted order,
+    monomials sharing a prefix come together, so each prefix and power
+    is built once, as a row product (``_row_product``).  The constant
+    monomial is 1 to the least ``prec`` of the five generators.
     """
     gens = generator_series(params, N)
-    series = [gens[v] for v in AFFINE_VARS]
+    series = [_series_row(gens[v]) for v in AFFINE_VARS]
     powers = [[None, s] for s in series]
     monomials = list(monomials)
     rows = [None] * len(monomials)
@@ -99,17 +101,50 @@ def _monomial_rows(params, monomials, N):
             if exps[i]:
                 pw = powers[i]
                 while len(pw) <= exps[i]:
-                    pw.append(pw[-1] * series[i])
-                path.append((i, path[-1][1] * pw[exps[i]] if path else pw[exps[i]]))
+                    pw.append(_row_product(pw[-1], series[i]))
+                path.append((i, _row_product(path[-1][1], pw[exps[i]]) if path else pw[exps[i]]))
         before = exps
-        if not path:
-            rows[idx] = (1, min(s.prec for s in series), 1, {0: 1})
-            continue
-        value = path[-1][1]
-        scale = math.lcm(*[c.denominator for c in value.coeffs.values()])
-        coeffs = {k: c.numerator * (scale // c.denominator) for k, c in value.coeffs.items()}
-        rows[idx] = (value.ram, value.prec, scale, coeffs)
+        rows[idx] = path[-1][1] if path else (1, min(s[1] for s in series), 1, {0: 1})
     return rows
+
+
+def _series_row(s):
+    """The exact series ``s`` as a row ``(ram, prec, scale, coeffs)``."""
+    scale = math.lcm(*[c.denominator for c in s.coeffs.values()])
+    coeffs = {k: c.numerator * (scale // c.denominator) for k, c in s.coeffs.items()}
+    return s.ram, s.prec, scale, coeffs
+
+
+def _row_product(a, b):
+    """The row of the product of two rows' series.
+
+    As ``PuiseuxSeries.__mul__``: both rows go on the lcm of their grids
+    and ``prec`` is the least of each ``prec`` plus the other's leading
+    exponent.  The integer coefficients are multiplied by ``_int_product``
+    and the scales multiply; dividing both by their gcd leaves the least
+    common denominator, so the row is the one the product's reduced
+    Fractions give.
+    """
+    (ram_a, prec_a, scale_a, ca), (ram_b, prec_b, scale_b, cb) = a, b
+    ram = math.lcm(ram_a, ram_b)
+    if ram != ram_a:
+        ca = {k * (ram // ram_a): c for k, c in ca.items()}
+    if ram != ram_b:
+        cb = {k * (ram // ram_b): c for k, c in cb.items()}
+    prec = min(
+        prec_a + (Fraction(min(cb), ram) if cb else prec_b),
+        prec_b + (Fraction(min(ca), ram) if ca else prec_a),
+    )
+    coeffs = _int_product(ca, cb, _ceil_steps(prec, ram))
+    scale = g = scale_a * scale_b
+    for c in coeffs.values():
+        if g == 1:
+            break
+        g = math.gcd(g, c)
+    if g > 1:
+        scale //= g
+        coeffs = {k: c // g for k, c in coeffs.items()}
+    return ram, prec, scale, coeffs
 
 
 def _integer_columns(rows):
@@ -440,6 +475,35 @@ def _box_columns(params: TriangleParams, profile: tuple, N: int):
     return _integer_columns(_monomial_rows(params, box, N))
 
 
+# rng.choice(_NONZERO) keeps the top five bits of one 32-bit Mersenne
+# Twister word and draws again while they are 18 or more; so a word whose
+# top byte is b < 144 = 18 << 3 gives _NONZERO[b >> 3], here a signed byte
+_NONZERO = [i for i in range(-9, 10) if i]
+_TOP_BYTE = bytes(_NONZERO[b >> 3] % 256 if b < 144 else 0 for b in range(256))
+_REJECTED = bytes(range(144, 256))
+
+
+def _draws(seed, samples, size):
+    """``samples`` lists of ``size`` coefficients from ``random.Random(seed)``.
+
+    Equal to ``size`` calls of ``rng.choice(_NONZERO)`` per sample, one
+    sample after the other, but drawn in batches: ``getrandbits(32 * m)``
+    holds the next m words, the first in the lowest bits, and the top byte
+    of each accepted word is mapped to its value at C speed.  The batch
+    may draw more words than are used; the generator is local.
+    """
+    rng = random.Random(seed)
+    need = samples * size
+    values = bytearray()
+    while len(values) < need:
+        # 18 of 32 words are accepted; twice the shortfall almost always does
+        words = 2 * (need - len(values)) + 16
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        values += raw[3::4].translate(_TOP_BYTE, _REJECTED)
+    signed = memoryview(values).cast("b")
+    return [signed[i:i + size].tolist() for i in range(0, need, size)]
+
+
 def bound_audit(
     profile,
     params: TriangleParams,
@@ -473,10 +537,7 @@ def bound_audit(
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     m1, m2, bound = profile_bound(profile)
-    rng = random.Random(seed)
-    nonzero = [i for i in range(-9, 10) if i]
-    size = math.prod(d + 1 for d in profile)
-    draws = [[rng.choice(nonzero) for _ in range(size)] for _ in range(samples)]
+    draws = _draws(seed, samples, math.prod(d + 1 for d in profile))
 
     results, order_used = _first_orders(partial(_box_columns, params, profile), draws, N)
     ords = [results[i] for i in sorted(results)]

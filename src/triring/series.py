@@ -10,8 +10,9 @@ when all certified coefficients vanish.
 Coefficients are exact: ``int`` or ``Fraction``.  A float or complex
 coefficient is refused with :class:`DomainMismatch`; only ``evaluate``
 turns a series into floating values.  A product of two series is one
-big-integer multiplication (Kronecker substitution) and the inverse is
-Newton's iteration on top of it.
+big-integer multiplication (Kronecker substitution) in ``_int_product``,
+a kernel on integer coefficients that the exact z = 0 orders share, and
+the inverse is Newton's iteration on top of it.
 """
 
 from __future__ import annotations
@@ -315,10 +316,41 @@ def _exact_product(a, b, bound):
     """The coefficients below ``bound`` of the product of two exact series.
 
     ``a`` and ``b`` map grid steps to ``int``/``Fraction`` coefficients on
-    one grid.  Both are compressed by the common stride of their steps,
-    scaled to integer numerators, packed into one integer each with
-    fixed-width signed digits (Kronecker substitution) and multiplied
-    once.  Integral results come back as ``int``.
+    one grid.  Terms that cannot land below ``bound`` are dropped first;
+    each operand is then scaled to integer numerators over the lcm of its
+    denominators and multiplied by ``_int_product``.  Integral results
+    come back as ``int``.
+    """
+    if not a or not b:
+        return {}
+    a_min, b_min = min(a), min(b)
+    a = [(k, c) for k, c in a.items() if k < bound - b_min]
+    b = [(k, c) for k, c in b.items() if k < bound - a_min]
+    if not a or not b:
+        return {}
+    da = lcm(*{c.denominator for _, c in a})
+    db = lcm(*{c.denominator for _, c in b})
+    a = {k: c.numerator * (da // c.denominator) for k, c in a}
+    b = {k: c.numerator * (db // c.denominator) for k, c in b}
+    product = _int_product(a, b, bound)
+    d = da * db
+    if d == 1:
+        return product
+    out = {}
+    for k, c in product.items():
+        q = Fraction(c, d)
+        out[k] = q.numerator if q.denominator == 1 else q
+    return out
+
+
+def _int_product(a, b, bound):
+    """The coefficients below ``bound`` of the product of two integer series.
+
+    ``a`` and ``b`` map grid steps to ``int`` coefficients on one grid.
+    The terms that can land below ``bound`` are compressed by the common
+    stride of their steps, packed into one integer each with fixed-width
+    signed digits (Kronecker substitution) and multiplied once; the
+    nonzero digits come back as ``int`` coefficients.
     """
     if not a or not b:
         return {}
@@ -333,15 +365,14 @@ def _exact_product(a, b, bound):
     for k, _ in b:
         g = gcd(g, k)
     g = g or 1
-    da = lcm(*{c.denominator for _, c in a})
-    db = lcm(*{c.denominator for _, c in b})
-    a = [(k // g, c.numerator * (da // c.denominator)) for k, c in a]
-    b = [(k // g, c.numerator * (db // c.denominator)) for k, c in b]
+    if g > 1:
+        a = [(k // g, c) for k, c in a]
+        b = [(k // g, c) for k, c in b]
     len_a = max(k for k, _ in a) + 1
     len_b = max(k for k, _ in b) + 1
     # a product digit sums at most min(len_a, len_b) products; one more bit
     # holds its sign
-    bits =(max(abs(c) for _, c in a).bit_length() + max(abs(c) for _, c in b).bit_length()
+    bits = (max(abs(c) for _, c in a).bit_length() + max(abs(c) for _, c in b).bit_length()
             + min(len_a, len_b).bit_length() + 1)
     width = (bits + 7) // 8
     half = 1 << (8 * width - 1)
@@ -351,15 +382,13 @@ def _exact_product(a, b, bound):
     product = _pack(a, len_a, width, half) * _pack(b, len_b, width, half)
     product += half * _repunit(width, n)
     raw = product.to_bytes(n * width, "little")
-    d = da * db
     stop = min(n, -(-(bound - a_min - b_min) // g))
     out = {}
     base = a_min + b_min
     for i in range(stop):
         c = int.from_bytes(raw[i * width:(i + 1) * width], "little") - half
         if c:
-            q = Fraction(c, d)
-            out[base + i * g] = q.numerator if q.denominator == 1 else q
+            out[base + i * g] = c
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -92,3 +93,33 @@ def reference_order(P, params, N, doublings):
             return value.ord(), value.prec
         order = max(2 * order, 1)
     return None
+
+
+def reference_rows(params, monomials, N):
+    """``(ram, prec, scale, coeffs)`` of each monomial by ``PuiseuxSeries`` products.
+
+    A reference for ``multiplicity._monomial_rows``, which multiplies
+    integer rows: each monomial is built as the left-to-right product of
+    its nonzero powers, each power ``s * s * ...`` from the left, the
+    association ``_monomial_rows`` uses, and its Fraction coefficients
+    are then scaled by the lcm of their denominators.
+    """
+    gens = generator_series(params, N)
+    series = [gens[v] for v in AFFINE_VARS]
+    rows = []
+    for exps in monomials:
+        value = None
+        for s, e in zip(series, exps):
+            if not e:
+                continue
+            power = s
+            for _ in range(e - 1):
+                power = power * s
+            value = power if value is None else value * power
+        if value is None:
+            rows.append((1, min(s.prec for s in series), 1, {0: 1}))
+            continue
+        scale = math.lcm(*[c.denominator for c in value.coeffs.values()])
+        coeffs = {k: c.numerator * (scale // c.denominator) for k, c in value.coeffs.items()}
+        rows.append((value.ram, value.prec, scale, coeffs))
+    return rows

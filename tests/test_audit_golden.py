@@ -35,6 +35,10 @@ CLI_CASES = {
     "audit_profile_11222_order4": ["--profile", "1,1,2,2,2", "--order", "4"],
     "audit_1_8_1_6_1_3": ["--params", "1/8,1/6,1/3", "--profile", "1,2,1,1,2",
                           "--samples", "60", "--seed", "3", "--order", "4"],
+    # captured when the monomial rows were PuiseuxSeries products, and
+    # each coefficient one rng.choice call
+    "audit_1_11_1_9_1_4": ["--params", "1/11,1/9,1/4", "--profile", "1,2,1,2,1",
+                           "--samples", "50", "--seed", "3", "--order", "4"],
 }
 
 TRIPLES = [
@@ -65,6 +69,18 @@ def test_inconclusive_samples_retry_and_are_skipped():
     # ord_at_zero retries from N = 0 the same way
     polys = _sampled_polys((1, 1, 0, 0, 0), 40, 11)
     assert [mult.ord_at_zero(P, TRIPLES[2], 0).ord for P in polys] == audit.ords
+
+
+@pytest.mark.parametrize("samples", [0, 1, 13, 200])
+@pytest.mark.parametrize("size", [1, 32, 243])
+def test_batched_draws_equal_the_choice_loop(samples, size):
+    # the batches read random's Mersenne Twister words as rng.choice does;
+    # a CPython release that changes either routine fails here first
+    nonzero = [i for i in range(-9, 10) if i]
+    for seed in [*range(12), 123456, 2 ** 40 + 3]:
+        rng = random.Random(seed)
+        loop = [[rng.choice(nonzero) for _ in range(size)] for _ in range(samples)]
+        assert mult._draws(seed, samples, size) == loop
 
 
 def _sampled_polys(profile, samples, seed):

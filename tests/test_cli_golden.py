@@ -10,7 +10,9 @@ divided by repeated leading-term searches; the ord and dist files were
 captured when the order at 0 was read off a sum of scaled series rather
 than the integer columns the audit uses; the generic ord files were
 captured when generic orders still had an absolute trust floor and
-Gamma was a Lanczos approximation.  Every rewrite must reproduce them
+Gamma was a Lanczos approximation; the ord files on 1/11,1/9,1/4 were
+captured when the monomial rows were still built as ``PuiseuxSeries``
+products.  Every rewrite must reproduce them
 byte for byte, and with the same exit code.
 """
 
@@ -26,6 +28,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 TRIPLES = {"1_5_1_4_1_2": "1/5,1/4,1/2", "1_8_1_6_1_3": "1/8,1/6,1/3"}
 T1, T2 = TRIPLES["1_5_1_4_1_2"], TRIPLES["1_8_1_6_1_3"]
+#: a triple whose generator series live on the ram-4 grid
+T3 = "1/11,1/9,1/4"
 DERIVE_POLY = "y0^2 y1 - 3/7 * q tau y2"
 #: a member whose cofactor on the generator 2 q y0 is 1/2
 MEMBER = ["ideal", "member", "--poly", "q y0 y1 - q y1^2 + q y0",
@@ -36,6 +40,9 @@ ORD_POLYS = {
     "pow9_1_5_1_4_1_2_order8": (T1, POW9, "8"),
     "rational_1_5_1_4_1_2": (T1, "3/7 * q y0^2 - 1/2 * tau y1 y2 + 5/3", "24"),
     "1_8_1_6_1_3": (T2, "q y0^2 - 2 * q y0 y1 + q y1^2 - tau^2 y2", "24"),
+    # ram 4: order 3/2, and order 9/4 from the tau, q and constant rows
+    "pow9_1_11_1_9_1_4_order8": (T3, POW9, "8"),
+    "tau_q_1_11_1_9_1_4_order8": (T3, "q - tau - 1 - 1/2 * tau^2", "8"),
 }
 #: generic points: README's example; an expanded power that cancels to
 #: order 0; order 2 at the root of tau = 1/2 on 1/5,1/4,1/2; and kappa

@@ -21,7 +21,7 @@ from triring.errors import (
 from triring.params import derived_constants, validate
 from triring.ring import AFFINE_VARS, HOMOG_VARS, Poly, poly_from_text
 
-from conftest import reference_order
+from conftest import reference_order, reference_rows
 
 P134 = validate(Fraction(1, 5), Fraction(1, 4), Fraction(1, 2))
 TRIPLES = [
@@ -454,6 +454,28 @@ def test_audit_reports_from_a_warm_cache_equal_fresh_ones(p):
                 for seed in seeds]
         assert mult._box_columns.cache_info().hits >= hits + len(seeds)
         assert warm == fresh
+
+
+ROW_TRIPLES = [
+    P134,  # ram 2
+    validate(Fraction(1, 8), Fraction(1, 6), Fraction(1, 3)),  # ram 3
+    validate(Fraction(1, 11), Fraction(1, 9), Fraction(1, 4)),  # ram 4
+]
+
+
+@pytest.mark.parametrize("p", ROW_TRIPLES)
+@pytest.mark.parametrize("N", [0, 4, 16])
+@pytest.mark.parametrize("profile", [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (0, 3, 0, 1, 2)])
+def test_monomial_rows_equal_the_series_products(p, N, profile):
+    box = list(itertools.product(*(range(d + 1) for d in profile)))
+    assert mult._monomial_rows(p, box, N) == reference_rows(p, box, N)
+
+
+@pytest.mark.parametrize("p", ROW_TRIPLES)
+def test_monomial_rows_of_an_expanded_power(p):
+    pow9 = (text("y0 - y2") ** 9 * text("y1")).terms
+    for N in (0, 4, 16):
+        assert mult._monomial_rows(p, pow9, N) == reference_rows(p, pow9, N)
 
 
 def test_cached_box_columns_are_immutable():

@@ -5,7 +5,9 @@ multiplication and exact ``invert`` through Newton's iteration on top
 of it.  These tests compare both with a test-local ``Fraction``
 convolution and the term-by-term reciprocal recurrence: same
 coefficients, same ``prec``, no coefficient at or past the truncation
-bound, and ``int`` wherever a coefficient is integral.
+bound, and ``int`` wherever a coefficient is integral.  The integer
+kernel ``_int_product`` under the product, which the exact orders at
+z = 0 also call, is checked against an int convolution.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triring.series import PuiseuxSeries
+from triring.series import PuiseuxSeries, _int_product
 
 
 def _lower(s):
@@ -177,3 +179,53 @@ def test_digit_width_holds_the_largest_sums():
                 a = PuiseuxSeries(1, {k: top for k in range(length)}, 2 * length)
                 b = PuiseuxSeries(1, {k: sign * top for k in range(length)}, 2 * length)
                 assert_matches(a * b, schoolbook_mul(a, b))
+
+
+def schoolbook_int(a, b, bound):
+    """The nonzero coefficients below ``bound`` of the int convolution of ``a`` and ``b``."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if k1 + k2 < bound:
+                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def int_steps(draw):
+    """Integer coefficients of up to 400 bits on one residue class of a random stride."""
+    stride = draw(st.sampled_from([1, 1, 2, 3, 7, 40]))
+    start = draw(st.integers(-30, 30))
+    slots = draw(st.lists(st.integers(0, 16), max_size=12, unique=True))
+    coeffs = {}
+    for i in slots:
+        bits = draw(st.integers(1, 400))
+        coeffs[start + stride * i] = draw(st.integers(-(1 << bits), 1 << bits))
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=int_steps(), b=int_steps(), data=st.data())
+def test_int_product_matches_schoolbook(a, b, data):
+    # bounds from below the first product step to past the last one, so
+    # that most cut stored steps and some cut none
+    lo, hi = (min(a) + min(b), max(a) + max(b)) if a and b else (-60, 1340)
+    bound = data.draw(st.integers(lo - 2, hi + 2))
+    product = _int_product(a, b, bound)
+    assert product == schoolbook_int(a, b, bound)
+    assert all(type(c) is int for c in product.values())
+
+
+def test_int_product_of_empty_or_cancelling_operands():
+    f = {-3: 5, 1: -(1 << 300)}
+    assert _int_product(f, {}, 10) == {} and _int_product({}, f, 10) == {}
+    # every step cut by the bound
+    assert _int_product(f, {4: 1}, 1) == {}
+    # (1 + x) (1 - x + x^2 - ...) leaves 1 and the last term
+    alternating = {k: (-1) ** k for k in range(12)}
+    assert _int_product({0: 1, 1: 1}, alternating, 30) == {0: 1, 12: -1}
+    assert _int_product({0: 1, 1: 1}, alternating, 12) == {0: 1}
+    # (x^-2 - x) (x^4 + x^7) on stride 3 cancels the middle step
+    assert _int_product({-2: 1, 1: -1}, {4: 1, 7: 1}, 20) == {2: 1, 8: -1}
+    big = (1 << 400) - 1
+    assert _int_product({0: big, 1: big}, {0: big, 1: -big}, 5) == {0: big * big, 2: -big * big}
