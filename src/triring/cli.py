@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import hypergeom, ideals, multiplicity, params as params_mod
 from .derivation import apply_D, apply_variant, rankin_bracket
@@ -53,10 +54,63 @@ def _parse_poly_arg(text, vars=AFFINE_VARS):
 def _emit(args, payload, text_lines):
     if getattr(args, "emit", "text") == "json":
         payload.setdefault("seed", getattr(args, "seed", None))
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)
+
+
+def _json_text(payload):
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` always runs its pure-Python
+    encoder; ``_render`` writes the same text with the C string escaper.
+    A payload holding anything but str-keyed dicts, lists, tuples, str,
+    int, float, bool and None makes ``_render`` raise ``TypeError`` and
+    goes to ``json.dumps`` whole.
+    """
+    parts = []
+    try:
+        _render(payload, "\n", parts)
+    except TypeError:
+        return json.dumps(payload, sort_keys=True, indent=2)
+    return "".join(parts)
+
+
+def _render(value, newline, parts):
+    """Append the JSON text of ``value`` to ``parts``; ``newline`` carries the indent."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_encode_str(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # a key that is not a str makes sorted or _encode_str raise TypeError
+        for key in sorted(value):
+            parts.append(sep + _encode_str(key) + ": ")
+            _render(value[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _render(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif kind is float or kind is bool or value is None:
+        parts.append(json.dumps(value))
+    else:
+        raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
 def _complex_arg(text):

@@ -12,7 +12,9 @@ coefficient is refused with :class:`DomainMismatch`; only ``evaluate``
 turns a series into floating values.  A product of two series is one
 big-integer multiplication (Kronecker substitution) in ``_int_product``,
 a kernel on integer coefficients that the exact z = 0 orders share, and
-the inverse is Newton's iteration on top of it.
+the inverse is Newton's iteration on top of it.  ``exp`` runs its term
+recurrence on integers over one common denominator and makes each
+coefficient's ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -238,20 +240,33 @@ class PuiseuxSeries:
             return PuiseuxSeries(self.ram, {0: Fraction(1)}, self.prec)
         if min(self.coeffs) <= 0:
             raise NonpositiveOrder("exp needs ord > 0")
+        # (k/r) out_k = sum_j (j/r) f_j out_{k-j}  from  out' = f' out, on
+        # integers: j f_j = w_j / d, and out_i = num[i] / den over a common
+        # denominator that grows (rescaling num) only when out_k needs it
+        d = lcm(*[c.denominator for c in self.coeffs.values()])
+        terms = [
+            (j, j * c.numerator * (d // c.denominator)) for j, c in sorted(self.coeffs.items())
+        ]
+        n = _ceil_steps(self.prec, self.ram)
+        num = [1] + [0] * (n - 1)
+        den = 1
         out = {0: Fraction(1)}
-        # (k/r) out_k = sum_j (j/r) f_j out_{k-j}  from  out' = f' out
-        for k in range(1, _ceil_steps(self.prec, self.ram)):
-            acc = None
-            for j, fj in self.coeffs.items():
+        for k in range(1, n):
+            acc = 0
+            for j, w in terms:
                 if j > k:
-                    continue
-                ok = out.get(k - j)
-                if ok is None:
-                    continue
-                term = fj * ok * j
-                acc = term if acc is None else acc + term
+                    break
+                acc += w * num[k - j]
             if acc:
-                out[k] = acc / k
+                c = Fraction(acc, d * den * k)
+                q = c.denominator
+                if den % q:
+                    grow = q // gcd(den, q)
+                    for i in range(k):
+                        num[i] *= grow
+                    den *= grow
+                num[k] = c.numerator * (den // q)
+                out[k] = c
         return PuiseuxSeries(self.ram, out, self.prec)
 
     def scale_argument(self, factor):
@@ -355,25 +370,19 @@ def _int_product(a, b, bound):
     if not a or not b:
         return {}
     a_min, b_min = min(a), min(b)
-    a = [(k - a_min, c) for k, c in a.items() if k < bound - b_min]
-    b = [(k - b_min, c) for k, c in b.items() if k < bound - a_min]
+    a, last_a, big_a = _cut(a, a_min, bound - b_min)
+    b, last_b, big_b = _cut(b, b_min, bound - a_min)
     if not a or not b:
         return {}
-    g = 0
-    for k, _ in a:
-        g = gcd(g, k)
-    for k, _ in b:
-        g = gcd(g, k)
-    g = g or 1
+    g = _stride(a, b)
     if g > 1:
         a = [(k // g, c) for k, c in a]
         b = [(k // g, c) for k, c in b]
-    len_a = max(k for k, _ in a) + 1
-    len_b = max(k for k, _ in b) + 1
+    len_a = last_a // g + 1
+    len_b = last_b // g + 1
     # a product digit sums at most min(len_a, len_b) products; one more bit
     # holds its sign
-    bits = (max(abs(c) for _, c in a).bit_length() + max(abs(c) for _, c in b).bit_length()
-            + min(len_a, len_b).bit_length() + 1)
+    bits = big_a.bit_length() + big_b.bit_length() + min(len_a, len_b).bit_length() + 1
     width = (bits + 7) // 8
     half = 1 << (8 * width - 1)
     n = len_a + len_b - 1
@@ -390,6 +399,34 @@ def _int_product(a, b, bound):
         if c:
             out[base + i * g] = c
     return out
+
+
+def _cut(terms, low, cut):
+    """The ``(k - low, c)`` pairs with ``k < cut``, their last step and largest ``|c|``."""
+    out = []
+    last = big = 0
+    for k, c in terms.items():
+        if k < cut:
+            k -= low
+            out.append((k, c))
+            if k > last:
+                last = k
+            if c > big:
+                big = c
+            elif -c > big:
+                big = -c
+    return out, last, big
+
+
+def _stride(a, b):
+    """The gcd of the steps of the ``(k, c)`` pairs of ``a`` and ``b``; 1 if all are 0."""
+    g = 0
+    for terms in (a, b):
+        for k, _ in terms:
+            g = gcd(g, k)
+            if g == 1:
+                return 1
+    return g or 1
 
 
 def _pack(terms, length, width, half):

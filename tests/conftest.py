@@ -123,3 +123,28 @@ def reference_rows(params, monomials, N):
         coeffs = {k: c.numerator * (scale // c.denominator) for k, c in value.coeffs.items()}
         rows.append((value.ram, value.prec, scale, coeffs))
     return rows
+
+
+def reference_exp(f):
+    """``exp(f)`` by the term-by-term ``Fraction`` recurrence, for ``ord(f) > 0``.
+
+    From ``out' = f' out``: ``(k/r) out_k = sum_j (j/r) f_j out_{k-j}``,
+    each ``out_k`` a ``Fraction`` summed term by term.  A reference for
+    ``PuiseuxSeries.exp``, which runs the same recurrence on integers.
+    """
+    if not f.coeffs:
+        return PuiseuxSeries(f.ram, {0: Fraction(1)}, f.prec)
+    out = {0: Fraction(1)}
+    for k in range(1, -(-f.prec.numerator * f.ram // f.prec.denominator)):
+        acc = None
+        for j, fj in f.coeffs.items():
+            if j > k:
+                continue
+            ok = out.get(k - j)
+            if ok is None:
+                continue
+            term = fj * ok * j
+            acc = term if acc is None else acc + term
+        if acc:
+            out[k] = acc / k
+    return PuiseuxSeries(f.ram, out, f.prec)

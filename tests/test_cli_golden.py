@@ -12,7 +12,10 @@ than the integer columns the audit uses; the generic ord files were
 captured when generic orders still had an absolute trust floor and
 Gamma was a Lanczos approximation; the ord files on 1/11,1/9,1/4 were
 captured when the monomial rows were still built as ``PuiseuxSeries``
-products.  Every rewrite must reproduce them
+products; the order-48 expand file on 1/11,1/9,1/4 (tau and q on the
+ram-4 grid) was captured when ``exp`` summed its recurrence in
+``Fraction`` term by term and the JSON went through ``json.dumps``.
+Every rewrite must reproduce them
 byte for byte, and with the same exit code.
 """
 
@@ -71,6 +74,9 @@ def _cases():
                     "hyper", "expand", "--point", point, "--params", triple,
                     "--order", "8", "--emit", emit,
                 ], 0)
+    cases["expand_0_1_11_1_9_1_4_order48.json"] = ([
+        "hyper", "expand", "--point", "0", "--params", T3, "--order", "48", "--emit", "json",
+    ], 0)
     cases["verify_all_1_5_1_4_1_2.json"] = (
         ["verify", "all", "--params", T1, "--emit", "json"], 0)
     cases["certify_case1_1_5_1_4_1_2.json"] = (

@@ -1,4 +1,4 @@
-"""The exact series product and the Newton reciprocal against schoolbook oracles.
+"""The exact series product, reciprocal and exp against schoolbook oracles.
 
 Exact ``PuiseuxSeries`` products go through one big-integer
 multiplication and exact ``invert`` through Newton's iteration on top
@@ -7,15 +7,22 @@ convolution and the term-by-term reciprocal recurrence: same
 coefficients, same ``prec``, no coefficient at or past the truncation
 bound, and ``int`` wherever a coefficient is integral.  The integer
 kernel ``_int_product`` under the product, which the exact orders at
-z = 0 also call, is checked against an int convolution.
+z = 0 also call, is checked against an int convolution.  ``exp``, which
+runs its recurrence on integers over a common denominator, is checked
+against the ``Fraction`` recurrence ``reference_exp``: same
+coefficients, all of them ``Fraction``.
 """
 
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_exp
+from triring.hypergeom import tau_q_series_at_zero
+from triring.params import validate
 from triring.series import PuiseuxSeries, _int_product
 
 
@@ -229,3 +236,53 @@ def test_int_product_of_empty_or_cancelling_operands():
     assert _int_product({-2: 1, 1: -1}, {4: 1, 7: 1}, 20) == {2: 1, 8: -1}
     big = (1 << 400) - 1
     assert _int_product({0: big, 1: big}, {0: big, 1: -big}, 5) == {0: big * big, 2: -big * big}
+
+
+def assert_same_exp(f):
+    got, want = f.exp(), reference_exp(f)
+    assert (got.ram, got.prec) == (want.ram, want.prec)
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+@st.composite
+def positive_order_series(draw):
+    """Positive steps with gaps on grids of ram 1 to 6, int and Fraction coefficients."""
+    ram = draw(st.integers(1, 6))
+    steps = draw(st.lists(st.integers(1, 30), max_size=8, unique=True))
+    coeffs = {}
+    for k in steps:
+        num = draw(st.integers(-(1 << 40), 1 << 40).filter(bool))
+        den = draw(st.one_of(st.just(1), st.integers(1, 1 << 30)))
+        value = Fraction(num, den)
+        coeffs[k] = value.numerator if value.denominator == 1 and draw(st.booleans()) else value
+    # prec * ram may be fractional and may cut stored steps away
+    prec = Fraction(draw(st.integers(0, 3 * 40)), 3 * ram)
+    return PuiseuxSeries(ram, coeffs, prec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=positive_order_series())
+def test_exp_matches_fraction_recurrence(f):
+    assert_same_exp(f)
+
+
+def test_exp_of_single_terms_and_the_zero_series():
+    for ram in range(1, 7):
+        for k in (1, 2, 5):
+            for c in (1, -3, Fraction(-7, 4)):
+                assert_same_exp(PuiseuxSeries(ram, {k: c}, Fraction(41, 3)))
+    zero = PuiseuxSeries(3, {}, Fraction(7, 2))
+    assert zero.exp().coeffs == {0: Fraction(1)} == reference_exp(zero).coeffs
+
+
+#: the triples of the benchmark's expand workload, tau at N = 48 on each
+EXPAND_TRIPLES = ((5, 4, 2), (7, 3, 2), (8, 6, 3), (13, 4, 3), (11, 9, 4), (22, 4, 3))
+
+
+@pytest.mark.parametrize("triple", EXPAND_TRIPLES)
+def test_exp_of_tau_matches_fraction_recurrence(triple):
+    params = validate(*(Fraction(1, d) for d in triple))
+    tau, q = tau_q_series_at_zero(params, 48)
+    assert q == tau.exp()
+    assert_same_exp(tau)
