@@ -13,13 +13,15 @@ which both solve the normal-form equation
 and have Wronskian u1' u0 - u1 u0' identically 1 - gamma.  From them the
 weight-2 combinations y0 = u0 u0', y1 = y0 - u0^2/z, y2 = y0 - u0^2/(z-1)
 and the pair tau = u1/u0, q = exp(tau) are produced as exact rational
-Puiseux series at 0.  At 1 and infinity the expansions go through the
-classical connection formulas; the Gamma-ratio constants enter as opaque
-symbols (``theta``, ``theta1`` at 1; ``zw``, ``zw1`` at infinity, the
-products of the unit ``zeta1`` with the two connection coefficients)
-with floating bindings supplied for numeric work.  u0 = s0 A + s1 B is
-linear in the two symbols, with rational series A and B, so the series
-there are :class:`SymbolicSeries`, one rational series per monomial.
+Puiseux series at 0, y0 as (u0^2)'/2: the same precision as the product
+u0 u0', for no second product.  At 1 and infinity the expansions go
+through the classical connection formulas; the Gamma-ratio constants
+enter as opaque symbols (``theta``, ``theta1`` at 1; ``zw``, ``zw1`` at
+infinity, the products of the unit ``zeta1`` with the two connection
+coefficients) with floating bindings supplied for numeric work.
+u0 = s0 A + s1 B is linear in the two symbols, with rational series A
+and B, so the series there are :class:`SymbolicSeries`, one rational
+series per monomial, and u0^2 takes the three products A^2, AB and B^2.
 
 The statement-form constant omega = G(g)G(b-a)/(G(g-a)G(b)) is the one
 the numeric check confirms; the variant with G(alpha) in the denominator
@@ -43,6 +45,7 @@ SYMBOLS_AT_ONE = ("theta", "theta1")
 SYMBOLS_AT_INF = ("zw", "zw1")
 
 DEFAULT_ORDER = 40
+HALF = Fraction(1, 2)
 # terms of u0, u1 for the floating checks: at N = 24 the truncated
 # Wronskian is off by about 2e-9 at z = 0.5i, above its 1e-9 tolerance
 NUMERIC_CHECK_ORDER = 60
@@ -62,18 +65,31 @@ def pochhammer_falling(x, n):
     return out
 
 
+def _term_series(upper, lower, N, sign=1):
+    """sum_n prod (u)_n / (prod (l)_n n!) (sign x)^n to x**N, (v)_n rising.
+
+    The term recurrence runs on one integer numerator and denominator,
+    with one ``Fraction`` per coefficient, and stops at the first zero term.
+    """
+    ud = math.prod(v.denominator for v in upper)
+    ld = math.prod(v.denominator for v in lower)
+    coeffs = {0: Fraction(1)}
+    num = den = 1
+    for n in range(1, N + 1):
+        # v + n - 1 = (v.numerator + (n - 1) v.denominator) / v.denominator
+        num *= sign * ld * math.prod(v.numerator + (n - 1) * v.denominator for v in upper)
+        if not num:
+            break
+        low = math.prod(v.numerator + (n - 1) * v.denominator for v in lower)
+        term = Fraction(num, den * n * ud * low)
+        num, den = term.numerator, term.denominator
+        coeffs[n] = term
+    return PuiseuxSeries(1, coeffs, N + 1)
+
+
 def binomial_series(s, N, argument_sign=1):
     """(1 + argument_sign * x)**s truncated at x**N (exact rationals)."""
-    s = Fraction(s)
-    coeffs = {}
-    c = Fraction(1)
-    for n in range(N + 1):
-        if n:
-            c = c * (s - n + 1) / n
-        value = c * argument_sign ** n
-        if value:
-            coeffs[n] = value
-    return PuiseuxSeries(1, coeffs, N + 1)
+    return _term_series((-Fraction(s),), (), N, -argument_sign)  # binom(s, n) = (-s)_n (-1)^n / n!
 
 
 def gauss_2F1(a, b, c, N):
@@ -84,14 +100,7 @@ def gauss_2F1(a, b, c, N):
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if c.denominator == 1 and c <= 0:
         raise PolarParameter(f"lower parameter {c} is a nonpositive integer")
-    coeffs = {}
-    term = Fraction(1)
-    for n in range(N + 1):
-        if n:
-            term = term * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
-        if term:
-            coeffs[n] = term
-    return PuiseuxSeries(1, coeffs, N + 1)
+    return _term_series((a, b), (c,), N)
 
 
 def _geometric(N, sign=1):
@@ -166,29 +175,16 @@ class SymbolicSeries:
         return series_json_obj(ram, self.prec, values, "symbolic")
 
 
-def _products(X, Y):
-    """Parts of the product of two symbolic series."""
-    out = {}
-    for (i1, j1), s1 in X.parts.items():
-        for (i2, j2), s2 in Y.parts.items():
-            m = (i1 + i2, j1 + j2)
-            out[m] = s1 * s2 if m not in out else out[m] + s1 * s2
-    return out
-
-
 @dataclass
 class ExpansionFamily:
-    """The four local series and their building data at one point.
+    """The four local series and u0 at one point.
 
-    ``u0_dz`` is d(u0)/dz expressed in the local variable, so the chain
-    rule for the local variable has already been applied.  At 1 and
-    infinity every series is a :class:`SymbolicSeries`.
+    At 1 and infinity every series is a :class:`SymbolicSeries`.
     """
 
     point: str  # "zero" | "one" | "inf"
     local_variable: str
     u0: PuiseuxSeries
-    u0_dz: PuiseuxSeries
     u0sq: PuiseuxSeries
     y0: PuiseuxSeries
     y1: PuiseuxSeries
@@ -199,28 +195,29 @@ class ExpansionFamily:
         return {"u0sq": self.u0sq, "y0": self.y0, "y1": self.y1, "y2": self.y2}
 
 
-def _family_from_u0(point, local_variable, u0, u0_dz, inv_z, inv_zm1):
+def _family_from_u0(point, local_variable, u0, inv_z, inv_zm1):
     u0sq = u0 * u0
-    y0 = u0 * u0_dz
+    y0 = u0sq.differentiate().scale(HALF)  # (u0^2)'/2 = u0 u0'
     y1 = y0 - u0sq * inv_z
     y2 = y0 - u0sq * inv_zm1
-    return ExpansionFamily(point, local_variable, u0, u0_dz, u0sq, y0, y1, y2, ())
+    return ExpansionFamily(point, local_variable, u0, u0sq, y0, y1, y2, ())
 
 
 def _symbolic_family(point, local_variable, A, B, d_dz, inv_z, inv_zm1, symbols):
     """The family of u0 = s0 A + s1 B for the symbols (s0, s1).
 
-    ``d_dz`` maps a rational series in the local variable to its d/dz.
+    ``d_dz`` maps a rational series in the local variable to its d/dz; it
+    is linear, so y0 = (u0^2)'/2 is ``d_dz`` of each part of u0^2, halved.
     """
     u0 = SymbolicSeries(symbols, {(1, 0): A, (0, 1): B})
-    u0_dz = SymbolicSeries(symbols, {m: d_dz(s) for m, s in u0.parts.items()})
-    u0sq = SymbolicSeries(symbols, _products(u0, u0))
-    y0 = SymbolicSeries(symbols, _products(u0, u0_dz))
+    A, B = u0.parts[1, 0], u0.parts[0, 1]  # cut at their common prec
+    u0sq = SymbolicSeries(symbols, {(2, 0): A * A, (1, 1): (A * B).scale(2), (0, 2): B * B})
+    y0 = SymbolicSeries(symbols, {m: d_dz(s).scale(HALF) for m, s in u0sq.parts.items()})
     y1, y2 = (
         SymbolicSeries(symbols, {m: y0.parts[m] - s * inv for m, s in u0sq.parts.items()})
         for inv in (inv_z, inv_zm1)
     )
-    return ExpansionFamily(point, local_variable, u0, u0_dz, u0sq, y0, y1, y2, symbols)
+    return ExpansionFamily(point, local_variable, u0, u0sq, y0, y1, y2, symbols)
 
 
 def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
@@ -233,10 +230,9 @@ def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
     s = (al + be - ga + 1) / 2
     if point in ("zero", "0", 0):
         u0 = u_series("u0", params, N)
-        u0_dz = u0.differentiate()
         inv_z = PuiseuxSeries.x_power(Fraction(-1), N)
         inv_zm1 = -_geometric(N)  # 1/(z-1) = -(1 + z + z^2 + ...)
-        return _family_from_u0("zero", "z", u0, u0_dz, inv_z, inv_zm1)
+        return _family_from_u0("zero", "z", u0, inv_z, inv_zm1)
     if point in ("one", "1", 1):
         F1 = gauss_2F1(al, be, al + be - ga + 1, N)
         F2 = gauss_2F1(ga - al, ga - be, ga - al - be + 1, N)

@@ -166,7 +166,13 @@ class PuiseuxSeries:
             other = PuiseuxSeries.constant(other, self.prec, 1)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return self + (-other)
+        a, b = self._aligned(other)
+        prec = min(a.prec, b.prec)
+        coeffs = dict(a.coeffs)
+        for k, c in b.coeffs.items():
+            acc = coeffs.get(k)
+            coeffs[k] = -c if acc is None else acc - c
+        return PuiseuxSeries(a.ram, coeffs, prec)
 
     def __rsub__(self, other):
         if not isinstance(other, _SCALARS):
@@ -469,9 +475,8 @@ def series_json_obj(ram, prec, values, domain):
     """
     base = Fraction(min(values), ram) if values else prec
     n_steps = int(((prec - base) * ram).__ceil__()) - 1
-    coeffs = [
-        {"k": k - int(base * ram), "value": v} for k, v in sorted(values.items())
-    ]
+    base_k = int(base * ram)
+    coeffs = [{"k": k - base_k, "value": v} for k, v in sorted(values.items())]
     return {
         "ram": ram,
         "base_exponent": str(base),

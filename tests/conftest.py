@@ -148,3 +148,35 @@ def reference_exp(f):
         if acc:
             out[k] = acc / k
     return PuiseuxSeries(f.ram, out, f.prec)
+
+
+def reference_2F1(a, b, c, N):
+    """2F1(a, b; c; x) to x**N by the term ratio in ``Fraction`` arithmetic.
+
+    ``t_n = t_(n-1) (a+n-1)(b+n-1) / ((c+n-1) n)``, four ``Fraction``
+    operations a term.  A reference for ``hypergeom.gauss_2F1``, which
+    runs the same recurrence on integers.
+    """
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    coeffs = {}
+    term = Fraction(1)
+    for n in range(N + 1):
+        if n:
+            term = term * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
+        if term:
+            coeffs[n] = term
+    return PuiseuxSeries(1, coeffs, N + 1)
+
+
+def reference_binomial(s, N, argument_sign=1):
+    """(1 + argument_sign * x)**s to x**N by ``c_n = c_(n-1) (s-n+1)/n`` in ``Fraction``."""
+    s = Fraction(s)
+    coeffs = {}
+    c = Fraction(1)
+    for n in range(N + 1):
+        if n:
+            c = c * (s - n + 1) / n
+        value = c * argument_sign ** n
+        if value:
+            coeffs[n] = value
+    return PuiseuxSeries(1, coeffs, N + 1)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from conftest import reference_2F1, reference_binomial
 from triring import hypergeom as hg
 from triring.errors import CutLineViolation, PolarParameter, TruncationExhausted
 from triring.params import derived_constants, unit_fraction_triples, validate
@@ -57,6 +58,72 @@ def test_gauss_2f1_satisfies_hypergeometric_ode(p):
     )
     assert residual.is_zero_to_prec()
     assert residual.prec >= N - 1
+
+
+#: the triples of the benchmark's expand workload
+EXPAND_TRIPLES = [
+    validate(*(Fraction(1, d) for d in t))
+    for t in ((5, 4, 2), (7, 3, 2), (8, 6, 3), (13, 4, 3), (11, 9, 4), (22, 4, 3))
+]
+
+
+def _recurrence_inputs(p):
+    """The 2F1 parameters and binomial (exponent, sign) pairs of u0, u1, 1 and infinity."""
+    al, be, ga = p.as_tuple()
+    s = (al + be - ga + 1) / 2
+    two_f_one = [
+        (al, be, ga), (al - ga + 1, be - ga + 1, 2 - ga),  # u0, u1
+        (al, be, al + be - ga + 1), (ga - al, ga - be, ga - al - be + 1),  # at 1
+        (al, 1 - ga + al, 1 - be + al), (be, 1 - ga + be, 1 - al + be),  # at infinity
+    ]
+    return two_f_one, [(s, -1), (ga / 2, -1), (s, 1)]
+
+
+def assert_same_fraction_series(got, want):
+    assert (got.ram, got.prec) == (want.ram, want.prec)
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("p", EXPAND_TRIPLES, ids=lambda p: p.label())
+def test_integer_recurrences_match_the_fraction_loops(p):
+    two_f_one, binomials = _recurrence_inputs(p)
+    for a, b, c in two_f_one:
+        assert_same_fraction_series(hg.gauss_2F1(a, b, c, 96), reference_2F1(a, b, c, 96))
+    for s, sign in binomials:
+        got = hg.binomial_series(s, 96, argument_sign=sign)
+        assert_same_fraction_series(got, reference_binomial(s, 96, sign))
+
+
+@pytest.mark.parametrize("upper", [(-3, Fraction(1, 4)), (Fraction(2, 3), -3), (-3, -3)])
+def test_2f1_with_upper_parameter_minus_three_is_a_cubic(upper):
+    c = Fraction(1, 2)
+    F = hg.gauss_2F1(*upper, c, 12)
+    assert_same_fraction_series(F, reference_2F1(*upper, c, 12))
+    assert sorted(F.coeffs) == [0, 1, 2, 3]
+    assert hg.gauss_2F1(0, upper[0], c, 12).coeffs == {0: 1}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_binomial_series_with_integer_exponents_terminates(sign):
+    square = hg.binomial_series(2, 12, argument_sign=sign)
+    assert_same_fraction_series(square, reference_binomial(2, 12, sign))
+    assert square.coeffs == {0: 1, 1: 2 * sign, 2: 1}  # (1 + sign x)^2
+    cube = hg.binomial_series(3, 12, argument_sign=sign)
+    assert cube.coeffs == {0: 1, 1: 3 * sign, 2: 3, 3: sign}
+    assert hg.binomial_series(0, 12, argument_sign=sign).coeffs == {0: 1}
+    for N in (0, 1):
+        got = hg.binomial_series(Fraction(-1, 3), N, argument_sign=sign)
+        assert_same_fraction_series(got, reference_binomial(Fraction(-1, 3), N, sign))
+
+
+@pytest.mark.parametrize("c", [0, -1, Fraction(-7, 1)])  # -2: test_gauss_2f1_polar_parameter
+def test_nonpositive_integer_lower_parameter_still_raises(c):
+    with pytest.raises(PolarParameter):
+        hg.gauss_2F1(Fraction(1, 2), Fraction(1, 3), c, 5)
+    # a negative non-integer lower parameter is fine
+    args = (Fraction(1, 2), Fraction(1, 3), c - Fraction(1, 2), 20)
+    assert_same_fraction_series(hg.gauss_2F1(*args), reference_2F1(*args))
 
 
 @pytest.mark.parametrize("p", TRIPLES)
@@ -143,6 +210,55 @@ def test_difference_identities_at_one_and_infinity(point, p):
         ):
             assert diff.is_zero_to_prec(), m
             assert diff.prec > N - 2
+
+
+def _family_inverses(point, N):
+    """1/z and 1/(z-1) in the local variable, built as ``y_series`` builds them."""
+    x = PuiseuxSeries.x_power
+    if point == "zero":
+        return x(Fraction(-1), N), -hg._geometric(N)
+    if point == "one":
+        return hg._geometric(N), -x(Fraction(-1), N)
+    return x(Fraction(1), N, Fraction(-1)), -(x(Fraction(1), N) * hg._geometric(N, sign=-1))
+
+
+def _product_family(fam, N):
+    """u0^2, y0, y1, y2 with y0 = u0 du0/dz, the cross part of u0^2 as AB + BA."""
+    inv_z, inv_zm1 = _family_inverses(fam.point, N)
+    if fam.point == "zero":
+        u0 = fam.u0
+        sq, y0 = u0 * u0, u0 * u0.differentiate()
+        return sq, y0, y0 + -(sq * inv_z), y0 + -(sq * inv_zm1)
+    if fam.point == "one":
+        d_dz = lambda f: -f.differentiate()  # x = 1 - z
+    else:
+        d_dz = lambda f: f.differentiate().shift(2)  # x = (-z)^(-1)
+    A, B = fam.u0.parts[1, 0], fam.u0.parts[0, 1]
+    dA, dB = d_dz(A), d_dz(B)
+    sq = hg.SymbolicSeries(fam.symbols, {(2, 0): A * A, (1, 1): A * B + B * A, (0, 2): B * B})
+    y0 = hg.SymbolicSeries(fam.symbols, {(2, 0): A * dA, (1, 1): A * dB + B * dA, (0, 2): B * dB})
+    y1, y2 = (
+        hg.SymbolicSeries(fam.symbols, {m: y0.parts[m] + -(s * inv) for m, s in sq.parts.items()})
+        for inv in (inv_z, inv_zm1)
+    )
+    return sq, y0, y1, y2
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 40])
+@pytest.mark.parametrize("point", ["zero", "one", "inf"])
+@pytest.mark.parametrize("p", EXPAND_TRIPLES, ids=lambda p: p.label())
+def test_family_equals_the_product_family(p, point, N):
+    # y0 = (u0^2)'/2 and the cross part 2 AB keep every coefficient and prec
+    fam = hg.y_series(point, p, N)
+    for name, want in zip(("u0sq", "y0", "y1", "y2"), _product_family(fam, N)):
+        got = getattr(fam, name)
+        assert got.prec == want.prec, name
+        if point == "zero":
+            assert got == want, name
+        else:
+            assert set(got.parts) == set(want.parts) == {(2, 0), (1, 1), (0, 2)}
+            for m, part in got.parts.items():
+                assert part == want.parts[m], (name, m)
 
 
 @pytest.mark.parametrize("p", TRIPLES)

@@ -10,7 +10,8 @@ kernel ``_int_product`` under the product, which the exact orders at
 z = 0 also call, is checked against an int convolution.  ``exp``, which
 runs its recurrence on integers over a common denominator, is checked
 against the ``Fraction`` recurrence ``reference_exp``: same
-coefficients, all of them ``Fraction``.
+coefficients, all of them ``Fraction``.  The one-pass difference is
+checked against the sum with the negated operand.
 """
 
 from fractions import Fraction
@@ -286,3 +287,13 @@ def test_exp_of_tau_matches_fraction_recurrence(triple):
     tau, q = tau_q_series_at_zero(params, 48)
     assert q == tau.exp()
     assert_same_exp(tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=exact_series(), b=exact_series())
+def test_difference_equals_the_sum_with_the_negation(a, b):
+    got, want = a - b, a + (-b)
+    assert (got.ram, got.prec) == (want.ram, want.prec)
+    assert got.coeffs == want.coeffs
+    types = lambda s: {k: type(c) for k, c in s.coeffs.items()}
+    assert types(got) == types(want)
