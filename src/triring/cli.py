@@ -145,18 +145,23 @@ def _cmd_params(args):
         return 0
     if args.action == "eta":
         count, minimum, argmin = params_mod.eta_scan(args.max_denominator)
+        if argmin is None:
+            raise ValueError(
+                f"no valid unit-fraction triple has every denominator at most "
+                f"{args.max_denominator}; the smallest is 1/5,1/4,1/2"
+            )
         sample_min = params_mod.region_sample_min(seed=args.seed or 0)
         payload = {
             "max_denominator": args.max_denominator,
             "triples_checked": count,
             "min_eta": str(minimum),
-            "argmin": argmin.label() if argmin else None,
+            "argmin": argmin.label(),
             "all_positive": minimum > 0,
             "region_sample_min_float": sample_min,
         }
         _emit(args, payload, [
             f"checked {count} unit-fraction triples up to denominator {args.max_denominator}",
-            f"min eta = {minimum} at ({argmin.label() if argmin else '-'})",
+            f"min eta = {minimum} at ({argmin.label()})",
             f"all positive: {minimum > 0}",
             f"informative float min of ab+ac+bc over the open region: {sample_min:.6f}",
         ])

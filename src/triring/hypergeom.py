@@ -140,21 +140,15 @@ class SymbolicSeries:
         self.prec = min(s.prec for s in parts.values())
         self.parts = {m: s.truncate(self.prec) for m, s in parts.items()}
 
-    def _grid(self):
-        """``(ram, {k: {monomial: coefficient}})`` on the parts' common grid."""
-        ram = math.lcm(*(s.ram for s in self.parts.values()))
-        grid = {}
-        for m, s in self.parts.items():
-            for k, c in s.with_ram(ram).coeffs.items():
-                grid.setdefault(k, {})[m] = c
-        return ram, grid
-
     def _leading(self):
-        ram, grid = self._grid()
-        if not grid:
+        """The leading exponent and coefficient, from the parts' leading terms only."""
+        ram = math.lcm(*(s.ram for s in self.parts.values()))
+        leads = {m: (min(s.nums) * (ram // s.ram), s) for m, s in self.parts.items() if s.nums}
+        if not leads:
             raise InconclusiveOrder(self.prec)
-        k = min(grid)
-        return Fraction(k, ram), Poly(self.symbols, grid[k])
+        k = min(step for step, _ in leads.values())
+        coeffs = {m: s.leading_coeff() for m, (step, s) in leads.items() if step == k}
+        return Fraction(k, ram), Poly(self.symbols, coeffs)
 
     def ord(self):
         return self._leading()[0]
@@ -170,7 +164,11 @@ class SymbolicSeries:
         )
 
     def to_json_obj(self):
-        ram, grid = self._grid()
+        ram = math.lcm(*(s.ram for s in self.parts.values()))
+        grid = {}  # {k: {monomial: coefficient}} on the parts' common grid
+        for m, s in self.parts.items():
+            for k, c in s.with_ram(ram).coeffs.items():
+                grid.setdefault(k, {})[m] = c
         values = {k: Poly(self.symbols, t).to_json_obj() for k, t in grid.items()}
         return series_json_obj(ram, self.prec, values, "symbolic")
 

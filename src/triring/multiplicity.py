@@ -3,14 +3,16 @@
 Orders are computed in the z-coordinate throughout (the coordinate of
 the hypergeometric argument); reports carry that label explicitly.  At
 the singular point 0 the computation is exact, and ``ord_at_zero`` and
-the audit share it: the series of the monomials become integer columns,
-one per exponent, and the order of a coefficient vector is the exponent
-of the first column with a nonzero dot product, retrying at doubled
-order while every column vanishes.  At a generic point u0 is a unit and
-the derivation D acts as u0^2 d/dz, so the order of P is the least n
-with (D^n P)(z0) nonzero: the exact iterates D^n P are evaluated at the
-five generator values at z0, and the first whose value stands clear of
-the error those values can carry gives the order.
+the audit share it: the series of the monomials, products of the
+generator series, become integer columns, one per exponent, read from
+the numerators and the common denominator each series stores, and the
+order of a coefficient vector is the exponent of the first column with
+a nonzero dot product, retrying at doubled order while every column
+vanishes.  At a generic point u0 is a unit and the derivation D acts as
+u0^2 d/dz, so the order of P is the least n with (D^n P)(z0) nonzero:
+the exact iterates D^n P are evaluated at the five generator values at
+z0, and the first whose value stands clear of the error those values
+can carry gives the order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
 from .derivation import apply_D, dehomogenize, is_x_homogeneous, leibniz, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
-from .series import _ceil_steps, _int_product
+from .series import PuiseuxSeries
 
 DEFAULT_ORDER = 24
 MAX_DOUBLINGS = 3
@@ -75,18 +77,17 @@ def generator_series(params: TriangleParams, N: int):
 
 
 def _monomial_rows(params, monomials, N):
-    """Integer rows ``(ram, prec, scale, coeffs)`` of the monomials' series at order N.
+    """The series of the monomials at order N, in the order given.
 
-    ``coeffs[k] / scale`` is the coefficient of x^(k/ram), ``scale`` the
-    least common denominator.  A monomial (an exponent tuple over
-    ``AFFINE_VARS``) is its prefix, the exponents before its last nonzero
-    one, times a power of its last variable.  Walked in sorted order,
-    monomials sharing a prefix come together, so each prefix and power
-    is built once, as a row product (``_row_product``).  The constant
-    monomial is 1 to the least ``prec`` of the five generators.
+    A monomial (an exponent tuple over ``AFFINE_VARS``) is its prefix,
+    the exponents before its last nonzero one, times a power of its last
+    variable.  Walked in sorted order, monomials sharing a prefix come
+    together, so each prefix and power is built once, as a series
+    product.  The constant monomial is 1 to the least ``prec`` of the
+    five generators.
     """
     gens = generator_series(params, N)
-    series = [_series_row(gens[v]) for v in AFFINE_VARS]
+    series = [gens[v] for v in AFFINE_VARS]
     powers = [[None, s] for s in series]
     monomials = list(monomials)
     rows = [None] * len(monomials)
@@ -101,54 +102,15 @@ def _monomial_rows(params, monomials, N):
             if exps[i]:
                 pw = powers[i]
                 while len(pw) <= exps[i]:
-                    pw.append(_row_product(pw[-1], series[i]))
-                path.append((i, _row_product(path[-1][1], pw[exps[i]]) if path else pw[exps[i]]))
+                    pw.append(pw[-1] * series[i])
+                path.append((i, path[-1][1] * pw[exps[i]] if path else pw[exps[i]]))
         before = exps
-        rows[idx] = path[-1][1] if path else (1, min(s[1] for s in series), 1, {0: 1})
+        rows[idx] = path[-1][1] if path else PuiseuxSeries.constant(1, min(s.prec for s in series))
     return rows
 
 
-def _series_row(s):
-    """The exact series ``s`` as a row ``(ram, prec, scale, coeffs)``."""
-    scale = math.lcm(*[c.denominator for c in s.coeffs.values()])
-    coeffs = {k: c.numerator * (scale // c.denominator) for k, c in s.coeffs.items()}
-    return s.ram, s.prec, scale, coeffs
-
-
-def _row_product(a, b):
-    """The row of the product of two rows' series.
-
-    As ``PuiseuxSeries.__mul__``: both rows go on the lcm of their grids
-    and ``prec`` is the least of each ``prec`` plus the other's leading
-    exponent.  The integer coefficients are multiplied by ``_int_product``
-    and the scales multiply; dividing both by their gcd leaves the least
-    common denominator, so the row is the one the product's reduced
-    Fractions give.
-    """
-    (ram_a, prec_a, scale_a, ca), (ram_b, prec_b, scale_b, cb) = a, b
-    ram = math.lcm(ram_a, ram_b)
-    if ram != ram_a:
-        ca = {k * (ram // ram_a): c for k, c in ca.items()}
-    if ram != ram_b:
-        cb = {k * (ram // ram_b): c for k, c in cb.items()}
-    prec = min(
-        prec_a + (Fraction(min(cb), ram) if cb else prec_b),
-        prec_b + (Fraction(min(ca), ram) if ca else prec_a),
-    )
-    coeffs = _int_product(ca, cb, _ceil_steps(prec, ram))
-    scale = g = scale_a * scale_b
-    for c in coeffs.values():
-        if g == 1:
-            break
-        g = math.gcd(g, c)
-    if g > 1:
-        scale //= g
-        coeffs = {k: c // g for k, c in coeffs.items()}
-    return ram, prec, scale, coeffs
-
-
 def _integer_columns(rows):
-    """The rows as ``(ram, ((k, column), ...))`` with integer columns.
+    """The series ``rows`` as ``(ram, ((k, column), ...))`` with integer columns.
 
     Every row is put on one ``ram`` grid and cut at the least ``prec``
     of the rows.  Column ``k`` holds the coefficients of x^(k/ram), one
@@ -157,10 +119,10 @@ def _integer_columns(rows):
     exact.  Columns come in increasing order of ``k``, and every column
     is a tuple, so a shared result cannot be changed by its readers.
     """
-    ram = math.lcm(*[r for r, _, _, _ in rows])
-    limit = min(prec for _, prec, _, _ in rows) * ram
-    grid = [c if r == ram else {k * (ram // r): n for k, n in c.items()} for r, _, _, c in rows]
-    scales = [scale for _, _, scale, _ in rows]
+    ram = math.lcm(*[s.ram for s in rows])
+    limit = min(s.prec for s in rows) * ram
+    grid = [s.with_ram(ram).nums for s in rows]
+    scales = [s.den for s in rows]
     columns = []
     for k in sorted(k for k in set().union(*grid) if k < limit):
         entries = [g.get(k, 0) for g in grid]
@@ -220,7 +182,7 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
     def columns_at(order):
         nonlocal truncation
         rows = _monomial_rows(params, affine.terms, order)
-        truncation = min(prec for _, prec, _, _ in rows)
+        truncation = min(s.prec for s in rows)
         return _integer_columns(rows)
 
     orders, order_used = _first_orders(columns_at, [vector], N)

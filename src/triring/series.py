@@ -7,14 +7,18 @@ pessimistically, so no result ever claims more terms than its inputs
 support; ``ord`` raises :class:`InconclusiveOrder` instead of guessing
 when all certified coefficients vanish.
 
-Coefficients are exact: ``int`` or ``Fraction``.  A float or complex
-coefficient is refused with :class:`DomainMismatch`; only ``evaluate``
-turns a series into floating values.  A product of two series is one
-big-integer multiplication (Kronecker substitution) in ``_int_product``,
-a kernel on integer coefficients that the exact z = 0 orders share, and
-the inverse is Newton's iteration on top of it.  ``exp`` runs its term
-recurrence on integers over one common denominator and makes each
-coefficient's ``Fraction`` once.
+Coefficients are exact rationals, stored in one form only: integer
+numerators ``nums`` (nonzero, keyed by grid step, each step below
+``ceil(prec * ram)``) over one positive least common denominator
+``den``, whose gcd with all the numerators is 1.  ``coeffs`` reads them
+back as ``int`` where integral and ``Fraction`` otherwise.  A float or
+complex coefficient is refused with :class:`DomainMismatch`; only
+``evaluate`` turns a series into floating values.  Every operation works
+on the numerators: a product of two series is one big-integer
+multiplication (Kronecker substitution) in ``_int_product`` over the
+product of the denominators, the inverse is Newton's iteration on top
+of it, and ``exp`` runs its term recurrence over one running
+denominator.
 """
 
 from __future__ import annotations
@@ -41,8 +45,25 @@ def _ceil_steps(prec, ram):
     return -(-prec.numerator * ram // prec.denominator)
 
 
+def _coef(num, den):
+    """``num / den`` as an ``int`` when integral, else as a ``Fraction``."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _reduce(den, nums):
+    """``den`` and ``nums`` divided by their gcd; the gcd loop stops at 1."""
+    g = den
+    for c in nums.values():
+        if g == 1:
+            break
+        g = gcd(g, c)
+    if g == 1:
+        return den, nums
+    return den // g, {k: c // g for k, c in nums.items()}
+
+
 class PuiseuxSeries:
-    __slots__ = ("ram", "coeffs", "prec")
+    __slots__ = ("ram", "prec", "den", "nums")
 
     def __init__(self, ram, coeffs, prec):
         if ram < 1:
@@ -50,10 +71,24 @@ class PuiseuxSeries:
         self.ram = int(ram)
         self.prec = Fraction(prec)
         bound = _ceil_steps(self.prec, self.ram)
-        self.coeffs = {k: c for k, c in coeffs.items() if k < bound and c}
-        for c in self.coeffs.values():
+        kept = [(k, c) for k, c in coeffs.items() if k < bound and c]
+        for _, c in kept:
             if not isinstance(c, _SCALARS):
                 raise DomainMismatch(f"coefficient {c!r} is not an exact rational")
+        # the lcm of reduced denominators is coprime to the numerators together
+        self.den = lcm(*[c.denominator for _, c in kept])
+        self.nums = {k: c.numerator * (self.den // c.denominator) for k, c in kept}
+
+    @classmethod
+    def _make(cls, ram, prec, den, nums):
+        """Trusted: nonzero int ``nums`` below ``ceil(prec * ram)`` over ``den > 0``.
+
+        Cuts nothing; only divides out the gcd of ``den`` and the numerators.
+        """
+        s = object.__new__(cls)
+        s.ram, s.prec = ram, prec
+        s.den, s.nums = _reduce(den, nums)
+        return s
 
     # -- constructors ------------------------------------------------------------
 
@@ -82,6 +117,11 @@ class PuiseuxSeries:
 
     # -- views ------------------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """``{step: coefficient}``, each an ``int`` when integral, else a ``Fraction``."""
+        return {k: _coef(c, self.den) for k, c in self.nums.items()}
+
     def exponent_items(self):
         """Sorted ``(exponent, coefficient)`` pairs."""
         return [(Fraction(k, self.ram), c) for k, c in sorted(self.coeffs.items())]
@@ -96,31 +136,30 @@ class PuiseuxSeries:
         return self.coeffs.get(k.numerator, Fraction(0))
 
     def is_zero_to_prec(self):
-        return not self.coeffs
+        return not self.nums
 
     def ord(self):
         """Least exponent with a nonzero certified coefficient."""
-        if not self.coeffs:
+        if not self.nums:
             raise InconclusiveOrder(self.prec)
-        return Fraction(min(self.coeffs), self.ram)
+        return Fraction(min(self.nums), self.ram)
 
     def leading_coeff(self):
-        if not self.coeffs:
+        if not self.nums:
             raise InconclusiveOrder(self.prec)
-        return self.coeffs[min(self.coeffs)]
+        return _coef(self.nums[min(self.nums)], self.den)
 
     def normalize_ram(self):
         """Reduce the grid to the coarsest one carrying all exponents."""
         g = self.ram
-        for k in self.coeffs:
-            g = gcd(g, k)
+        for k in self.nums:
             if g == 1:
-                return self
-        if g == self.ram and not self.coeffs:
-            return PuiseuxSeries(1, {}, self.prec)
-        return PuiseuxSeries(
-            self.ram // g, {k // g: c for k, c in self.coeffs.items()}, self.prec
-        )
+                break
+            g = gcd(g, k)
+        if g == 1:
+            return self
+        nums = {k // g: c for k, c in self.nums.items()}
+        return PuiseuxSeries._make(self.ram // g, self.prec, self.den, nums)
 
     def with_ram(self, new_ram):
         if new_ram % self.ram:
@@ -128,7 +167,8 @@ class PuiseuxSeries:
         if new_ram == self.ram:
             return self
         f = new_ram // self.ram
-        return PuiseuxSeries(new_ram, {k * f: c for k, c in self.coeffs.items()}, self.prec)
+        nums = {k * f: c for k, c in self.nums.items()}
+        return PuiseuxSeries._make(new_ram, self.prec, self.den, nums)
 
     def _aligned(self, other):
         r = lcm(self.ram, other.ram)
@@ -137,42 +177,40 @@ class PuiseuxSeries:
     def _ord_lower_bound(self):
         # min certified exponent; if nothing stored, the series could
         # still start anywhere at or above prec
-        if self.coeffs:
-            return Fraction(min(self.coeffs), self.ram)
+        if self.nums:
+            return Fraction(min(self.nums), self.ram)
         return self.prec
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """``self + sign * other`` in one pass over the lcm of the denominators."""
         if isinstance(other, _SCALARS):
             other = PuiseuxSeries.constant(other, self.prec, 1)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._aligned(other)
         prec = min(a.prec, b.prec)
-        coeffs = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            acc = coeffs.get(k)
-            coeffs[k] = c if acc is None else acc + c
-        return PuiseuxSeries(a.ram, coeffs, prec)
+        bound = _ceil_steps(prec, a.ram)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        nums = {k: c * fa for k, c in a.nums.items() if k < bound}
+        for k, c in b.nums.items():
+            if k < bound:
+                nums[k] = nums.get(k, 0) + c * fb
+        return PuiseuxSeries._make(a.ram, prec, den, {k: c for k, c in nums.items() if c})
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.ram, {k: -c for k, c in self.coeffs.items()}, self.prec)
+        nums = {k: -c for k, c in self.nums.items()}
+        return PuiseuxSeries._make(self.ram, self.prec, self.den, nums)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = PuiseuxSeries.constant(other, self.prec, 1)
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        a, b = self._aligned(other)
-        prec = min(a.prec, b.prec)
-        coeffs = dict(a.coeffs)
-        for k, c in b.coeffs.items():
-            acc = coeffs.get(k)
-            coeffs[k] = -c if acc is None else acc - c
-        return PuiseuxSeries(a.ram, coeffs, prec)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         if not isinstance(other, _SCALARS):
@@ -180,9 +218,13 @@ class PuiseuxSeries:
         return -(self - other)
 
     def scale(self, factor):
-        return PuiseuxSeries(
-            self.ram, {k: factor * c for k, c in self.coeffs.items()}, self.prec
-        )
+        if not isinstance(factor, _SCALARS):
+            raise DomainMismatch(f"factor {factor!r} is not an exact rational")
+        if not factor:
+            return PuiseuxSeries._make(self.ram, self.prec, 1, {})
+        p = factor.numerator
+        nums = self.nums if p == 1 else {k: c * p for k, c in self.nums.items()}
+        return PuiseuxSeries._make(self.ram, self.prec, self.den * factor.denominator, nums)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -194,8 +236,8 @@ class PuiseuxSeries:
             a.prec + b._ord_lower_bound(),
             b.prec + a._ord_lower_bound(),
         )
-        bound = _ceil_steps(prec, a.ram)
-        return PuiseuxSeries(a.ram, _exact_product(a.coeffs, b.coeffs, bound), prec)
+        nums = _int_product(a.nums, b.nums, _ceil_steps(prec, a.ram))
+        return PuiseuxSeries._make(a.ram, prec, a.den * b.den, nums)
 
     __rmul__ = __mul__
 
@@ -205,33 +247,55 @@ class PuiseuxSeries:
         r = lcm(self.ram, e.denominator)
         s = self.with_ram(r)
         off = int(e * r)
-        return PuiseuxSeries(r, {k + off: c for k, c in s.coeffs.items()}, s.prec + e)
+        nums = {k + off: c for k, c in s.nums.items()}
+        return PuiseuxSeries._make(r, s.prec + e, s.den, nums)
 
     def truncate(self, new_prec):
         new_prec = min(self.prec, Fraction(new_prec))
-        return PuiseuxSeries(self.ram, self.coeffs, new_prec)
+        bound = _ceil_steps(new_prec, self.ram)
+        nums = {k: c for k, c in self.nums.items() if k < bound}
+        return PuiseuxSeries._make(self.ram, new_prec, self.den, nums)
 
     def differentiate(self):
         """d/dx with respect to the series' own variable."""
-        coeffs = {
-            k - self.ram: c * Fraction(k, self.ram) for k, c in self.coeffs.items() if k
-        }
-        return PuiseuxSeries(self.ram, coeffs, self.prec - 1)
+        r = self.ram
+        nums = {k - r: c * k for k, c in self.nums.items() if k}
+        return PuiseuxSeries._make(r, self.prec - 1, self.den * r, nums)
 
     def invert(self):
-        """Multiplicative inverse; needs an exposed nonzero leading term."""
-        if not self.coeffs:
+        """Multiplicative inverse; needs an exposed nonzero leading term.
+
+        f = sign (g / den) x^(m/ram), with g the numerators times ``sign``
+        on steps k - m, so that g_0 > 0.  Newton's iteration
+        ``v <- v + v (1 - (g / g_0) v)`` on ``v = w / d`` doubles the number
+        of known steps of v = g_0 / g each round, and
+        1/f = sign (den / g_0) x^(-m/ram) v.
+        """
+        if not self.nums:
             raise NonUnitInverse("no certified nonzero leading coefficient")
-        m = min(self.coeffs)
-        c0 = self.coeffs[m]
-        inv_c0 = Fraction(1) / c0
-        # h = f / (c0 x^(m/ram)) - 1, known below prec - m/ram
-        h = {k - m: c * inv_c0 for k, c in self.coeffs.items() if k != m}
-        h_prec_steps = int((self.prec * self.ram).__floor__()) - m
-        u = _exact_reciprocal(h, max(h_prec_steps, 1))
+        m = min(self.nums)
+        sign = 1 if self.nums[m] > 0 else -1
+        n = max(int((self.prec * self.ram).__floor__()) - m, 1)
+        g = {k - m: sign * c for k, c in self.nums.items()}
+        w, d = {0: 1}, 1
+        known = 1
+        while known < n:
+            known = min(2 * known, n)
+            # the steps of g a round reads, over their own least common
+            # denominator, which is far smaller than den in early rounds
+            _, h = _reduce(self.den, {k: c for k, c in g.items() if k < known})
+            c0 = h[0]
+            # (h / c0) v is 1 below the old step count, so err starts there
+            err = {k: -c for k, c in _int_product(h, w, known).items() if k}
+            e, err = _reduce(c0 * d, err)
+            # v + v err = (w e + w err) / (d e); w err starts at the old count
+            step = _int_product(w, err, known)
+            w = {k: c * e for k, c in w.items()}
+            w.update(step)
+            d, w = _reduce(d * e, w)
+        nums = {k - m: sign * self.den * c for k, c in w.items()}
         prec = self.prec - 2 * Fraction(m, self.ram)
-        coeffs = {k - m: c * inv_c0 for k, c in u.items()}
-        return PuiseuxSeries(self.ram, coeffs, prec)
+        return PuiseuxSeries._make(self.ram, prec, g[0] * d, nums)
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -242,21 +306,19 @@ class PuiseuxSeries:
 
     def exp(self):
         """exp of a series of positive order (composition with exp at 0)."""
-        if not self.coeffs:
-            return PuiseuxSeries(self.ram, {0: Fraction(1)}, self.prec)
-        if min(self.coeffs) <= 0:
+        n = _ceil_steps(self.prec, self.ram)
+        if not self.nums:
+            return PuiseuxSeries._make(self.ram, self.prec, 1, {0: 1} if n > 0 else {})
+        if min(self.nums) <= 0:
             raise NonpositiveOrder("exp needs ord > 0")
         # (k/r) out_k = sum_j (j/r) f_j out_{k-j}  from  out' = f' out, on
-        # integers: j f_j = w_j / d, and out_i = num[i] / den over a common
-        # denominator that grows (rescaling num) only when out_k needs it
-        d = lcm(*[c.denominator for c in self.coeffs.values()])
-        terms = [
-            (j, j * c.numerator * (d // c.denominator)) for j, c in sorted(self.coeffs.items())
-        ]
-        n = _ceil_steps(self.prec, self.ram)
+        # integers: j f_j = j nums[j] / d, and out_i = num[i] / den over a
+        # common denominator that grows (rescaling num) only when out_k needs
+        # it, so den ends as the least common denominator
+        d = self.den
+        terms = [(j, j * c) for j, c in sorted(self.nums.items())]
         num = [1] + [0] * (n - 1)
         den = 1
-        out = {0: Fraction(1)}
         for k in range(1, n):
             acc = 0
             for j, w in terms:
@@ -264,16 +326,17 @@ class PuiseuxSeries:
                     break
                 acc += w * num[k - j]
             if acc:
-                c = Fraction(acc, d * den * k)
-                q = c.denominator
+                q = d * den * k
+                g = gcd(acc, q)
+                acc, q = acc // g, q // g
                 if den % q:
                     grow = q // gcd(den, q)
                     for i in range(k):
                         num[i] *= grow
                     den *= grow
-                num[k] = c.numerator * (den // q)
-                out[k] = c
-        return PuiseuxSeries(self.ram, out, self.prec)
+                num[k] = acc * (den // q)
+        nums = {k: c for k, c in enumerate(num) if c}
+        return PuiseuxSeries._make(self.ram, self.prec, den, nums)
 
     def scale_argument(self, factor):
         """Replace x by factor*x; integer exponent grids only."""
@@ -290,8 +353,8 @@ class PuiseuxSeries:
         x = complex(x)
         total = 0j
         logx = cmath.log(x)
-        for k, c in sorted(self.coeffs.items()):
-            total += complex(c) * cmath.exp(logx * (k / self.ram))
+        for k, c in sorted(self.nums.items()):
+            total += (c / self.den) * cmath.exp(logx * (k / self.ram))
         return total
 
     def to_json_obj(self):
@@ -306,7 +369,8 @@ class PuiseuxSeries:
         ram = int(obj["ram"])
         base = Fraction(obj["base_exponent"])
         n = int(obj["truncation"])
-        prec = base + Fraction(n + 1, ram)
+        # an empty series is written with its prec as the base exponent
+        prec = base + Fraction(n + 1, ram) if obj["coeffs"] else base
         base_k = int(base * ram)
         coeffs = {base_k + int(item["k"]): _coef_unjson(item["value"]) for item in obj["coeffs"]}
         return cls(ram, coeffs, prec)
@@ -319,49 +383,18 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         a, b = self._aligned(other)
-        return a.coeffs == b.coeffs and a.prec == b.prec
+        return a.prec == b.prec and a.den == b.den and a.nums == b.nums
 
     def __repr__(self):
         parts = []
         for e, c in self.exponent_items()[:8]:
             parts.append(f"({c})*x^({e})")
-        tail = " + ..." if len(self.coeffs) > 8 else ""
+        tail = " + ..." if len(self.nums) > 8 else ""
         body = " + ".join(parts) if parts else "0"
         return f"PuiseuxSeries({body}{tail} + O(x^({self.prec})))"
 
 
-# -- exact kernel ----------------------------------------------------------------------
-
-
-def _exact_product(a, b, bound):
-    """The coefficients below ``bound`` of the product of two exact series.
-
-    ``a`` and ``b`` map grid steps to ``int``/``Fraction`` coefficients on
-    one grid.  Terms that cannot land below ``bound`` are dropped first;
-    each operand is then scaled to integer numerators over the lcm of its
-    denominators and multiplied by ``_int_product``.  Integral results
-    come back as ``int``.
-    """
-    if not a or not b:
-        return {}
-    a_min, b_min = min(a), min(b)
-    a = [(k, c) for k, c in a.items() if k < bound - b_min]
-    b = [(k, c) for k, c in b.items() if k < bound - a_min]
-    if not a or not b:
-        return {}
-    da = lcm(*{c.denominator for _, c in a})
-    db = lcm(*{c.denominator for _, c in b})
-    a = {k: c.numerator * (da // c.denominator) for k, c in a}
-    b = {k: c.numerator * (db // c.denominator) for k, c in b}
-    product = _int_product(a, b, bound)
-    d = da * db
-    if d == 1:
-        return product
-    out = {}
-    for k, c in product.items():
-        q = Fraction(c, d)
-        out[k] = q.numerator if q.denominator == 1 else q
-    return out
+# -- integer kernel --------------------------------------------------------------------
 
 
 def _int_product(a, b, bound):
@@ -447,24 +480,6 @@ def _pack(terms, length, width, half):
 def _repunit(width, n):
     """``1 + B + ... + B^(n-1)`` for ``B = 2^(8 width)``."""
     return int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
-
-
-def _exact_reciprocal(h, n):
-    """``1 / (1 + h)`` below step ``n`` for exact ``h`` of positive steps.
-
-    Newton's iteration ``v <- v + v (1 - (1 + h) v)`` doubles the number
-    of known steps each round.
-    """
-    one_plus_h = dict(h)
-    one_plus_h[0] = 1
-    v = {0: 1}
-    known = 1
-    while known < n:
-        known = min(2 * known, n)
-        # (1 + h) v is 1 below the old step count, so err starts there
-        err = {k: -c for k, c in _exact_product(one_plus_h, v, known).items() if k}
-        v.update(_exact_product(v, err, known))
-    return v
 
 
 def series_json_obj(ram, prec, values, domain):

@@ -23,6 +23,15 @@ def test_params_check_invalid_exit_one(capsys):
     assert "gamma" in err or "beta" in err
 
 
+@pytest.mark.parametrize("cap", ["1", "4"])
+def test_params_eta_below_the_smallest_triple_is_a_usage_error(capsys, cap):
+    # no valid triple has every denominator at most 4; 1/5,1/4,1/2 is the smallest
+    code, out, err = invoke(capsys, "params", "eta", "--max-denominator", cap)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = invoke(capsys, "no-such-command")
     assert code == 1

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from conftest import reference_2F1, reference_binomial
+from test_series_kernel import assert_canonical
 from triring import hypergeom as hg
 from triring.errors import CutLineViolation, PolarParameter, TruncationExhausted
 from triring.params import derived_constants, unit_fraction_triples, validate
@@ -82,7 +83,7 @@ def _recurrence_inputs(p):
 def assert_same_fraction_series(got, want):
     assert (got.ram, got.prec) == (want.ram, want.prec)
     assert got.coeffs == want.coeffs
-    assert all(type(c) is Fraction for c in got.coeffs.values())
+    assert_canonical(got)
 
 
 @pytest.mark.parametrize("p", EXPAND_TRIPLES, ids=lambda p: p.label())

@@ -219,6 +219,14 @@ def test_json_round_trip_rational():
     )
     back = PuiseuxSeries.from_json(s.to_json())
     assert back == s
+    # an empty series is written with its prec as the base exponent
+    for empty in (PuiseuxSeries(3, {}, Fraction(7, 2)), PuiseuxSeries.zero(-2)):
+        assert PuiseuxSeries.from_json(empty.to_json()) == empty
+    # an off-grid prec reads back on the grid, certifying the same steps
+    off_grid = PuiseuxSeries(2, {1: Fraction(-1, 3), 4: 2}, Fraction(11, 4))
+    back = PuiseuxSeries.from_json(off_grid.to_json())
+    assert back.prec == 3
+    assert back.truncate(Fraction(11, 4)) == off_grid
 
 
 def test_json_schema_fields():

@@ -10,12 +10,14 @@ kernel ``_int_product`` under the product, which the exact orders at
 z = 0 also call, is checked against an int convolution.  ``exp``, which
 runs its recurrence on integers over a common denominator, is checked
 against the ``Fraction`` recurrence ``reference_exp``: same
-coefficients, all of them ``Fraction``.  The one-pass difference is
-checked against the sum with the negated operand.
+coefficients, ``int`` wherever integral.  The one-pass difference is
+checked against the sum with the negated operand, and every operation
+is checked to leave the stored form canonical: nonzero integer
+numerators below the bound over their least common denominator.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from conftest import reference_exp
 from triring.hypergeom import tau_q_series_at_zero
 from triring.params import validate
-from triring.series import PuiseuxSeries, _int_product
+from triring.series import PuiseuxSeries, _ceil_steps, _int_product
 
 
 def _lower(s):
@@ -243,7 +245,7 @@ def assert_same_exp(f):
     got, want = f.exp(), reference_exp(f)
     assert (got.ram, got.prec) == (want.ram, want.prec)
     assert got.coeffs == want.coeffs
-    assert all(type(c) is Fraction for c in got.coeffs.values())
+    assert_canonical(got)
 
 
 @st.composite
@@ -297,3 +299,29 @@ def test_difference_equals_the_sum_with_the_negation(a, b):
     assert got.coeffs == want.coeffs
     types = lambda s: {k: type(c) for k, c in s.coeffs.items()}
     assert types(got) == types(want)
+
+
+def assert_canonical_form(s):
+    """Integer numerators over the least common denominator, all below the bound."""
+    assert s.den > 0
+    assert gcd(s.den, *s.nums.values()) == 1
+    assert all(type(c) is int and c for c in s.nums.values())
+    assert all(k < _ceil_steps(s.prec, s.ram) for k in s.nums)
+    assert PuiseuxSeries(s.ram, s.coeffs, s.prec) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=exact_series(), b=exact_series(), data=st.data())
+def test_every_operation_keeps_the_canonical_form(a, b, data):
+    shift = Fraction(data.draw(st.integers(-20, 20)), data.draw(st.integers(1, 6)))
+    cut = Fraction(data.draw(st.integers(-100, 100)), data.draw(st.integers(1, 6)))
+    results = [a, a + b, a - b, a * b, a.scale(-6), a.scale(Fraction(-4, 9)), a.scale(0),
+               a.differentiate(), a.shift(shift), a.truncate(cut), a.normalize_ram()]
+    if a.nums:
+        results.append(a.invert())
+        # exp needs a positive order
+        results.append(a.shift(1 - a.ord()).exp())
+    for s in results:
+        assert_canonical_form(s)
+    assert_canonical_form(PuiseuxSeries(3, {}, 0).exp())
+    assert_canonical_form(PuiseuxSeries.zero(Fraction(5, 2), 2).exp())
