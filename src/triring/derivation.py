@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import ring
 from .errors import NotHomogeneous, NotInR, NotIsobaric
 from .params import TriangleParams, derived_constants
-from .ring import AFFINE_VARS, HOMOG_VARS, Poly
+from .ring import AFFINE_VARS, FIELD, HOMOG_VARS, _MASK, Poly, _check_degree, _tidy, _unit
 
 KINDS = ("D", "Dprime", "Honly")
 
@@ -63,22 +63,31 @@ def leibniz(P: Poly, table) -> Poly:
 
     ``table`` maps variable names of P to polynomials over ``P.vars``; a
     missing name, or a zero image, is a generator the derivation kills.
+    On packed keys, the term ``c m`` gives ``c e img`` at key
+    ``m - unit + img`` for each variable of exponent ``e`` in ``m``.
     """
     images = [table.get(name) for name in P.vars]
     for image in images:
         if image:
             P._check_same_ring(image)
+    n = len(P.vars)
+    active = [(FIELD * idx, _unit(n, idx), image) for idx, image in enumerate(images) if image]
+    if not P or not active:
+        return Poly.zero(P.vars)
+    _check_degree(P._degree() - 1 + max(image._degree() for _, _, image in active))
     terms = {}
-    for exps, coef in P.terms.items():
-        for idx, e in enumerate(exps):
-            if not e or not images[idx]:
+    get = terms.get
+    for key, coef in P.mono.items():
+        for shift, unit, image in active:
+            e = key >> shift & _MASK
+            if not e:
                 continue
-            for img_exps, img_coef in images[idx].terms.items():
-                key = [a + b for a, b in zip(exps, img_exps)]
-                key[idx] -= 1
-                key = tuple(key)
-                terms[key] = terms.get(key, 0) + coef * e * img_coef
-    return Poly(P.vars, terms)
+            base, scaled = key - unit, coef * e
+            for img_key, img_coef in image.mono.items():
+                k = base + img_key
+                acc = get(k)
+                terms[k] = scaled * img_coef if acc is None else acc + scaled * img_coef
+    return Poly._make(P.vars, _tidy(terms))
 
 
 def apply_D(P: Poly, params: TriangleParams) -> Poly:

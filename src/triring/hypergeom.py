@@ -68,23 +68,29 @@ def pochhammer_falling(x, n):
 def _term_series(upper, lower, N, sign=1):
     """sum_n prod (u)_n / (prod (l)_n n!) (sign x)^n to x**N, (v)_n rising.
 
-    The term recurrence runs on one integer numerator and denominator,
-    with one ``Fraction`` per coefficient, and stops at the first zero term.
+    The term recurrence runs on one reduced integer numerator and
+    denominator, and stops at the first zero term.  The terms go over
+    the lcm of their denominators, the least common one, straight into
+    the stored form of the series.
     """
     ud = math.prod(v.denominator for v in upper)
     ld = math.prod(v.denominator for v in lower)
-    coeffs = {0: Fraction(1)}
+    nums, dens = [1], [1]
     num = den = 1
     for n in range(1, N + 1):
         # v + n - 1 = (v.numerator + (n - 1) v.denominator) / v.denominator
         num *= sign * ld * math.prod(v.numerator + (n - 1) * v.denominator for v in upper)
         if not num:
             break
-        low = math.prod(v.numerator + (n - 1) * v.denominator for v in lower)
-        term = Fraction(num, den * n * ud * low)
-        num, den = term.numerator, term.denominator
-        coeffs[n] = term
-    return PuiseuxSeries(1, coeffs, N + 1)
+        den *= n * ud * math.prod(v.numerator + (n - 1) * v.denominator for v in lower)
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        num, den = num // g, den // g
+        nums.append(num)
+        dens.append(den)
+    common = math.lcm(*dens)
+    return PuiseuxSeries._make(
+        1, Fraction(N + 1), common, {n: c * (common // d) for n, (c, d) in enumerate(zip(nums, dens))}
+    )
 
 
 def binomial_series(s, N, argument_sign=1):

@@ -174,14 +174,15 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
         raise ZeroPolynomial("the zero polynomial has no order")
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    affine = P.rename_ring(AFFINE_VARS, {v: v for v in AFFINE_VARS})
-    scale = math.lcm(*[c.denominator for c in affine.terms.values()])
-    vector = [c.numerator * (scale // c.denominator) for c in affine.terms.values()]
+    affine = P if P.vars == AFFINE_VARS else P.rename_ring(AFFINE_VARS, {v: v for v in AFFINE_VARS})
+    terms = affine.terms  # decoded once: the retries below reuse the exponent tuples
+    scale = math.lcm(*[c.denominator for c in terms.values()])
+    vector = [c.numerator * (scale // c.denominator) for c in terms.values()]
     truncation = None
 
     def columns_at(order):
         nonlocal truncation
-        rows = _monomial_rows(params, affine.terms, order)
+        rows = _monomial_rows(params, terms, order)
         truncation = min(s.prec for s in rows)
         return _integer_columns(rows)
 
@@ -240,10 +241,10 @@ def _scaled_iterates(P: Poly, params):
     yield P, 1
     images = {v: apply_D(Poly.var(P.vars, v), params) for v in P.vars}
     M = math.lcm(
-        *(Fraction(c).denominator for img in images.values() for c in img.terms.values())
+        *(Fraction(c).denominator for img in images.values() for c in img.mono.values())
     )
     table = {v: M * img for v, img in images.items()}
-    scale = math.lcm(*(Fraction(c).denominator for c in P.terms.values()))
+    scale = math.lcm(*(Fraction(c).denominator for c in P.mono.values()))
     multiple = scale * P
     while True:
         multiple = leibniz(multiple, table)
@@ -269,8 +270,8 @@ def _value_and_bound(P: Poly, values, scale=1):
     value is ``value * unit``.
     """
     point, K = _gaussian_point(values, P.vars)
-    top = max(sum(exps) for exps in P.terms)
-    lcm = math.lcm(*(Fraction(c).denominator for c in P.terms.values()))
+    top = P.total_degree()
+    lcm = math.lcm(*(Fraction(c).denominator for c in P.mono.values()))
     powers = [[(1, 0)] for _ in point]
     value = [0, 0]
     slopes = [[0, 0] for _ in point]
@@ -347,9 +348,9 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
                 truncation=Fraction(N),
                 domain="complex",
             )
-        if len(multiple.terms) > GENERIC_MAX_TERMS:
+        if len(multiple.mono) > GENERIC_MAX_TERMS:
             raise ThresholdAmbiguous(
-                f"D^{n} P has {len(multiple.terms)} terms, more than "
+                f"D^{n} P has {len(multiple.mono)} terms, more than "
                 f"{GENERIC_MAX_TERMS}, and is read as zero at {z0}"
             )
     raise ThresholdAmbiguous(f"no D^n P with n < {N} clears its error bound")

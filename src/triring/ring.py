@@ -1,6 +1,6 @@
 """Exact weighted multivariate polynomial arithmetic.
 
-A :class:`Poly` is a sparse map from exponent vectors to exact rational
+A :class:`Poly` is a sparse map from monomials to exact rational
 coefficients over a fixed, ordered variable tuple.  An integral
 coefficient is stored as an ``int`` and any other as a ``Fraction``, and
 zero coefficients are never stored, so equality of canonical forms is
@@ -8,6 +8,18 @@ literal data equality (``3 == Fraction(3)`` with equal hashes, so the
 two spellings of an integer never tell apart).  Every quotient of two
 coefficients goes through :func:`_div`, which keeps that invariant;
 ``int / int`` would give a float.
+
+Each monomial is stored as one packed ``int`` key, its only stored
+form.  Over ``n`` variables, the exponent of variable ``i`` sits in the
+16-bit field at bit ``16 i`` and the total degree in field ``n``, above
+them all.  The top bit of every field is a guard that stays clear, so
+no exponent or degree exceeds ``DEGREE_CAP`` (32767): the constructor
+refuses anything else, and a product or derivative whose degree would
+pass the cap raises :class:`DomainMismatch` before any field could carry
+into the next.  So a product of monomials is the sum of their keys,
+"``lead`` divides ``w``" is ``((w | G) - lead) & G == G`` for the guard
+mask ``G``, and the monomial order is int order.  ``Poly(vars, terms)``
+takes exponent tuples, and ``terms`` reads them back.
 
 Two variable tuples cover every computation in the package:
 
@@ -19,18 +31,20 @@ Two variable tuples cover every computation in the package:
   in the ``X`` variables, with ``t`` acting as the coefficient variable.
 
 The monomial order is graded lexicographic with the later variable in
-the tuple more significant.  Resultants are Sylvester determinants
-evaluated by fraction-free Bareiss elimination, so no polynomial GCDs
-are ever required.
+the tuple more significant, the order of the packed keys.  Resultants
+are Sylvester determinants evaluated by fraction-free Bareiss
+elimination, so no polynomial GCDs are ever required.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
 from bisect import insort
 from fractions import Fraction
-from operator import add, ge, sub
+from functools import lru_cache
+from operator import add, sub
 
 from .errors import (
     DegreeZeroInVariable,
@@ -47,6 +61,56 @@ HOMOG_VARS = ("t", "X0", "X1", "X2", "X3", "X4")
 
 #: weight of each graded variable; variables absent here are weightless
 VAR_WEIGHTS = {"y0": 1, "y1": 1, "y2": 1, "y3": 1}
+
+#: bits per exponent field of a packed monomial (struct's ``H``); the top one is the guard
+FIELD = 16
+#: largest exponent and total degree a monomial may carry
+DEGREE_CAP = (1 << FIELD - 1) - 1
+_MASK = (1 << FIELD) - 1
+
+
+@lru_cache(maxsize=None)
+def _codec(n):
+    """``(pack, unpack)`` for monomials over ``n`` variables.
+
+    ``pack`` checks an exponent tuple and returns its key, raising
+    :class:`DomainMismatch` for a wrong length, a negative or non-integer
+    exponent or a degree over ``DEGREE_CAP``; ``unpack`` inverts it.
+    ``struct`` does the field work in C.
+    """
+    fields = struct.Struct(f"<{n + 1}H")  # the exponents, then the degree
+    size, unpack_exps = fields.size, struct.Struct(f"<{n}H").unpack_from
+
+    def pack(exps):
+        try:
+            degree = sum(exps)
+            if degree <= DEGREE_CAP:
+                return int.from_bytes(fields.pack(*exps, degree), "little")
+        except (struct.error, TypeError):
+            pass
+        raise DomainMismatch(
+            f"monomial {exps!r} is not {n} natural exponents of degree at most {DEGREE_CAP}"
+        )
+
+    def unpack(key):
+        return unpack_exps(key.to_bytes(size, "little"))
+
+    return pack, unpack
+
+
+def _guard(n):
+    """The mask of the guard bits of the ``n + 1`` fields."""
+    return sum(1 << FIELD * i + FIELD - 1 for i in range(n + 1))
+
+
+def _unit(n, idx, exponent=1):
+    """The key of ``exponent`` times variable ``idx`` of ``n``."""
+    return (exponent << FIELD * idx) + (exponent << FIELD * n)
+
+
+def _check_degree(degree):
+    if degree > DEGREE_CAP:
+        raise DomainMismatch(f"degree {degree} would pass the cap {DEGREE_CAP}")
 
 
 def _exact(value):
@@ -81,29 +145,38 @@ def _tidy(terms):
 class Poly:
     """Sparse exact polynomial over a fixed variable tuple."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "mono")
 
     def __init__(self, vars, terms):
-        self.vars = tuple(vars)
-        clean = {}
+        """``terms`` maps exponent tuples, one entry per variable, to coefficients."""
+        self.vars = vars = tuple(vars)
+        pack = _codec(len(vars))[0]
+        mono = {}
         for exps, coef in terms.items():
+            key = pack(exps)
             coef = _exact(coef)
             if coef:
-                clean[tuple(exps)] = coef
-        self.terms = clean
+                mono[key] = coef
+        self.mono = mono
+
+    @property
+    def terms(self):
+        """``{exponent tuple: coefficient}``, decoded from the packed keys."""
+        unpack = _codec(len(self.vars))[1]
+        return {unpack(key): c for key, c in self.mono.items()}
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _make(cls, vars, terms):
-        """Trusted constructor: ``vars`` a tuple, ``terms`` already canonical.
+    def _make(cls, vars, mono):
+        """Trusted constructor: ``vars`` a tuple, ``mono`` already canonical.
 
-        The keys are tuples and the coefficients nonzero ints or
-        non-integral Fractions; nothing is checked or copied.
+        The keys are packed monomials over ``vars`` and the coefficients
+        nonzero ints or non-integral Fractions; nothing is checked or copied.
         """
         P = object.__new__(cls)
         P.vars = vars
-        P.terms = terms
+        P.mono = mono
         return P
 
     @classmethod
@@ -112,40 +185,39 @@ class Poly:
 
     @classmethod
     def const(cls, vars, value):
-        vars = tuple(vars)
         value = _exact(value)
-        return cls._make(vars, {(0,) * len(vars): value} if value else {})
+        return cls._make(tuple(vars), {0: value} if value else {})
 
     @classmethod
     def var(cls, vars, name, exponent=1):
         vars = tuple(vars)
-        exps = [0] * len(vars)
-        exps[vars.index(name)] = exponent
-        return cls._make(vars, {tuple(exps): 1})
+        if not 0 <= exponent <= DEGREE_CAP:
+            raise DomainMismatch(f"exponent {exponent} is outside 0..{DEGREE_CAP}")
+        return cls._make(vars, {_unit(len(vars), vars.index(name), exponent): 1})
 
     @classmethod
     def sum(cls, vars, polys):
         """Sum of ``polys``, accumulated in one terms dict."""
         terms = {}
         for P in polys:
-            for exps, coef in P.terms.items():
-                terms[exps] = terms.get(exps, 0) + coef
+            for key, coef in P.mono.items():
+                terms[key] = terms.get(key, 0) + coef
         return cls._make(tuple(vars), _tidy(terms))
 
     # -- basic protocol --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.mono)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.vars == other.vars and self.terms == other.terms
+            return self.vars == other.vars and self.mono == other.mono
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(self.vars, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.mono.items())))
 
     def _check_same_ring(self, other):
         if self.vars != other.vars:
@@ -161,6 +233,10 @@ class Poly:
             return Poly.const(self.vars, other)
         return None
 
+    def _degree(self):
+        """Total degree of the leading monomial; the zero polynomial must not ask."""
+        return max(self.mono) >> FIELD * len(self.vars)
+
     # -- arithmetic -------------------------------------------------------------
 
     def _merge(self, other, op):
@@ -168,19 +244,19 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            old = terms.get(exps)
+        terms = dict(self.mono)
+        for key, coef in other.mono.items():
+            old = terms.get(key)
             if old is None:
-                terms[exps] = coef if op is add else -coef
+                terms[key] = coef if op is add else -coef
                 continue
             new = op(old, coef)
             if not new:
-                del terms[exps]
+                del terms[key]
             elif type(new) is int or new.denominator != 1:
-                terms[exps] = new
+                terms[key] = new
             else:
-                terms[exps] = new.numerator
+                terms[key] = new.numerator
         return Poly._make(self.vars, terms)
 
     def __add__(self, other):
@@ -189,7 +265,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, {k: -c for k, c in self.mono.items()})
 
     def __sub__(self, other):
         return self._merge(other, sub)
@@ -203,16 +279,21 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _exact(other)
-            return Poly._make(self.vars, _tidy({e: c * other for e, c in self.terms.items()}))
+            return Poly._make(self.vars, _tidy({k: c * other for k, c in self.mono.items()}))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
+        mono, other_mono = self.mono, other.mono
+        if not mono or not other_mono:
+            return Poly._make(self.vars, {})
+        top = FIELD * len(self.vars)
+        _check_degree((max(mono) >> top) + (max(other_mono) >> top))
         terms = {}
         get = terms.get
-        other_items = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other_items:
-                key = tuple(map(add, e1, e2))
+        other_items = list(other_mono.items())
+        for k1, c1 in mono.items():
+            for k2, c2 in other_items:
+                key = k1 + k2
                 acc = get(key)
                 terms[key] = c1 * c2 if acc is None else acc + c1 * c2
         return Poly._make(self.vars, _tidy(terms))
@@ -235,27 +316,26 @@ class Poly:
 
     def partial_degree(self, name):
         """Largest exponent of ``name``; -1 for the zero polynomial."""
-        idx = self.vars.index(name)
-        if not self.terms:
+        shift = FIELD * self.vars.index(name)
+        if not self.mono:
             return -1
-        return max(e[idx] for e in self.terms)
+        return max(key >> shift & _MASK for key in self.mono)
 
     def total_degree(self, names=None):
-        if not self.terms:
+        if not self.mono:
             return -1
         if names is None:
-            return max(sum(e) for e in self.terms)
-        idxs = [self.vars.index(n) for n in names]
-        return max(sum(e[i] for i in idxs) for e in self.terms)
+            return self._degree()
+        shifts = [FIELD * self.vars.index(n) for n in names]
+        return max(sum(key >> s & _MASK for s in shifts) for key in self.mono)
 
     def coefficient_of(self, name, k):
         """Coefficient of ``name**k`` as a Poly in the same ring."""
         idx = self.vars.index(name)
-        terms = {}
-        for exps, coef in self.terms.items():
-            if exps[idx] == k:
-                terms[exps[:idx] + (0,) + exps[idx + 1:]] = coef
-        return Poly._make(self.vars, terms)
+        shift, drop = FIELD * idx, _unit(len(self.vars), idx, k)
+        return Poly._make(self.vars, {
+            key - drop: coef for key, coef in self.mono.items() if key >> shift & _MASK == k
+        })
 
     def substitute(self, mapping):
         """Simultaneous exact substitution ``name -> Poly | Fraction | int``."""
@@ -296,35 +376,33 @@ class Poly:
         Variables absent from ``mapping`` must not occur.
         """
         new_vars = tuple(new_vars)
+        n, top = len(new_vars), FIELD * len(self.vars)
+        targets = [new_vars.index(mapping[v]) if v in mapping else None for v in self.vars]
         terms = {}
-        for exps, coef in self.terms.items():
-            key = [0] * len(new_vars)
-            for name, e in zip(self.vars, exps):
+        for exps, (old, coef) in zip(self.terms, self.mono.items()):
+            key = (old >> top) << FIELD * n  # the total degree is unchanged
+            for name, e, idx in zip(self.vars, exps, targets):
                 if not e:
                     continue
-                if name not in mapping:
+                if idx is None:
                     raise DomainMismatch(f"variable {name} has no image")
-                key[new_vars.index(mapping[name])] += e
-            tkey = tuple(key)
-            terms[tkey] = terms.get(tkey, 0) + coef
+                key += e << FIELD * idx
+            terms[key] = terms.get(key, 0) + coef
         return Poly._make(new_vars, _tidy(terms))
 
     # -- monomial order (graded lex, later variable more significant) ---------
 
-    def _order_key(self, exps):
-        return (sum(exps), tuple(reversed(exps)))
-
     def leading(self):
         """(exponent vector, coefficient) of the leading monomial."""
-        if not self.terms:
+        if not self.mono:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        exps = max(self.terms, key=self._order_key)
-        return exps, self.terms[exps]
+        key = max(self.mono)
+        return _codec(len(self.vars))[1](key), self.mono[key]
 
     def sorted_terms(self):
         """Terms from the leading monomial downward."""
-        return sorted(self.terms.items(), key=lambda t: self._order_key(t[0]),
-                      reverse=True)
+        unpack = _codec(len(self.vars))[1]
+        return [(unpack(k), c) for k, c in sorted(self.mono.items(), reverse=True)]
 
     # -- exact division ----------------------------------------------------------
 
@@ -339,44 +417,45 @@ class Poly:
         ``step``, when given, is called once per term taken.
 
         The work is one mutable terms dict and a sorted list of its
-        monomials' order keys: a quotient step subtracts only the
-        divisor's tail, whose products all lie below the term just taken.
+        keys: a quotient step subtracts only the divisor's tail, whose
+        products all lie below the term just taken.
         """
         leads, tails = [], []
         for d in divisors:
             if not d:
                 raise ZeroDivisionError("division by the zero polynomial")
             self._check_same_ring(d)
-            lead_e, lead_c = d.leading()
-            leads.append((lead_e, lead_c))
-            tails.append([(e, c) for e, c in d.terms.items() if e != lead_e])
+            lead = max(d.mono)
+            leads.append((lead, d.mono[lead]))
+            tails.append([(k, c) for k, c in d.mono.items() if k != lead])
+        guard = _guard(len(self.vars))
         quos = [{} for _ in divisors]
         rem = {}
-        work = dict(self.terms)
-        order_key = self._order_key
-        queue = sorted((order_key(e), e) for e in work)
+        work = dict(self.mono)
+        queue = sorted(work)
         while queue:
-            w_e = queue.pop()[1]
-            w_c = work.pop(w_e, None)
+            w = queue.pop()
+            w_c = work.pop(w, None)
             if w_c is None:  # cancelled, or a second entry for the same monomial
                 continue
             if step is not None:
                 step()
-            for i, (lead_e, lead_c) in enumerate(leads):
-                if all(map(ge, w_e, lead_e)):
+            w_guarded = w | guard
+            for i, (lead, lead_c) in enumerate(leads):
+                if (w_guarded - lead) & guard == guard:  # no field borrowed: lead divides w
                     break
             else:
-                rem[w_e] = w_c
+                rem[w] = w_c
                 continue
-            shift = tuple(map(sub, w_e, lead_e))
+            shift = w - lead
             m = _div(w_c, lead_c)
             quos[i][shift] = m
-            for t_e, t_c in tails[i]:
-                key = tuple(map(add, shift, t_e))
+            for t, t_c in tails[i]:
+                key = shift + t
                 old = work.get(key)
                 if old is None:
                     new = -m * t_c
-                    insort(queue, (order_key(key), key))
+                    insort(queue, key)
                 else:
                     new = old - m * t_c
                     if not new:
@@ -400,10 +479,10 @@ class Poly:
     def exact_div(self, divisor):
         if isinstance(divisor, (int, Fraction)):
             return self * _div(1, _exact(divisor))
-        c = divisor.terms.get((0,) * len(divisor.vars)) if len(divisor.terms) == 1 else None
+        c = divisor.mono.get(0) if len(divisor.mono) == 1 else None
         if c is not None and self.vars == divisor.vars:  # a nonzero constant divides exactly
             return self if c == 1 else Poly._make(
-                self.vars, {e: _div(v, c) for e, v in self.terms.items()})
+                self.vars, {k: _div(v, c) for k, v in self.mono.items()})
         quo, rem = self.divmod_single(divisor)
         if rem:
             raise ValueError("division is not exact")
@@ -419,9 +498,9 @@ class Poly:
     # -- serialization -----------------------------------------------------------
 
     def to_json_obj(self):
+        unpack = _codec(len(self.vars))[1]
         terms = [
-            {"exps": list(e), "coef": str(c)}
-            for e, c in sorted(self.terms.items(), key=lambda t: self._order_key(t[0]))
+            {"exps": list(unpack(k)), "coef": str(c)} for k, c in sorted(self.mono.items())
         ]
         return {"vars": list(self.vars), "terms": terms}
 
@@ -438,7 +517,7 @@ class Poly:
 
     def to_text(self):
         """Render as a sum of monomials, e.g. ``3/4 * tau^2 q y0 - y1``."""
-        if not self.terms:
+        if not self.mono:
             return "0"
         parts = []
         for exps, coef in self.sorted_terms():
@@ -554,9 +633,9 @@ def isobaric_components(P):
     if not P:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     buckets = {}
-    for exps, coef in P.terms.items():
+    for exps, (key, coef) in zip(P.terms, P.mono.items()):
         w = sum(e * VAR_WEIGHTS.get(name, 0) for name, e in zip(P.vars, exps))
-        buckets.setdefault(w, {})[exps] = coef
+        buckets.setdefault(w, {})[key] = coef
     return [(w, Poly._make(P.vars, buckets[w])) for w in sorted(buckets)]
 
 
@@ -590,7 +669,7 @@ def homogenize_weight(F):
         w = sum(exps[i] for i in idx.values())
         key = tuple(exps[idx[v]] if v in idx else 0 for v in R_VARS) + (p - w,)
         terms[key] = coef
-    return Poly._make(RH_VARS, terms)
+    return Poly(RH_VARS, terms)
 
 
 # -- resultants ------------------------------------------------------------------

@@ -59,6 +59,28 @@ def random_isobaric(rng, weight, coeff_range=6):
             return out
 
 
+def reference_leibniz(P, table):
+    """The derivation ``table`` on P, by Leibniz over exponent tuples.
+
+    A reference for ``derivation.leibniz``, which works on packed keys:
+    each term ``c m`` and variable of exponent ``e`` in ``m`` add
+    ``c e img`` times ``m`` with that exponent lowered by one, the terms
+    inserted in the same order.
+    """
+    images = [table.get(name) for name in P.vars]
+    terms = {}
+    for exps, coef in P.terms.items():
+        for idx, e in enumerate(exps):
+            if not e or not images[idx]:
+                continue
+            for img_exps, img_coef in images[idx].terms.items():
+                key = [a + b for a, b in zip(exps, img_exps)]
+                key[idx] -= 1
+                key = tuple(key)
+                terms[key] = terms.get(key, 0) + coef * e * img_coef
+    return Poly(P.vars, terms)
+
+
 def series_sum(P, params, N):
     """P on the generator series at order N, summed in ``PuiseuxSeries`` arithmetic.
 

@@ -7,9 +7,15 @@ of coefficients goes through ``ring._div``.  Resultants are checked against symp
 including a common root and a Bareiss elimination that must swap rows, and
 the one-elimination cofactors against a test-local expansion of the
 Sylvester determinant along its constant column, one minor per row.
+The packed monomial keys are checked on 1 to 9 variables: int order is
+the graded-lex order, the guard-mask division test is componentwise
+``>=``, decoding and re-encoding keeps a polynomial and its term order,
+packed ``leibniz`` equals the tuple-keyed ``reference_leibniz``, and no
+exponent, product or derivative passes ``DEGREE_CAP``.
 """
 
 from fractions import Fraction
+from operator import ge, sub
 
 import pytest
 import sympy as sp
@@ -17,8 +23,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
+from conftest import reference_leibniz
+from triring.derivation import leibniz
 from triring.errors import DomainMismatch
 from triring.ring import (
+    AFFINE_VARS,
+    DEGREE_CAP,
     Poly,
     _div,
     _poly_matrix_det,
@@ -288,3 +298,110 @@ def test_exact_div_by_a_constant_poly_keeps_integral_quotients_int():
     assert (x + y).exact_div(Poly.const(VARS, 2)) == Fraction(1, 2) * (x + y)
     with pytest.raises(DomainMismatch):
         x.exact_div(Poly.const(("x", "z"), 2))
+
+
+# -- packed monomial keys ---------------------------------------------------------------
+
+
+def ring_of(n):
+    return tuple(f"v{i}" for i in range(n))
+
+
+@st.composite
+def exponent_vector(draw, n, small=3):
+    """Exponents up to ``small``, one of them possibly up to the cap; degree <= DEGREE_CAP."""
+    exps = draw(st.lists(st.integers(0, small), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    room = DEGREE_CAP - sum(exps) + exps[i]
+    exps[i] = draw(st.one_of(st.integers(0, small), st.integers(0, room)))
+    return tuple(exps)
+
+
+@st.composite
+def small_poly(draw, vars):
+    exps = st.lists(st.integers(0, 3), min_size=len(vars), max_size=len(vars)).map(tuple)
+    return Poly(vars, draw(st.dictionaries(exps, rat_coef, max_size=5)))
+
+
+@SETTINGS
+@given(st.data())
+def test_key_order_is_the_graded_lex_order(data):
+    n = data.draw(st.integers(1, 9))
+    monos = data.draw(st.lists(exponent_vector(n), min_size=1, max_size=12, unique=True))
+    graded_lex = sorted(monos, key=lambda e: (sum(e), tuple(reversed(e))))
+    P = Poly(ring_of(n), {e: 1 for e in monos})
+    assert [e for e, _ in reversed(P.sorted_terms())] == graded_lex
+    assert [tuple(t["exps"]) for t in P.to_json_obj()["terms"]] == graded_lex
+    assert P.leading() == (graded_lex[-1], 1)
+
+
+@SETTINGS
+@given(st.data())
+def test_guard_mask_division_test_is_componentwise(data):
+    n = data.draw(st.integers(1, 9))
+    w = data.draw(exponent_vector(n))
+    nearby = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(
+        lambda d: tuple(max(0, a + b) for a, b in zip(w, d))).filter(lambda e: sum(e) <= DEGREE_CAP)
+    lead = data.draw(st.one_of(nearby, exponent_vector(n)))
+    vars = ring_of(n)
+    quo, rem = Poly(vars, {w: 3}).divmod_single(Poly(vars, {lead: 2}))
+    if all(map(ge, w, lead)):
+        assert not rem and quo.terms == {tuple(map(sub, w, lead)): Fraction(3, 2)}
+    else:
+        assert not quo and rem.terms == {w: 3}
+
+
+@SETTINGS
+@given(st.data())
+def test_decoded_terms_rebuild_the_same_poly(data):
+    vars = ring_of(data.draw(st.integers(1, 9)))
+    wide = Poly(vars, data.draw(st.dictionaries(exponent_vector(len(vars)), rat_coef, max_size=6)))
+    product = data.draw(small_poly(vars)) * data.draw(small_poly(vars))
+    for P in (wide, product):
+        Q = Poly(P.vars, P.terms)
+        assert Q == P
+        assert list(Q.terms) == list(P.terms) and list(Q.mono) == list(P.mono)
+
+
+@SETTINGS
+@given(st.data())
+def test_packed_leibniz_equals_the_tuple_keyed_reference(data):
+    vars = ring_of(data.draw(st.integers(1, 9)))
+    P = data.draw(small_poly(vars))
+    names = data.draw(st.lists(st.sampled_from(vars), unique=True))
+    table = {name: data.draw(small_poly(vars)) for name in names}
+    got, want = leibniz(P, table), reference_leibniz(P, table)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert_canonical(got)
+
+
+def test_constructor_refuses_monomials_off_the_layout():
+    for exps in [(0, 0, -1, 0, 0), (1, 0, 0, 2), (1, 0, 0, 2, 0, 0),
+                 (0, 0, DEGREE_CAP + 1, 0, 0), (16384, 0, 16384, 0, 0),
+                 (0, 0, 1.0, 0, 0), (0, 0, Fraction(1, 2), 0, 0)]:
+        with pytest.raises(DomainMismatch):
+            Poly(AFFINE_VARS, {exps: 1})
+    for exponent in (-1, DEGREE_CAP + 1):
+        with pytest.raises(DomainMismatch):
+            Poly.var(AFFINE_VARS, "y0", exponent)
+    top = Poly(AFFINE_VARS, {(1, 0, DEGREE_CAP - 1, 0, 0): 1})
+    assert top.total_degree() == DEGREE_CAP and top.partial_degree("y0") == DEGREE_CAP - 1
+
+
+def test_products_and_derivatives_past_the_cap_raise():
+    y0 = Poly.var(AFFINE_VARS, "y0", 20000)
+    with pytest.raises(DomainMismatch):
+        y0 ** 2
+    with pytest.raises(DomainMismatch):
+        y0 * Poly.var(AFFINE_VARS, "tau", DEGREE_CAP - 19999)
+    at_cap = y0 * Poly.var(AFFINE_VARS, "tau", DEGREE_CAP - 20000)
+    assert at_cap.terms == {(DEGREE_CAP - 20000, 0, 20000, 0, 0): 1}
+    square = {"y0": Poly.var(AFFINE_VARS, "y0", 2)}
+    with pytest.raises(DomainMismatch):
+        leibniz(Poly.var(AFFINE_VARS, "y0", DEGREE_CAP), square)
+    below = leibniz(Poly.var(AFFINE_VARS, "y0", DEGREE_CAP - 1), square)
+    assert below.terms == {(0, 0, DEGREE_CAP, 0, 0): DEGREE_CAP - 1}
+    # a linear image keeps the degree, so a derivative at the cap is fine
+    turn = leibniz(Poly.var(AFFINE_VARS, "y0", DEGREE_CAP), {"y0": Poly.var(AFFINE_VARS, "y1")})
+    assert turn.terms == {(0, 0, DEGREE_CAP - 1, 1, 0): DEGREE_CAP}
