@@ -4,10 +4,13 @@ Exit status: 0 on success, 1 on usage or validation errors, 2 when a
 certified identity or residual check fails on the given input (so CI can
 tell an identity regression from an operational failure).  JSON reports
 are emitted with sorted keys and no timestamps: identical seed and
-arguments give byte-identical output.  The environment variable
-``TRIRING_ORDER`` overrides the default truncation order of every
-command but ``audit``, whose ``--order`` defaults to 16; a value that
-is not an integer, or is below 1, is a usage error.
+arguments give byte-identical output.
+
+The parser is built once per process and reads no environment.  Every
+``--order`` but ``audit``'s (16) defaults to ``None``, and :func:`run`
+alone fills it in: from ``TRIRING_ORDER`` when set, else 24, or 60 for
+``hyper verify``.  A ``TRIRING_ORDER`` that is not an integer, or is
+below 1, is a usage error of the commands that take that default only.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import hypergeom, ideals, multiplicity, params as params_mod
@@ -29,6 +33,7 @@ IDENTITY_ERROR = 2
 
 
 def _default_order(fallback=24):
+    """The default ``--order``: ``TRIRING_ORDER`` when set, else ``fallback``."""
     text = os.environ.get("TRIRING_ORDER", "").strip()
     try:
         order = int(text or fallback)
@@ -39,20 +44,23 @@ def _default_order(fallback=24):
     return order
 
 
-def _parse_triple(text):
-    parts = text.replace(" ", ",").split(",")
-    parts = [p for p in parts if p]
+def _rationals(texts, count_error):
+    """The three rationals in ``texts``, each a comma- or space-separated list."""
+    parts = [p for text in texts for p in text.replace(" ", ",").split(",") if p]
     if len(parts) != 3:
-        raise ValueError(f"expected three rationals, got {text!r}")
-    return params_mod.validate(*(Fraction(p) for p in parts))
+        raise ValueError(count_error)
+    try:
+        return [Fraction(p) for p in parts]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {','.join(parts)!r}") from None
 
 
-def _parse_poly_arg(text, vars=AFFINE_VARS):
-    return poly_from_text(text, vars=vars)
+def _parse_triple(text):
+    return params_mod.validate(*_rationals([text], f"expected three rationals, got {text!r}"))
 
 
 def _emit(args, payload, text_lines):
-    if getattr(args, "emit", "text") == "json":
+    if args.emit == "json":
         payload.setdefault("seed", getattr(args, "seed", None))
         print(_json_text(payload))
     else:
@@ -124,8 +132,7 @@ def _cmd_params(args):
     if args.action == "check":
         if not args.values:
             raise ValueError("check needs a triple like 1/5 1/4 1/2")
-        triple = ",".join(args.values)
-        p = _parse_triple(triple)
+        p = _parse_triple(",".join(args.values))
         d = params_mod.derived_constants(p)
         payload = {
             "params": p.label(),
@@ -150,7 +157,7 @@ def _cmd_params(args):
                 f"no valid unit-fraction triple has every denominator at most "
                 f"{args.max_denominator}; the smallest is 1/5,1/4,1/2"
             )
-        sample_min = params_mod.region_sample_min(seed=args.seed or 0)
+        sample_min = params_mod.region_sample_min()
         payload = {
             "max_denominator": args.max_denominator,
             "triples_checked": count,
@@ -167,12 +174,8 @@ def _cmd_params(args):
         ])
         return 0 if minimum > 0 else IDENTITY_ERROR
     if args.action == "residuals":
-        parts = []
-        for v in args.values:
-            parts.extend(x for x in v.replace(" ", ",").split(",") if x)
-        if len(parts) != 3:
-            raise ValueError("residuals needs exactly three rationals")
-        r = params_mod.critical_residuals(*(Fraction(v) for v in parts))
+        r = params_mod.critical_residuals(
+            *_rationals(args.values, "residuals needs exactly three rationals"))
         payload = {"residuals": [str(v) for v in r]}
         _emit(args, payload, [f"critical residuals: {r[0]}, {r[1]}, {r[2]}"])
         return 0
@@ -181,7 +184,7 @@ def _cmd_params(args):
 
 def _cmd_derive(args):
     p = _parse_triple(args.params)
-    P = _parse_poly_arg(args.poly)
+    P = poly_from_text(args.poly)
     kind = {"D": "D", "Dprime": "Dprime", "H": "Honly"}[args.kind]
     out = apply_variant(P, kind, p)
     _emit(args, {"kind": args.kind, "params": p.label(), "result": out.to_json_obj()},
@@ -191,8 +194,8 @@ def _cmd_derive(args):
 
 def _cmd_bracket(args):
     p = _parse_triple(args.params)
-    U = _parse_poly_arg(args.U)
-    V = _parse_poly_arg(args.V)
+    U = poly_from_text(args.U)
+    V = poly_from_text(args.V)
     out = rankin_bracket(U, V, p)
     _emit(args, {"params": p.label(), "result": out.to_json_obj()}, [out.to_text()])
     return 0
@@ -220,7 +223,7 @@ def _cmd_ideal(args):
         _emit(args, payload, lines)
         return 0 if ok else IDENTITY_ERROR
     if args.action == "stable":
-        P = _parse_poly_arg(args.gen)
+        P = poly_from_text(args.gen)
         cert = ideals.principal_stability(P, p, step_budget=args.budget)
         payload = {
             "params": p.label(),
@@ -239,8 +242,8 @@ def _cmd_ideal(args):
         _emit(args, payload, lines)
         return 0
     if args.action == "member":
-        P = _parse_poly_arg(args.poly)
-        gens_list = [_parse_poly_arg(g) for g in args.gens]
+        P = poly_from_text(args.poly)
+        gens_list = [poly_from_text(g) for g in args.gens]
         res = ideals.membership(P, gens_list, step_budget=args.budget)
         payload = {"member": res.member}
         lines = [f"member: {res.member}"]
@@ -258,9 +261,6 @@ def _coef_text(c):
 
 
 def _cmd_hyper(args):
-    if args.order is None:
-        verify = args.action == "verify"
-        args.order = _default_order(hypergeom.NUMERIC_CHECK_ORDER) if verify else _default_order()
     p = _parse_triple(args.params)
     if args.action == "expand":
         point = {"0": "zero", "1": "one", "inf": "inf"}[args.point]
@@ -301,7 +301,7 @@ def _cmd_hyper(args):
 
 def _cmd_ord(args):
     p = _parse_triple(args.params)
-    P = _parse_poly_arg(args.poly)
+    P = poly_from_text(args.poly)
     if args.at in ("0", "zero"):
         rep = multiplicity.ord_at_zero(P, p, N=args.order)
     else:
@@ -320,7 +320,7 @@ def _cmd_ord(args):
 
 def _cmd_dist(args):
     p = _parse_triple(args.params)
-    U = _parse_poly_arg(args.poly, vars=HOMOG_VARS)
+    U = poly_from_text(args.poly, vars=HOMOG_VARS)
     value = multiplicity.log_dist_hypersurface(U, p, N=args.order)
     payload = {"poly": U.to_json_obj(), "minus_log_dist": str(value), "order": args.order}
     _emit(args, payload, [f"-log Dist = {value}"])
@@ -435,32 +435,32 @@ def build_parser():
         description="Exact differential-ring, Puiseux-series and vanishing-order toolkit",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    order_kw = dict(type=int, default=_default_order(),
-                    help="truncation order (default: TRIRING_ORDER or 24)")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--emit", choices=("text", "json"), default="text")
 
-    p_params = sub.add_parser("params", help="validate triples, scan eta")
+    def command(name, fn, help):
+        parser = sub.add_parser(name, help=help, parents=[shared])
+        parser.set_defaults(fn=fn)
+        return parser
+
+    order_help = "truncation order (default: TRIRING_ORDER or 24)"
+
+    p_params = command("params", _cmd_params, "validate triples, scan eta")
     p_params.add_argument("action", choices=("check", "eta", "residuals"))
     p_params.add_argument("values", nargs="*", help="rationals like 1/5 1/4 1/2")
     p_params.add_argument("--max-denominator", type=int, default=30)
-    p_params.add_argument("--seed", type=int, default=None)
-    p_params.add_argument("--emit", choices=("text", "json"), default="text")
-    p_params.set_defaults(fn=_cmd_params)
 
-    p_derive = sub.add_parser("derive", help="apply a derivation to a polynomial")
+    p_derive = command("derive", _cmd_derive, "apply a derivation to a polynomial")
     p_derive.add_argument("--kind", choices=("D", "Dprime", "H"), default="D")
     p_derive.add_argument("--params", required=True, help="a/b,c/d,e/f")
     p_derive.add_argument("poly")
-    p_derive.add_argument("--emit", choices=("text", "json"), default="text")
-    p_derive.set_defaults(fn=_cmd_derive)
 
-    p_bracket = sub.add_parser("bracket", help="Rankin bracket of two isobaric polynomials")
+    p_bracket = command("bracket", _cmd_bracket, "Rankin bracket of two isobaric polynomials")
     p_bracket.add_argument("--params", required=True)
     p_bracket.add_argument("U")
     p_bracket.add_argument("V")
-    p_bracket.add_argument("--emit", choices=("text", "json"), default="text")
-    p_bracket.set_defaults(fn=_cmd_bracket)
 
-    p_ideal = sub.add_parser("ideal", help="stability certificates and membership")
+    p_ideal = command("ideal", _cmd_ideal, "stability certificates and membership")
     p_ideal.add_argument("action", choices=("certify-case1", "stable", "member"))
     p_ideal.add_argument("--params", default=None)
     p_ideal.add_argument("--gen", default=None, help="generator polynomial")
@@ -469,69 +469,62 @@ def build_parser():
     p_ideal.add_argument("--budget", type=int, default=ideals.DEFAULT_STEP_BUDGET,
                          help="cap on the division steps of member's Buchberger run "
                               "and of stable's division (default: %(default)s)")
-    p_ideal.add_argument("--emit", choices=("text", "json"), default="text")
-    p_ideal.set_defaults(fn=_cmd_ideal)
 
-    p_hyper = sub.add_parser("hyper", help="series expansion and numeric verification")
+    p_hyper = command("hyper", _cmd_hyper, "series expansion and numeric verification")
     p_hyper.add_argument("action", choices=("expand", "verify"))
     p_hyper.add_argument("--point", choices=("0", "1", "inf"), default="0")
     p_hyper.add_argument("--params", required=True)
-    p_hyper.add_argument("--order", type=int, default=None,
+    p_hyper.add_argument("--order", type=int,
                          help="truncation order (default: TRIRING_ORDER, or 24 for expand "
                               f"and {hypergeom.NUMERIC_CHECK_ORDER} for verify)")
     p_hyper.add_argument("--samples", default=None, help="comma list, e.g. 0.1,0.3,0.5i")
-    p_hyper.add_argument("--emit", choices=("text", "json"), default="text")
-    p_hyper.set_defaults(fn=_cmd_hyper)
 
-    p_ord = sub.add_parser("ord", help="vanishing order of a generator polynomial")
+    p_ord = command("ord", _cmd_ord, "vanishing order of a generator polynomial")
     p_ord.add_argument("--at", default="0", help="0 or a complex point like 0.3+0.2i")
     p_ord.add_argument("--params", required=True)
     p_ord.add_argument("poly")
-    p_ord.add_argument("--order", **dict(
-        order_kw, help="truncation order at 0; at a generic point, the cap on the "
-                       "number of derivatives D^n P tried (default: TRIRING_ORDER or 24)"))
-    p_ord.add_argument("--emit", choices=("text", "json"), default="text")
-    p_ord.set_defaults(fn=_cmd_ord)
+    p_ord.add_argument("--order", type=int,
+                       help="truncation order at 0; at a generic point, the cap on the "
+                            "number of derivatives D^n P tried (default: TRIRING_ORDER or 24)")
 
-    p_dist = sub.add_parser("dist", help="-log distance to a hypersurface")
+    p_dist = command("dist", _cmd_dist, "-log distance to a hypersurface")
     p_dist.add_argument("--at", default="0", choices=("0",))
     p_dist.add_argument("--params", required=True)
     p_dist.add_argument("poly", help="homogeneous polynomial in t, X0..X4")
-    p_dist.add_argument("--order", **order_kw)
-    p_dist.add_argument("--emit", choices=("text", "json"), default="text")
-    p_dist.set_defaults(fn=_cmd_dist)
+    p_dist.add_argument("--order", type=int, help=order_help)
 
-    p_audit = sub.add_parser("audit", help="degree-profile multiplicity audit")
+    p_audit = command("audit", _cmd_audit, "degree-profile multiplicity audit")
     p_audit.add_argument("--profile", required=True, help="dtau,dq,dy0,dy1,dy2")
     p_audit.add_argument("--params", default="1/5,1/4,1/2")
     p_audit.add_argument("--samples", type=int, default=200)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.add_argument("--order", type=int, default=16)
-    p_audit.add_argument("--emit", choices=("text", "json"), default="text")
-    p_audit.set_defaults(fn=_cmd_audit)
 
-    p_verify = sub.add_parser("verify", help="run the built-in identity suite")
+    p_verify = command("verify", _cmd_verify, "run the built-in identity suite")
     p_verify.add_argument("target", choices=("all",))
     p_verify.add_argument("--params", required=True)
-    p_verify.add_argument("--order", **order_kw)
-    p_verify.add_argument("--emit", choices=("text", "json"), default="text")
-    p_verify.set_defaults(fn=_cmd_verify)
+    p_verify.add_argument("--order", type=int, help=order_help)
     return top
+
+
+@lru_cache(maxsize=None)
+def _parser():
+    """The one parser of the process, built on first use."""
+    return build_parser()
 
 
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
-    except ValueError as exc:  # a bad TRIRING_ORDER
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    order = getattr(args, "order", None)
-    if order is not None and order < 1:
-        print("error: --order must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
     try:
+        if "order" in args:
+            if args.order is None:
+                verify = args.command == "hyper" and args.action == "verify"
+                args.order = _default_order(hypergeom.NUMERIC_CHECK_ORDER if verify else 24)
+            elif args.order < 1:
+                raise ValueError("--order must be at least 1")
         return args.fn(args)
     except IdentityFailed as exc:
         print(f"identity failed: {exc}", file=sys.stderr)

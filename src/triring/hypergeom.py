@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import CutLineViolation, InconclusiveOrder, PolarParameter, TruncationExhausted
 from .params import TriangleParams, derived_constants
-from .ring import Poly
+from .ring import Poly, terms_json_obj
 from .series import PuiseuxSeries, series_json_obj
 
 SYMBOLS_AT_ONE = ("theta", "theta1")
@@ -175,7 +175,7 @@ class SymbolicSeries:
         for m, s in self.parts.items():
             for k, c in s.with_ram(ram).coeffs.items():
                 grid.setdefault(k, {})[m] = c
-        values = {k: Poly(self.symbols, t).to_json_obj() for k, t in grid.items()}
+        values = {k: terms_json_obj(self.symbols, t) for k, t in grid.items()}
         return series_json_obj(ram, self.prec, values, "symbolic")
 
 

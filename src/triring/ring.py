@@ -18,7 +18,8 @@ refuses anything else, and a product or derivative whose degree would
 pass the cap raises :class:`DomainMismatch` before any field could carry
 into the next.  So a product of monomials is the sum of their keys,
 "``lead`` divides ``w``" is ``((w | G) - lead) & G == G`` for the guard
-mask ``G``, and the monomial order is int order.  ``Poly(vars, terms)``
+mask ``G``, and int order is the monomial order: graded lexicographic,
+the later variable in the tuple more significant.  ``Poly(vars, terms)``
 takes exponent tuples, and ``terms`` reads them back.
 
 Two variable tuples cover every computation in the package:
@@ -30,9 +31,7 @@ Two variable tuples cover every computation in the package:
 * the homogeneous ring over ``(t, X0, .., X4)`` graded by plain degree
   in the ``X`` variables, with ``t`` acting as the coefficient variable.
 
-The monomial order is graded lexicographic with the later variable in
-the tuple more significant, the order of the packed keys.  Resultants
-are Sylvester determinants evaluated by fraction-free Bareiss
+Resultants are Sylvester determinants evaluated by fraction-free Bareiss
 elimination, so no polynomial GCDs are ever required.
 """
 
@@ -96,11 +95,6 @@ def _codec(n):
         return unpack_exps(key.to_bytes(size, "little"))
 
     return pack, unpack
-
-
-def _guard(n):
-    """The mask of the guard bits of the ``n + 1`` fields."""
-    return sum(1 << FIELD * i + FIELD - 1 for i in range(n + 1))
 
 
 def _unit(n, idx, exponent=1):
@@ -428,7 +422,7 @@ class Poly:
             lead = max(d.mono)
             leads.append((lead, d.mono[lead]))
             tails.append([(k, c) for k, c in d.mono.items() if k != lead])
-        guard = _guard(len(self.vars))
+        guard = sum(1 << FIELD * i + FIELD - 1 for i in range(len(self.vars) + 1))
         quos = [{} for _ in divisors]
         rem = {}
         work = dict(self.mono)
@@ -467,12 +461,7 @@ class Poly:
         return [Poly._make(self.vars, q) for q in quos], Poly._make(self.vars, rem)
 
     def divmod_single(self, divisor):
-        """Division by one polynomial under the graded-lex order.
-
-        Returns ``(quotient, remainder)`` with
-        ``self == quotient * divisor + remainder`` and no remainder term
-        divisible by the divisor's leading monomial.
-        """
+        """``(quotient, remainder)`` of :meth:`divmod_many` by one divisor."""
         (quo,), rem = self.divmod_many([divisor])
         return quo, rem
 
@@ -498,22 +487,14 @@ class Poly:
     # -- serialization -----------------------------------------------------------
 
     def to_json_obj(self):
-        unpack = _codec(len(self.vars))[1]
-        terms = [
-            {"exps": list(unpack(k)), "coef": str(c)} for k, c in sorted(self.mono.items())
-        ]
-        return {"vars": list(self.vars), "terms": terms}
+        return terms_json_obj(self.vars, self.terms)
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
     @classmethod
     def from_json_obj(cls, obj):
-        vars = tuple(obj["vars"])
-        terms = {}
-        for item in obj["terms"]:
-            terms[tuple(item["exps"])] = Fraction(item["coef"])
-        return cls(vars, terms)
+        return cls(obj["vars"], {tuple(t["exps"]): Fraction(t["coef"]) for t in obj["terms"]})
 
     def to_text(self):
         """Render as a sum of monomials, e.g. ``3/4 * tau^2 q y0 - y1``."""
@@ -551,34 +532,44 @@ _TOKEN = re.compile(
 )
 
 
+def terms_json_obj(vars, terms):
+    """``Poly(vars, terms).to_json_obj()`` for nonzero ``terms``: terms in key order."""
+    pack = _codec(len(vars))[0]
+    return {"vars": list(vars), "terms": [
+        {"exps": list(e), "coef": str(terms[e])} for e in sorted(terms, key=pack)]}
+
+
 def poly_from_text(text, vars=AFFINE_VARS):
-    """Parse the textual monomial-sum format into a :class:`Poly`.
+    """Parse the textual monomial-sum format, or a JSON object, into a :class:`Poly`.
 
     Accepts rational coefficients ``num/den``, optional ``*`` separators
-    and ``^`` exponents, e.g. ``"1/4 * tau^2 q - y0 y1 + 3"``.
+    and ``^`` exponents, e.g. ``"1/4 * tau^2 q - y0 y1 + 3"``.  Malformed
+    input raises :class:`PolyParseError`.
     """
     text = text.strip()
-    if text.startswith("{"):
-        return Poly.from_json_obj(json.loads(text))
-    vars = tuple(vars)
+    try:
+        if text.startswith("{"):
+            return Poly.from_json_obj(json.loads(text))
+        return _parse_sum(text, tuple(vars))
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise PolyParseError(f"cannot parse polynomial {text!r}: {exc!r}") from None
+
+
+def _parse_sum(text, vars):
     terms = {}
-    pos = 0
-    sign = 1
-    coef = None
-    exps = None
+    pos, sign, coef, exps = 0, 1, None, None
 
     def flush():
         nonlocal coef, exps, sign
         if coef is None and exps is None:
             return
-        c = Fraction(1) if coef is None else coef
-        e = tuple(exps) if exps is not None else (0,) * len(vars)
-        terms[e] = terms.get(e, 0) + sign * c
+        e = (0,) * len(vars) if exps is None else tuple(exps)
+        terms[e] = terms.get(e, 0) + sign * (1 if coef is None else coef)
         coef, exps, sign = None, None, 1
 
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             raise PolyParseError(f"cannot parse polynomial near {text[pos:pos+20]!r}")
         pos = m.end()
         if m.group("sign"):
@@ -613,13 +604,9 @@ def weight(P):
     for exps in P.terms:
         w = 0
         for name, e in zip(P.vars, exps):
-            if not e:
-                continue
             if name in VAR_WEIGHTS:
                 w += e * VAR_WEIGHTS[name]
-            elif name in ("tau", "q", "t"):
-                pass
-            else:
+            elif e and name not in ("tau", "q", "t"):
                 raise DomainMismatch(f"variable {name} carries no weight")
         best = max(best, w)
     return best

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from triring import cli
 from triring.cli import run
 
 
@@ -239,3 +240,69 @@ def test_generic_ord_of_a_huge_coefficient(capsys):
                           f"{10 ** 400} * y0 y1 + tau")
     assert code == 0
     assert out.endswith(") = 0  [z-coordinate]\n")
+
+
+def test_two_runs_build_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(["params", "check", "1/5", "1/4", "1/2"]) == 0
+        assert run(["params", "residuals", "1/5", "1/4", "1/2"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "check", "1/5", "1/4", "1/2"],
+    ["ord", "--at", "0", "--params", "1/5,1/4,1/2", "y0", "--order", "8"],
+])
+def test_bad_env_var_leaves_commands_off_the_default_order_alone(capsys, monkeypatch, argv):
+    monkeypatch.setenv("TRIRING_ORDER", "abc")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0
+    assert out and err == ""
+
+
+def test_bad_env_var_still_fails_the_default_order(capsys, monkeypatch):
+    monkeypatch.setenv("TRIRING_ORDER", "abc")
+    code, out, err = invoke(capsys, "hyper", "expand", "--params", "1/5,1/4,1/2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: TRIRING_ORDER must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("command", [
+    "params", "derive", "bracket", "ideal", "hyper", "ord", "dist", "audit", "verify",
+])
+def test_every_subcommand_help_lists_emit(capsys, command):
+    code, out, _ = invoke(capsys, command, "--help")
+    assert code == 0
+    assert "--emit {text,json}" in out
+
+
+JSON_ZERO_DENOMINATOR = json.dumps({
+    "vars": ["tau", "q", "y0", "y1", "y2"],
+    "terms": [{"exps": [0, 0, 1, 0, 0], "coef": "1/0"}],
+})
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "check", "1/0", "1/4", "1/2"],
+    ["params", "residuals", "1/0", "1", "2"],
+    ["derive", "--params", "1/5,1/0,1/2", "y0"],
+    ["derive", "--params", "1/5,1/4,1/2", "1/0*y0"],
+    ["derive", "--params", "1/5,1/4,1/2", JSON_ZERO_DENOMINATOR],
+    ["derive", "--params", "1/5,1/4,1/2", '{"terms": []}'],
+    ["derive", "--params", "1/5,1/4,1/2", '{"vars": 1}'],
+    ["derive", "--params", "1/5,1/4,1/2", '{"vars": 1, "terms": []}'],
+    ["derive", "--params", "1/5,1/4,1/2", '{"vars": ["y0"], "terms": [1]}'],
+    ["params", "eta", "--seed", "3"],
+], ids=lambda argv: " ".join(argv)[:60])
+def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("error:") == 1 and err.endswith("\n")

@@ -469,3 +469,31 @@ def test_evaluate_matches_mpmath_u0():
             * mp.hyp2f1(al, be, ga, z)
         )
         assert abs(u0.evaluate(z) - direct) < 1e-12
+
+
+def test_symbolic_json_with_shared_steps_equals_the_poly_route():
+    # several monomials on one grid step, parts listed against the term order:
+    # each step's value must be the Poly sum of its terms, rendered by Poly
+    from triring.series import series_json_obj
+
+    symbols = hg.SYMBOLS_AT_ONE
+    parts = {
+        (0, 2): PuiseuxSeries(1, {0: 3, 1: Fraction(-1, 2), 4: 7}, 6),
+        (2, 0): PuiseuxSeries(2, {1: 5, 2: Fraction(2, 3), 3: -1}, Fraction(9, 2)),
+        (1, 1): PuiseuxSeries(1, {0: -4, 2: 1}, 5),
+        (0, 0): PuiseuxSeries(2, {0: 1, 2: Fraction(1, 7)}, 5),
+        (1, 0): PuiseuxSeries(1, {1: 2}, 7),
+    }
+    S = hg.SymbolicSeries(symbols, parts)
+    ram = 2
+    grid = {}
+    for m, s in S.parts.items():
+        term = Poly.var(symbols, symbols[0], m[0]) * Poly.var(symbols, symbols[1], m[1])
+        for k, c in s.with_ram(ram).coeffs.items():
+            grid[k] = grid.get(k, Poly.zero(symbols)) + c * term
+    assert max(len(P.terms) for P in grid.values()) >= 4
+    want = series_json_obj(ram, S.prec, {k: P.to_json_obj() for k, P in grid.items()}, "symbolic")
+    assert S.to_json_obj() == want
+    # graded lex, the later symbol more significant
+    step0 = S.to_json_obj()["coeffs"][0]["value"]["terms"]
+    assert [t["exps"] for t in step0] == [[0, 0], [1, 1], [0, 2]]
