@@ -41,6 +41,16 @@ print("numeric orders at the generic point z0 = 0.3 + 0.2i:")
 for s in ("1", "y0 y1 - y2 + tau q", "tau^2 + q"):
     rep = ord_at_generic(poly_from_text(s), p, 0.3 + 0.2j)
     print(f"  ord({s}) = {rep.ord}")
+# tau = 1/2 at this z0, to double precision
+z0 = 0.22125195410815288
+print(f"positive orders at z0 = {z0}, a zero of tau - 1/2:")
+root = poly_from_text("tau - 1/2")
+for label, P in (
+    ("tau - 1/2", root),
+    ("(tau - 1/2)^14 (y0 y1 + q y2^2 - 3)", root ** 14 * poly_from_text("y0 y1 + q y2^2 - 3")),
+):
+    rep = ord_at_generic(P, p, z0)
+    print(f"  ord({label}) = {rep.ord}")
 print(LINE)
 
 

@@ -112,4 +112,4 @@ class TruncationExhausted(TriringError):
 
 
 class ThresholdAmbiguous(TriringError):
-    """Largest coefficient sits below the cutoff yet is not exactly zero."""
+    """No (D^n P)(z0) with n < N clears its error bound at a generic point."""

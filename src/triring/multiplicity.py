@@ -10,9 +10,10 @@ order of a coefficient vector is the exponent of the first column with
 a nonzero dot product, retrying at doubled order while every column
 vanishes.  At a generic point u0 is a unit and the derivation D acts as
 u0^2 d/dz, so the order of P is the least n with (D^n P)(z0) nonzero:
-the exact iterates D^n P are evaluated at the five generator values at
-z0, and the first whose value stands clear of the error those values
-can carry gives the order.
+(D^n P)(z0) is the n-th derivative of P along the flow of D from the
+five generator values at z0, run exactly as truncated jets, and the
+first that stands clear of the error those values can carry gives the
+order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     TruncationExhausted,
     ZeroPolynomial,
 )
-from .derivation import apply_D, dehomogenize, is_x_homogeneous, leibniz, x_degree
+from .derivation import _tables, dehomogenize, is_x_homogeneous, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
 from .series import PuiseuxSeries
@@ -46,8 +47,6 @@ MAX_DOUBLINGS = 3
 # u_value_and_derivative against mpmath at 30 digits (2.3e-14 over 400
 # points of the cut disk on triples with denominators up to 20)
 GENERIC_THRESHOLD = 1e-12
-# D^n P grows with n; a derivative with more terms is not differentiated again
-GENERIC_MAX_TERMS = 10000
 
 
 @dataclass
@@ -163,6 +162,11 @@ def _first_orders(columns_at, vectors, N):
     return orders, order_used
 
 
+def _affine(P: Poly) -> Poly:
+    """P over ``AFFINE_VARS``, variables matched by name; any other raises DomainMismatch."""
+    return P if P.vars == AFFINE_VARS else P.rename_ring(AFFINE_VARS, {v: v for v in AFFINE_VARS})
+
+
 def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
     """Exact z-coordinate vanishing order at 0, with automatic retries.
 
@@ -174,8 +178,7 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
         raise ZeroPolynomial("the zero polynomial has no order")
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    affine = P if P.vars == AFFINE_VARS else P.rename_ring(AFFINE_VARS, {v: v for v in AFFINE_VARS})
-    terms = affine.terms  # decoded once: the retries below reuse the exponent tuples
+    terms = _affine(P).terms  # decoded once: the retries below reuse the exponent tuples
     scale = math.lcm(*[c.denominator for c in terms.values()])
     vector = [c.numerator * (scale // c.denominator) for c in terms.values()]
     truncation = None
@@ -220,7 +223,11 @@ def _generator_values(params, z0):
 
 
 def _gaussian_point(values, names):
-    """The float ``values`` of ``names`` as Gaussian integers X = x * 2^K, and K."""
+    """The float ``values`` of ``names`` as Gaussian integers X = x * 2^K, then 1, and K.
+
+    Each is ``(Re X, Im X, |Re X| + |Im X|)``; the constant 1 takes no
+    power of two.
+    """
     ratios = [
         part.as_integer_ratio()
         for name in names
@@ -228,81 +235,120 @@ def _gaussian_point(values, names):
     ]
     K = max(den.bit_length() - 1 for _, den in ratios)
     ints = [num << (K - den.bit_length() + 1) for num, den in ratios]
-    return list(zip(ints[0::2], ints[1::2])), K
+    point = [(re, im, abs(re) + abs(im)) for re, im in zip(ints[0::2], ints[1::2])]
+    return point + [(1, 0, 1)], K
 
 
-def _scaled_iterates(P: Poly, params):
-    """Integer multiples of P, D P, D^2 P, ... as ``(poly, scale)``.
+@lru_cache(maxsize=32)
+def _flow_images(params):
+    """M and the images of D on tau, q, y0, y1, y2 times M, as (exps, int) terms.
 
-    D^n P is ``poly / scale``.  The iterates apply M D, M the least common
-    denominator of the generator images of D, so the Leibniz rule runs on
-    ints with no Fraction arithmetic.
+    M is the least common denominator of the images, so each entry of the
+    flow stays an integer.  Cached per triple, bounded like
+    ``generator_series``; the images are tuples, so a shared result cannot
+    be changed by its readers.
     """
-    yield P, 1
-    images = {v: apply_D(Poly.var(P.vars, v), params) for v in P.vars}
-    M = math.lcm(
-        *(Fraction(c).denominator for img in images.values() for c in img.mono.values())
-    )
-    table = {v: M * img for v, img in images.items()}
-    scale = math.lcm(*(Fraction(c).denominator for c in P.mono.values()))
-    multiple = scale * P
-    while True:
-        multiple = leibniz(multiple, table)
-        scale *= M
-        yield multiple, scale
+    images = [_tables(params)["D"][v].terms for v in AFFINE_VARS]
+    M = math.lcm(*(c.denominator for image in images for c in image.values()))
+    return M, tuple(tuple((exps, int(M * c)) for exps, c in image.items()) for image in images)
 
 
-def _value_and_bound(P: Poly, values, scale=1):
-    """P / scale exactly at the float ``values``, a bound on its input error, and their unit.
+def _conv(a, b, row):
+    """Entry n of the product of jets ``a`` and ``b`` of n entries, ``row`` = C(n, .).
 
-    The value carries no rounding: every term is a Gaussian integer over
-    one common denominator.  If each input may be off by a relative error
-    ``GENERIC_THRESHOLD``, the value of P may be off by that times
-    sum_i |x_i dP/dx_i| (the sum over variables of |sum_t e_i(t) t|, t the
-    terms), plus a second-order remainder of at most that squared times
-    sum_t deg(t)^2 |t|.  Terms that cancel do not inflate the bound; only
-    the sensitivity of P to its inputs does.
-
-    Value and bound are floats in one ``unit``, a Fraction: 2^E over the
-    common denominator, E the bit length of the largest term, so both
-    stay near that term's size whatever the scale of P: no conversion
-    overflows, and a constant factor of P cancels from their ratio.  The
-    value is ``value * unit``.
+    An entry is ``(re, im, majorant)``: a Gaussian integer and an integer
+    that runs the same sum on the majorants.
     """
-    point, K = _gaussian_point(values, P.vars)
-    top = P.total_degree()
-    lcm = math.lcm(*(Fraction(c).denominator for c in P.mono.values()))
-    powers = [[(1, 0)] for _ in point]
-    value = [0, 0]
-    slopes = [[0, 0] for _ in point]
-    terms = []
-    for exps, coef in P.terms.items():
-        deg = sum(exps)
-        re, im = int(coef * lcm) << (K * (top - deg)), 0
+    re = im = mj = 0
+    for c, (p, q, u), (r, s, v) in zip(row, a, reversed(b)):
+        re += c * (p * r - q * s)
+        im += c * (p * s + q * r)
+        mj += c * u * v
+    return re, im, mj
+
+
+def _combine(form, jets, j, n):
+    """Entry n of part j of the linear form ``form``, (node, integer) pairs."""
+    re = im = mj = 0
+    for idx, c in form:
+        p, q, u = jets[idx][j][n]
+        re, im, mj = re + c * p, im + c * q, mj + abs(c) * u
+    return re, im, mj
+
+
+def _slope_entries(a, b, jet, row):
+    """Append entry n of x_j d/dx_j of the product of nodes ``a`` and ``b`` to its part j."""
+    for j in range(1, len(jet)):
+        (p, q, _), (r, s, _) = _conv(a[j], b[0], row), _conv(a[0], b[j], row)
+        jet[j].append((p + r, q + s, 0))
+
+
+def _flow(P: Poly, params, values, slopes):
+    """Entries n = 0, 1, ... of P along the flow of D from the float ``values``.
+
+    Along the flow x(s) of D from the point x, P(x(s)) has n-th derivative
+    (D^n P)(x) at s = 0.  Every monomial needed is a node: a generator,
+    whose entry n comes from its image under D at entry n - 1, or the
+    product of a shorter monomial and a generator, whose entry n is a
+    binomial convolution.  A node of degree d holds its entries as
+    Gaussian integers over M^n 2^(K(n+d)) (``_gaussian_point``), so entry
+    n of P is exact over ``den`` = lcm(P) M^n 2^(K(n+top)), top = deg P.
+    Entry 0 is P at x; the images of D enter from entry 1 on.
+
+    Each entry carries a majorant: the same recurrence on absolute
+    coefficients from |Re x_i| + |Im x_i|, which bounds the sum of |t|
+    over the terms t of D^n P at x.  Part 0 of a node is its value; if
+    ``slopes``, parts 1..5 are x_i d/dx_i of it by the product rule
+    (their majorants stay 0).
+    Yields ``((re, im, majorant), slopes or None, den)``.
+    """
+    point, K = _gaussian_point(values, AFFINE_VARS)
+    terms, top = P.terms, P.total_degree()
+    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    # nodes 0..4 are the generators and 5 the constant 1, each with its entry 0
+    jets = [[[x]] for x in point]
+    for s, jet in enumerate(jets if slopes else ()):
+        jet += [[(point[s][0], point[s][1], 0) if j == s else (0, 0, 0)] for j in range(5)]
+    index = {(): 5, **{(i,): i for i in range(5)}}  # sorted variable numbers: node
+    products = []  # (factor, generator, product) jets, each after its factors
+
+    def node(exps):
+        key, idx = (), 5
         for i, e in enumerate(exps):
-            if not e:
-                continue
-            pw = powers[i]
-            while len(pw) <= e:
-                (a, b), (c, d) = pw[-1], point[i]
-                pw.append((a * c - b * d, a * d + b * c))
-            c, d = pw[e]
-            re, im = re * c - im * d, re * d + im * c
-        value[0] += re
-        value[1] += im
-        for i, e in enumerate(exps):
-            if e:
-                slopes[i][0] += e * re
-                slopes[i][1] += e * im
-        terms.append((deg * deg, re, im))
-    shift = 1 << max(max(abs(re), abs(im)).bit_length() for _, re, im in terms)
-    mag = lambda re, im: abs(complex(re / shift, im / shift))
-    remainder = sum(d2 * mag(re, im) for d2, re, im in terms)
-    sensitivity = sum(mag(re, im) for re, im in slopes)
-    eps = GENERIC_THRESHOLD
-    bound = eps * (sensitivity + eps * remainder)
-    unit = Fraction(shift, (lcm * scale) << (K * top))
-    return complex(value[0] / shift, value[1] / shift), bound, unit
+            for _ in range(e):
+                key += (i,)
+                step = index.get(key)
+                if step is None:  # entry 0 of a product is the product of entries 0
+                    a, b = jets[idx], jets[i]
+                    (p, q, u), (r, s, v) = a[0][0], b[0][0]
+                    jet = [[(p * r - q * s, p * s + q * r, u * v)]]
+                    if slopes:
+                        jet += [[] for _ in a[1:]]
+                        _slope_entries(a, b, jet, (1,))
+                    step = index[key] = len(jets)
+                    jets.append(jet)
+                    products.append((a, b, jet))
+                idx = step
+        return idx
+
+    def entry(n, den):
+        slopes_n = [_combine(form, jets, j, n)[:2] for j in range(1, 6)] if slopes else None
+        return _combine(form, jets, 0, n), slopes_n, den
+
+    form = [(node(e), int(c * lcm) << K * (top - sum(e))) for e, c in terms.items()]
+    yield entry(0, lcm << K * top)
+    M, images = _flow_images(params)
+    flows = [[(node(e), c << K * (2 - sum(e))) for e, c in image] for image in images]
+    flows.append([])  # the constant 1
+    for n in itertools.count(1):
+        for jet, flow in zip(jets, flows):
+            for j, part in enumerate(jet):
+                part.append(_combine(flow, jets, j, n - 1))
+        row = [math.comb(n, k) for k in range(n + 1)]
+        for a, b, jet in products:
+            jet[0].append(_conv(a[0], b[0], row))
+            _slope_entries(a, b, jet, row)
+        yield entry(n, lcm * M ** n << K * (n + top))
 
 
 def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdReport:
@@ -313,15 +359,17 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
 
     The order is the least n < N with |(D^n P)(z0)| above the error
     that a relative error of ``GENERIC_THRESHOLD`` in each of the five
-    generator values could cause in it (``_value_and_bound``); a value
-    within that bound is read as zero.  The value is computed exactly at
-    those values, so terms that cancel cost no precision, and the ratio
-    of value to bound is the margin of the decision.  Value and bound are
-    compared in a unit taken from the largest term, so the decision is
-    scale-free: there is no absolute floor, and c * P has the order of P
-    for every constant c != 0.  A D^n P of more than
-    ``GENERIC_MAX_TERMS`` terms still to differentiate, or no n < N
-    clearing its bound, is ambiguous.
+    generator values x could cause in it; a value within that bound is
+    read as zero.  (D^n P)(x) is computed exactly as entry n of P along
+    the flow of D from x (``_flow``), so terms that cancel cost no
+    precision and no D^n P is ever built.  The bound is eps times the
+    sum over i of |x_i d/dx_i (D^n P)(x)|, plus eps^2 (deg P + n)^2 times
+    the majorant of entry n.  Slopes are computed only when the value
+    does not already clear the cruder bound with (deg P + n) times the
+    majorant in place of their sum.  Value and bound are compared in a
+    unit taken from the majorant, so the decision is scale-free: there
+    is no absolute floor, and c * P has the order of P for every
+    constant c != 0.  No n < N clearing its bound is ambiguous.
     """
     if not P:
         raise ZeroPolynomial("the zero polynomial has no order")
@@ -332,28 +380,26 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
         raise ValueError("z0 must be inside the disk, away from 0 and 1")
     if z0.imag == 0 and z0.real < 0:
         raise CutLineViolation(f"{z0} lies on the branch cut along the negative axis")
+    affine = _affine(P)
     values = _generator_values(params, z0)
-    iterates = _scaled_iterates(P, params)
+    top, eps = affine.total_degree(), GENERIC_THRESHOLD
+    entries = _flow(affine, params, values, slopes=False)
     for n in range(N):
-        multiple, scale = next(iterates)
-        if not multiple:
-            raise TruncationExhausted(f"D^{n} P is the zero polynomial")
-        value, bound, _ = _value_and_bound(multiple, values, scale)
-        if abs(value) > bound:
-            return OrdReport(
-                point=str(z0),
-                poly=P.to_text(),
-                ord=n,
-                conclusive=True,
-                truncation=Fraction(N),
-                domain="complex",
-            )
-        if len(multiple.mono) > GENERIC_MAX_TERMS:
-            raise ThresholdAmbiguous(
-                f"D^{n} P has {len(multiple.mono)} terms, more than "
-                f"{GENERIC_MAX_TERMS}, and is read as zero at {z0}"
-            )
-    raise ThresholdAmbiguous(f"no D^n P with n < {N} clears its error bound")
+        (re, im, majorant), slopes, _ = next(entries)
+        shift, d = 1 << majorant.bit_length(), top + n
+        size, scale = abs(complex(re / shift, im / shift)), majorant / shift
+        if size > eps * d * scale * (1 + eps * d):  # the slopes sum to at most d * majorant
+            break
+        if slopes is None:
+            entries = _flow(affine, params, values, slopes=True)
+            slopes = next(itertools.islice(entries, n, None))[1]
+        sensitivity = sum(abs(complex(a / shift, b / shift)) for a, b in slopes)
+        if size > eps * (sensitivity + eps * d * d * scale):
+            break
+    else:
+        raise ThresholdAmbiguous(f"no D^n P with n < {N} clears its error bound")
+    return OrdReport(point=str(z0), poly=P.to_text(), ord=n, conclusive=True,
+                     truncation=Fraction(N), domain="complex")
 
 
 # -- hypersurface distance ------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from triring.derivation import apply_D
 from triring.multiplicity import generator_series
 from triring.params import is_valid, validate
 from triring.ring import AFFINE_VARS, Poly
@@ -79,6 +80,32 @@ def reference_leibniz(P, table):
                 key = tuple(key)
                 terms[key] = terms.get(key, 0) + coef * e * img_coef
     return Poly(P.vars, terms)
+
+
+def reference_generic_entry(P, params, values, n):
+    """(D^n P) at the float generator ``values``, by ``apply_D`` n times and exact sums.
+
+    A reference for ``multiplicity._flow``: D^n P is built as a
+    polynomial over ``AFFINE_VARS`` and each of its terms t is evaluated
+    exactly, every float value read as a Gaussian rational.  Returns the
+    value, the slopes x_i d/dx_i (the sums of e_i(t) t, in the order of
+    ``AFFINE_VARS``), each a ``(re, im)`` pair of Fractions, and the
+    float sum of deg(t)^2 |t|.
+    """
+    Q = P
+    for _ in range(n):
+        Q = apply_D(Q, params)
+    point = [(Fraction(values[v].real), Fraction(values[v].imag)) for v in AFFINE_VARS]
+    value, slopes, remainder = (0, 0), [(0, 0)] * len(point), 0.0
+    for exps, coef in Q.terms.items():
+        re, im = Fraction(coef), Fraction(0)
+        for (a, b), e in zip(point, exps):
+            for _ in range(e):
+                re, im = re * a - im * b, re * b + im * a
+        value = (value[0] + re, value[1] + im)
+        slopes = [(s + e * re, t + e * im) for (s, t), e in zip(slopes, exps)]
+        remainder += sum(exps) ** 2 * math.hypot(re, im)
+    return value, slopes, remainder
 
 
 def series_sum(P, params, N):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from triring import ideals
 from triring import multiplicity as mult
-from triring.derivation import apply_D
 from triring.errors import (
     DomainMismatch,
     ThresholdAmbiguous,
@@ -21,7 +20,7 @@ from triring.errors import (
 from triring.params import derived_constants, validate
 from triring.ring import AFFINE_VARS, HOMOG_VARS, Poly, poly_from_text
 
-from conftest import reference_order, reference_rows
+from conftest import reference_generic_entry, reference_order, reference_rows
 
 P134 = validate(Fraction(1, 5), Fraction(1, 4), Fraction(1, 2))
 TRIPLES = [
@@ -226,6 +225,24 @@ def test_generic_order_of_a_power_of_tau_minus_one_half(k, unit):
     assert rep.ord == k and rep.conclusive
 
 
+@pytest.mark.parametrize("k", [14, 20])
+def test_deep_generic_orders_are_decided(k):
+    # D^10 of the order-14 case has 12049 terms: the flow of D never builds them
+    z0 = _tau_root(mp.mpf(1) / 2, 0.22)
+    rep = mult.ord_at_generic(text("tau - 1/2") ** k * text("y0 y1 + q y2^2 - 3"), P134, z0)
+    assert rep.ord == k and rep.conclusive
+
+
+def test_generic_orders_map_variables_by_name():
+    z0 = _tau_root(mp.mpf(1) / 2, 0.22)
+    assert mult.ord_at_generic(text("tau - 1/2", vars=("tau",)), P134, z0).ord == 1
+    assert mult.ord_at_generic(text("y0 - y1", vars=("y1", "y0")), P134, 0.3).ord == 0
+    with pytest.raises(DomainMismatch, match="X0"):
+        mult.ord_at_generic(text("X0", vars=("X0",)), P134, 0.3)
+    with pytest.raises(DomainMismatch, match="X0"):
+        mult.ord_at_generic(text("y0 X0", vars=("y0", "X0")), P134, 0.3)
+
+
 def test_closed_form_u0_matches_the_series_at_zero():
     # u0 and u0' from the closed form are the only numeric inputs of generic orders
     from triring import hypergeom as hg
@@ -245,13 +262,13 @@ def test_D_is_u0_squared_times_d_dz_on_generator_values(poly):
     P = text(poly)
     z0, h = 0.3 + 0.2j, 1e-5
 
-    def at(z, Q):
-        value, _, unit = mult._value_and_bound(Q, mult._generator_values(P134, z))
-        return value * float(unit)
+    def at(z, n):
+        (re, im, _), _, den = _entry(P, P134, z, n)
+        return complex(re / den, im / den)
 
     u0, _ = hg.u_value_and_derivative("u0", P134, z0)
-    lhs = at(z0, apply_D(P, P134))
-    slope = (at(z0 + h, P) - at(z0 - h, P)) / (2 * h)
+    lhs = at(z0, 1)
+    slope = (at(z0 + h, 0) - at(z0 - h, 0)) / (2 * h)
     assert abs(lhs - u0 * u0 * slope) <= 1e-8 * max(abs(lhs), 1.0)
 
 
@@ -265,23 +282,71 @@ def test_expanded_power_that_cancels_is_not_read_as_zero(k):
 
 
 def test_generic_value_is_exact_and_its_bound_follows_the_slopes():
-    values = mult._generator_values(P134, 0.25)
-    tau = values["tau"]
-    value, bound, unit = mult._value_and_bound(text("tau - 1/2") ** 2, values)
-    value, bound = value * float(unit), bound * float(unit)
+    tau = mult._generator_values(P134, 0.25)["tau"]
+    (re, im, majorant), slopes, den = _entry(text("tau - 1/2") ** 2, P134, 0.25, 0)
+    value = complex(re / den, im / den)
     assert abs(value - (tau - 0.5) ** 2) <= 1e-15 * abs(tau - 0.5) ** 2
     # tau d/dtau (tau - 1/2)^2 = 2 tau (tau - 1/2), plus a second-order term
     slope = abs(2 * tau * (tau - 0.5))
     eps = mult.GENERIC_THRESHOLD
+    # the bound of ord_at_generic: deg P + n = 2
+    sensitivity = sum(abs(complex(a / den, b / den)) for a, b in slopes)
+    bound = eps * (sensitivity + eps * 2 ** 2 * majorant / den)
     assert eps * slope <= bound <= eps * slope * 1.01
 
 
-def test_generic_order_stops_at_the_term_cap(monkeypatch):
-    # a positive order whose derivative outgrows the cap is ambiguous, not guessed
-    z0 = _tau_root(mp.mpf(1) / 2, 0.22)
-    monkeypatch.setattr(mult, "GENERIC_MAX_TERMS", 1)
-    with pytest.raises(ThresholdAmbiguous):
-        mult.ord_at_generic(text("tau - 1/2"), P134, z0)
+def test_a_value_within_the_second_order_term_is_read_as_zero():
+    # (tau - t)^2 + 10^-30, t the float value of tau: the value 10^-30 has
+    # no slope to clear, and eps^2 deg^2 times its majorant reads it as
+    # zero, as does the zero first derivative; D^2 of it is 2 w^2
+    t = Fraction(mult._generator_values(P134, 0.25)["tau"].real)
+    P = Poly(AFFINE_VARS, {(2, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): -2 * t, (0,) * 5: t * t})
+    assert mult.ord_at_generic(P + Fraction(1, 10 ** 30), P134, 0.25).ord == 2
+
+
+def _entry(P, params, z0, n):
+    """Entry n of P along the flow of D from the generator values at z0, with its slopes."""
+    entries = mult._flow(P, params, mult._generator_values(params, z0), slopes=True)
+    return next(itertools.islice(entries, n, None))
+
+
+def _reference_order(P, params, z0, N):
+    """The least n < N whose reference entry clears the bound of the iterated route, or None."""
+    values, eps = mult._generator_values(params, z0), mult.GENERIC_THRESHOLD
+    for n in range(N):
+        value, slopes, remainder = reference_generic_entry(P, params, values, n)
+        sensitivity = sum(math.hypot(*s) for s in slopes)
+        if math.hypot(*value) > eps * (sensitivity + eps * remainder):
+            return n
+    return None
+
+
+@st.composite
+def cubic_polys(draw):
+    exps = st.tuples(*[st.integers(0, 3)] * 5).filter(lambda e: sum(e) <= 3)
+    coefs = st.fractions(-5, 5, max_denominator=7).filter(bool)
+    return Poly(AFFINE_VARS, draw(st.dictionaries(exps, coefs, min_size=1, max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(P=cubic_polys(), triple=st.sampled_from(TRIPLES[:2]),
+       z0=st.sampled_from([0.3 + 0.2j, 0.45 - 0.1j]), n=st.integers(0, 5))
+def test_flow_entry_equals_the_iterated_derivation(P, triple, z0, n):
+    (re, im, majorant), slopes, den = _entry(P, triple, z0, n)
+    value, ref_slopes, remainder = reference_generic_entry(
+        P, triple, mult._generator_values(triple, z0), n
+    )
+    assert (Fraction(re, den), Fraction(im, den)) == value
+    assert [(Fraction(a, den), Fraction(b, den)) for a, b in slopes] == ref_slopes
+    # the second-order term is never below that of the iterated route
+    d = P.total_degree() + n
+    assert d * d * majorant / den >= remainder
+    order = _reference_order(P, triple, z0, 6)
+    if order is None:
+        with pytest.raises(ThresholdAmbiguous):
+            mult.ord_at_generic(P, triple, z0, N=6)
+    else:
+        assert mult.ord_at_generic(P, triple, z0, N=6).ord == order
 
 
 def test_generic_orders_are_natural_numbers():
