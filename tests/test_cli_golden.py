@@ -14,7 +14,9 @@ Gamma was a Lanczos approximation; the ord files on 1/11,1/9,1/4 were
 captured when the monomial rows were still built as ``PuiseuxSeries``
 products; the order-48 expand file on 1/11,1/9,1/4 (tau and q on the
 ram-4 grid) was captured when ``exp`` summed its recurrence in
-``Fraction`` term by term and the JSON went through ``json.dumps``.
+``Fraction`` term by term and the JSON went through ``json.dumps``; the
+Dprime and H derive files were captured when D, D' and H each had their
+own table of generator images.
 Every rewrite must reproduce them
 byte for byte, and with the same exit code.
 """
@@ -34,6 +36,8 @@ T1, T2 = TRIPLES["1_5_1_4_1_2"], TRIPLES["1_8_1_6_1_3"]
 #: a triple whose generator series live on the ram-4 grid
 T3 = "1/11,1/9,1/4"
 DERIVE_POLY = "y0^2 y1 - 3/7 * q tau y2"
+#: every generator appears, so D' and H each keep some terms and kill others
+VARIANT_POLY = "y0 y1 + tau q"
 #: a member whose cofactor on the generator 2 q y0 is 1/2
 MEMBER = ["ideal", "member", "--poly", "q y0 y1 - q y1^2 + q y0",
           "--gens", "2 * q y0", "y0 - y1"]
@@ -88,6 +92,10 @@ def _cases():
     cases["derive_1_5_1_4_1_2.json"] = (
         ["derive", "--params", T1, "--emit", "json", DERIVE_POLY], 0)
     cases["derive_1_8_1_6_1_3.txt"] = (["derive", "--params", T2, DERIVE_POLY], 0)
+    for kind in ("Dprime", "H"):
+        for label, triple in TRIPLES.items():
+            cases[f"derive_{kind}_{label}.json"] = (
+                ["derive", "--kind", kind, "--params", triple, "--emit", "json", VARIANT_POLY], 0)
     cases["bracket_1_5_1_4_1_2.json"] = (
         ["bracket", "--params", T1, "--emit", "json", "y0 - y1", "y0 y2 - y1^2"], 0)
     cases["ideal_stable_1_5_1_4_1_2.json"] = ([
