@@ -4,11 +4,15 @@ The derivation D acts on generators as
 
     D tau = w,   D q = w q,   D y_i = y_i**2 - L,
 
-with L the weight-2 quadratic form built from the derived constants; it
-is extended to the whole ring by generator tables plus Leibniz recursion
-over monomials, so no chain rule ever enters.  D' keeps only the
-y-directions, H only the tau/q-directions, and D = D' + H.  The
-homogeneous counterpart acts on (t, X0..X4) and raises X-degree by two.
+with L the weight-2 quadratic form built from the derived constants.
+This module states D once: ``generator_images`` holds the five images
+for one triple, and every derivation here, as well as the generic-point
+flow of ``multiplicity``, reads that table.  D is extended to the whole
+ring by Leibniz recursion over monomials, so no chain rule ever enters.
+D' keeps only the y-directions, H only the tau/q-directions, and
+D = D' + H; each is D restricted to its generators.  The homogeneous
+derivation on (t, X0..X4) is D carried through homogenization: it
+dehomogenizes, applies D and homogenizes back, two X-degrees higher.
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ring
-from .errors import NotHomogeneous, NotInR, NotIsobaric
+from .errors import DomainMismatch, NotHomogeneous, NotInR, NotIsobaric
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, FIELD, HOMOG_VARS, _MASK, Poly, _check_degree, _tidy, _unit
 
-KINDS = ("D", "Dprime", "Honly")
+#: the generators each derivation moves; D' and H kill the others
+_MOVED = {"D": AFFINE_VARS, "Dprime": ("y0", "y1", "y2"), "Honly": ("tau", "q")}
+#: the renaming (t, X1..X4) -> (tau, q, y0, y1, y2) of dehomogenization
+_AFFINE_NAMES = {"t": "tau", "X1": "q", "X2": "y0", "X3": "y1", "X4": "y2"}
 
 
 def quadratic_form(params: TriangleParams) -> Poly:
@@ -34,28 +41,17 @@ def quadratic_form(params: TriangleParams) -> Poly:
     )
 
 
-@lru_cache(maxsize=1)
-def _tables(params):
-    """Generator images of D, Dprime and Honly, cached for the last triple.
+@lru_cache(maxsize=32)
+def generator_images(params: TriangleParams) -> tuple:
+    """The images of tau, q, y0, y1, y2 under D, in that order, cached per triple.
 
-    Callers work on one triple at a time.  A single entry keeps memory
-    flat when many triples pass through one process.
+    The cache is bounded like ``multiplicity.generator_series``.
     """
     d = derived_constants(params)
     g = ring.gens(AFFINE_VARS)
     L = quadratic_form(params)
-    zero = Poly.zero(AFFINE_VARS)
-    w = Poly.const(AFFINE_VARS, d.w)
-    full = {
-        "tau": w,
-        "q": d.w * g["q"],
-        "y0": g["y0"] ** 2 - L,
-        "y1": g["y1"] ** 2 - L,
-        "y2": g["y2"] ** 2 - L,
-    }
-    dprime = dict(full, tau=zero, q=zero)
-    honly = dict(full, y0=zero, y1=zero, y2=zero)
-    return {"D": full, "Dprime": dprime, "Honly": honly}
+    return (Poly.const(AFFINE_VARS, d.w), d.w * g["q"],
+            *(g[y] ** 2 - L for y in ("y0", "y1", "y2")))
 
 
 def leibniz(P: Poly, table) -> Poly:
@@ -92,14 +88,22 @@ def leibniz(P: Poly, table) -> Poly:
 
 def apply_D(P: Poly, params: TriangleParams) -> Poly:
     """Apply D by Leibniz extension of the generator rules."""
-    return leibniz(P, _tables(params)["D"])
+    return apply_variant(P, "D", params)
 
 
 def apply_variant(P: Poly, kind: str, params: TriangleParams) -> Poly:
-    """Apply one of D, Dprime (kills tau, q) or Honly (kills the y's)."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    return leibniz(P, _tables(params)[kind])
+    """Apply one of D, Dprime (kills tau, q) or Honly (kills the y's).
+
+    P must lie over (tau, q, y0, y1, y2); any other ring raises
+    :class:`DomainMismatch`.
+    """
+    moved = _MOVED.get(kind)
+    if moved is None:
+        raise ValueError(f"kind must be one of {tuple(_MOVED)}")
+    if P.vars != AFFINE_VARS:
+        raise DomainMismatch(f"D acts on polynomials over {AFFINE_VARS}, not {P.vars}")
+    images = zip(AFFINE_VARS, generator_images(params))
+    return leibniz(P, {name: image for name, image in images if name in moved})
 
 
 def rankin_bracket(U: Poly, V: Poly, params: TriangleParams) -> Poly:
@@ -122,16 +126,6 @@ def rankin_bracket(U: Poly, V: Poly, params: TriangleParams) -> Poly:
 # -- homogeneous side -----------------------------------------------------------
 
 
-def homogeneous_quadratic_form(params: TriangleParams) -> Poly:
-    """(1/4)(a(X2-X3)^2 + b(X2-X4)^2 + c(X3-X4)^2) over (t, X0..X4)."""
-    d = derived_constants(params)
-    g = ring.gens(HOMOG_VARS)
-    X2, X3, X4 = g["X2"], g["X3"], g["X4"]
-    return Fraction(1, 4) * (
-        d.a * (X2 - X3) ** 2 + d.b * (X2 - X4) ** 2 + d.c * (X3 - X4) ** 2
-    )
-
-
 def x_degree(Q: Poly) -> int:
     return Q.total_degree(names=("X0", "X1", "X2", "X3", "X4"))
 
@@ -145,26 +139,32 @@ def is_x_homogeneous(Q: Poly) -> bool:
 
 
 def homog_D(Q: Poly, params: TriangleParams) -> Poly:
-    """Homogeneous derivation on C[t][X0..X4]; raises X-degree by two."""
+    """Homogeneous derivation on C[t][X0..X4]; raises X-degree by two.
+
+    For Q homogeneous of X-degree d this is D carried through
+    homogenization, ``_homogenize(apply_D(dehomogenize(Q)), d + 2)``.
+    Both sides obey Leibniz and agree on the generators: t -> w X0^2,
+    X0 -> 0, X1 -> w X0^2 X1 and X_{i+2} -> X0 (X_{i+2}^2 - U), with U
+    the form L written in X2, X3, X4.
+    """
     if not is_x_homogeneous(Q):
         raise NotHomogeneous("operand is not homogeneous in X0..X4")
-    d = derived_constants(params)
-    g = ring.gens(HOMOG_VARS)
-    X0 = g["X0"]
-    U = homogeneous_quadratic_form(params)
-    table = {
-        "t": d.w * X0 ** 2,
-        "X1": d.w * X0 ** 2 * g["X1"],
-        "X2": X0 * (g["X2"] ** 2 - U),
-        "X3": X0 * (g["X3"] ** 2 - U),
-        "X4": X0 * (g["X4"] ** 2 - U),
-    }
-    return leibniz(Q, table)
+    return _homogenize(apply_D(dehomogenize(Q), params), x_degree(Q) + 2)
 
 
 def dehomogenize(Q: Poly) -> Poly:
     """Evaluate X0 -> 1 and rename (t, X1..X4) -> (tau, q, y0, y1, y2)."""
     affine = Q.substitute({"X0": Fraction(1)})
-    return affine.rename_ring(
-        AFFINE_VARS, {"t": "tau", "X1": "q", "X2": "y0", "X3": "y1", "X4": "y2"}
-    )
+    return affine.rename_ring(AFFINE_VARS, _AFFINE_NAMES)
+
+
+def _homogenize(P: Poly, degree: int) -> Poly:
+    """The Q of X-degree ``degree`` with ``dehomogenize(Q) == P``.
+
+    Renames (tau, q, y0, y1, y2) to (t, X1..X4) and pads each term with
+    X0; ``degree`` must be at least the degree of P in q and the y's.
+    """
+    Q = P.rename_ring(HOMOG_VARS, {a: h for h, a in _AFFINE_NAMES.items()})
+    return Poly(HOMOG_VARS, {
+        (t, degree - sum(xs), *xs): c for (t, _, *xs), c in Q.terms.items()
+    })

@@ -35,7 +35,7 @@ from .errors import (
     TruncationExhausted,
     ZeroPolynomial,
 )
-from .derivation import _tables, dehomogenize, is_x_homogeneous, x_degree
+from .derivation import dehomogenize, generator_images, is_x_homogeneous, x_degree
 from .params import TriangleParams, derived_constants
 from .ring import AFFINE_VARS, Poly
 from .series import PuiseuxSeries
@@ -239,20 +239,6 @@ def _gaussian_point(values, names):
     return point + [(1, 0, 1)], K
 
 
-@lru_cache(maxsize=32)
-def _flow_images(params):
-    """M and the images of D on tau, q, y0, y1, y2 times M, as (exps, int) terms.
-
-    M is the least common denominator of the images, so each entry of the
-    flow stays an integer.  Cached per triple, bounded like
-    ``generator_series``; the images are tuples, so a shared result cannot
-    be changed by its readers.
-    """
-    images = [_tables(params)["D"][v].terms for v in AFFINE_VARS]
-    M = math.lcm(*(c.denominator for image in images for c in image.values()))
-    return M, tuple(tuple((exps, int(M * c)) for exps, c in image.items()) for image in images)
-
-
 def _conv(a, b, row):
     """Entry n of the product of jets ``a`` and ``b`` of n entries, ``row`` = C(n, .).
 
@@ -290,7 +276,9 @@ def _flow(P: Poly, params, values, slopes):
     (D^n P)(x) at s = 0.  Every monomial needed is a node: a generator,
     whose entry n comes from its image under D at entry n - 1, or the
     product of a shorter monomial and a generator, whose entry n is a
-    binomial convolution.  A node of degree d holds its entries as
+    binomial convolution.  The images are the cached table of
+    ``derivation.generator_images``, scaled on integers by their least
+    common denominator M.  A node of degree d holds its entries as
     Gaussian integers over M^n 2^(K(n+d)) (``_gaussian_point``), so entry
     n of P is exact over ``den`` = lcm(P) M^n 2^(K(n+top)), top = deg P.
     Entry 0 is P at x; the images of D enter from entry 1 on.
@@ -337,8 +325,10 @@ def _flow(P: Poly, params, values, slopes):
 
     form = [(node(e), int(c * lcm) << K * (top - sum(e))) for e, c in terms.items()]
     yield entry(0, lcm << K * top)
-    M, images = _flow_images(params)
-    flows = [[(node(e), c << K * (2 - sum(e))) for e, c in image] for image in images]
+    images = [image.terms for image in generator_images(params)]
+    M = math.lcm(*(c.denominator for image in images for c in image.values()))
+    flows = [[(node(e), M // c.denominator * c.numerator << K * (2 - sum(e)))
+              for e, c in image.items()] for image in images]
     flows.append([])  # the constant 1
     for n in itertools.count(1):
         for jet, flow in zip(jets, flows):
@@ -361,10 +351,11 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
     that a relative error of ``GENERIC_THRESHOLD`` in each of the five
     generator values x could cause in it; a value within that bound is
     read as zero.  (D^n P)(x) is computed exactly as entry n of P along
-    the flow of D from x (``_flow``), so terms that cancel cost no
-    precision and no D^n P is ever built.  The bound is eps times the
-    sum over i of |x_i d/dx_i (D^n P)(x)|, plus eps^2 (deg P + n)^2 times
-    the majorant of entry n.  Slopes are computed only when the value
+    the flow of D from x (``_flow``, which reads the generator images
+    ``apply_D`` reads), so terms that cancel cost no precision and no
+    D^n P is ever built.  The bound is eps times the sum over i of
+    |x_i d/dx_i (D^n P)(x)|, plus eps^2 (deg P + n)^2 times the majorant
+    of entry n.  Slopes are computed only when the value
     does not already clear the cruder bound with (deg P + n) times the
     majorant in place of their sum.  Value and bound are compared in a
     unit taken from the majorant, so the decision is scale-free: there

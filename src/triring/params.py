@@ -78,15 +78,19 @@ def is_valid(alpha, beta, gamma):
         return False
 
 
-def derived_constants(params: TriangleParams) -> DerivedConstants:
-    """The scalars a, b, c, w = 1 - gamma and the ramification index."""
-    al, be, ga = params.as_tuple()
+def _abc(al, be, ga):
+    """a, b and c from alpha, beta, gamma: exact on Fractions, the same steps on floats."""
     a = ga * (1 - al - be) + 2 * al * be
     b = (al + be) * (ga - al - be) + 2 * al * be - ga + 1
     c = ga * (al + be - ga + 1) - 2 * al * be
-    w = 1 - ga
+    return a, b, c
+
+
+def derived_constants(params: TriangleParams) -> DerivedConstants:
+    """The scalars a, b, c, w = 1 - gamma and the ramification index."""
+    al, be, ga = params.as_tuple()
     ram = lcm(al.denominator, be.denominator, ga.denominator)
-    return DerivedConstants(a, b, c, w, ram)
+    return DerivedConstants(*_abc(al, be, ga), 1 - ga, ram)
 
 
 def eta(params: TriangleParams) -> Fraction:
@@ -165,11 +169,7 @@ def region_sample_min(n=2000, seed=0):
     rng = random.Random(seed)
     best = None
     for _ in range(n):
-        vals = sorted(rng.random() for _ in range(3))
-        al, be, ga = vals
-        a = ga * (1 - al - be) + 2 * al * be
-        b = (al + be) * (ga - al - be) + 2 * al * be - ga + 1
-        c = ga * (al + be - ga + 1) - 2 * al * be
+        a, b, c = _abc(*sorted(rng.random() for _ in range(3)))
         f = a * b + b * c + a * c
         if best is None or f < best:
             best = f

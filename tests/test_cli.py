@@ -288,6 +288,8 @@ JSON_ZERO_DENOMINATOR = json.dumps({
     "terms": [{"exps": [0, 0, 1, 0, 0], "coef": "1/0"}],
 })
 
+FOREIGN_T = json.dumps({"vars": ["t", "X0"], "terms": [{"exps": [1, 0], "coef": "1"}]})
+
 
 @pytest.mark.parametrize("argv", [
     ["params", "check", "1/0", "1/4", "1/2"],
@@ -299,6 +301,10 @@ JSON_ZERO_DENOMINATOR = json.dumps({
     ["derive", "--params", "1/5,1/4,1/2", '{"vars": 1}'],
     ["derive", "--params", "1/5,1/4,1/2", '{"vars": 1, "terms": []}'],
     ["derive", "--params", "1/5,1/4,1/2", '{"vars": ["y0"], "terms": [1]}'],
+    # polynomials from rings with none of the generator names, not derived to 0
+    ["derive", "--params", "1/5,1/4,1/2", FOREIGN_T],
+    ["derive", "--kind", "Dprime", "--params", "1/5,1/4,1/2", FOREIGN_T],
+    ["derive", "--kind", "H", "--params", "1/5,1/4,1/2", FOREIGN_T],
     ["params", "eta", "--seed", "3"],
 ], ids=lambda argv: " ".join(argv)[:60])
 def test_bad_arguments_are_one_line_usage_errors(capsys, argv):

@@ -5,13 +5,19 @@ import pytest
 
 from triring import derivation as dv
 from triring import ring
-from triring.errors import NotHomogeneous, NotInR, NotIsobaric
+from triring.errors import DomainMismatch, NotHomogeneous, NotInR, NotIsobaric
 from triring.params import derived_constants, validate
 from triring.ring import AFFINE_VARS, HOMOG_VARS, Poly, poly_from_text, weight
 
 from conftest import random_isobaric, random_poly, random_valid_triples
 
 P134 = validate(Fraction(1, 5), Fraction(1, 4), Fraction(1, 2))
+#: three triples with different w and form L
+TRIPLES = [
+    P134,
+    validate(Fraction(1, 7), Fraction(1, 3), Fraction(1, 2)),
+    validate(Fraction(1, 8), Fraction(1, 6), Fraction(1, 3)),
+]
 
 
 def g(name):
@@ -58,28 +64,62 @@ def test_leibniz_on_random_polynomials(p):
 
 
 def test_leibniz_refuses_images_over_other_variables():
-    from triring.errors import DomainMismatch
-
     with pytest.raises(DomainMismatch):
         dv.leibniz(g("y0"), {"y0": Poly.var(HOMOG_VARS, "X2")})
 
 
+@pytest.mark.parametrize("P", [
+    Poly.var(HOMOG_VARS, "X1"),
+    Poly.var(("t", "X0"), "t"),
+    Poly.var(("y0", "y1", "y2"), "y0"),
+    Poly.zero(("tau", "q")),
+])
+def test_foreign_ring_is_refused(P):
+    # no generator name of another ring may fall through to a zero result
+    with pytest.raises(DomainMismatch):
+        dv.apply_D(P, P134)
+    for kind in ("D", "Dprime", "Honly"):
+        with pytest.raises(DomainMismatch):
+            dv.apply_variant(P, kind, P134)
+
+
+def test_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        dv.apply_variant(g("y0"), "H", P134)
+
+
+def test_images_are_built_once_per_triple():
+    dv.generator_images.cache_clear()
+    P = poly_from_text("y0 y1 + q")
+    for _ in range(4):
+        for p in TRIPLES:
+            dv.apply_D(P, p)
+            dv.apply_variant(P, "Dprime", p)
+    info = dv.generator_images.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (3, 21, 32)
+
+
 def test_variant_split_and_examples():
-    P = poly_from_text("tau^2 y0")
-    assert dv.apply_variant(P, "Dprime", P134) == poly_from_text("tau^2") * dv.apply_D(
-        g("y0"), P134
-    )
-    d = derived_constants(P134)
-    # H(tau q) = w q + w tau q by the Leibniz rule on H tau = w, H q = w q
-    assert dv.apply_variant(poly_from_text("tau q"), "Honly", P134) == d.w * g(
-        "q"
-    ) + d.w * poly_from_text("tau q")
-    rng = random.Random(9)
-    for _ in range(10):
-        P = random_poly(rng)
-        assert dv.apply_variant(P, "Dprime", P134) + dv.apply_variant(
-            P, "Honly", P134
-        ) == dv.apply_D(P, P134)
+    for p in TRIPLES:
+        P = poly_from_text("tau^2 y0")
+        assert dv.apply_variant(P, "Dprime", p) == poly_from_text("tau^2") * dv.apply_D(
+            g("y0"), p
+        )
+        d = derived_constants(p)
+        # H(tau q) = w q + w tau q by the Leibniz rule on H tau = w, H q = w q
+        assert dv.apply_variant(poly_from_text("tau q"), "Honly", p) == d.w * g(
+            "q"
+        ) + d.w * poly_from_text("tau q")
+        rng = random.Random(9)
+        for _ in range(10):
+            P = random_poly(rng)
+            tau_q = P.substitute({"y0": 0, "y1": 0, "y2": 0})
+            ys = P.substitute({"tau": 0, "q": 0})
+            assert not dv.apply_variant(tau_q, "Dprime", p)
+            assert not dv.apply_variant(ys, "Honly", p)
+            assert dv.apply_variant(P, "Dprime", p) + dv.apply_variant(
+                P, "Honly", p
+            ) == dv.apply_D(P, p)
 
 
 def test_weight_ledger_on_isobaric():
@@ -179,11 +219,16 @@ def X(name):
 
 
 def test_homog_generator_images():
-    d = derived_constants(P134)
-    U = dv.homogeneous_quadratic_form(P134)
-    assert dv.homog_D(X("X1"), P134) == d.w * X("X0") ** 2 * X("X1")
-    assert not dv.homog_D(X("X0"), P134)
-    assert dv.homog_D(X("X2"), P134) == X("X0") * (X("X2") ** 2 - U)
+    # the paper's table, with U the form L written in X2, X3, X4
+    t, X0, X1, X2, X3, X4 = (X(name) for name in HOMOG_VARS)
+    for p in TRIPLES:
+        d = derived_constants(p)
+        U = Fraction(1, 4) * (d.a * (X2 - X3) ** 2 + d.b * (X2 - X4) ** 2 + d.c * (X3 - X4) ** 2)
+        assert dv.homog_D(t, p) == d.w * X0 ** 2
+        assert not dv.homog_D(X0, p)
+        assert dv.homog_D(X1, p) == d.w * X0 ** 2 * X1
+        for Xi in (X2, X3, X4):
+            assert dv.homog_D(Xi, p) == X0 * (Xi ** 2 - U)
 
 
 def test_homog_degree_raises_by_two():
