@@ -16,7 +16,8 @@ products; the order-48 expand file on 1/11,1/9,1/4 (tau and q on the
 ram-4 grid) was captured when ``exp`` summed its recurrence in
 ``Fraction`` term by term and the JSON went through ``json.dumps``; the
 Dprime and H derive files were captured when D, D' and H each had their
-own table of generator images.
+own table of generator images; the expand files at orders 1 and 2 were
+captured when 2F1 at -x was made by a second pass over 2F1 at x.
 Every rewrite must reproduce them
 byte for byte, and with the same exit code.
 """
@@ -78,6 +79,14 @@ def _cases():
                     "hyper", "expand", "--point", point, "--params", triple,
                     "--order", "8", "--emit", emit,
                 ], 0)
+    # A and B at 1 and infinity at their lowest orders; at infinity order 1
+    # exits 1 today, since 1/z = -x there keeps no term below its prec
+    for label, triple in (("1_8_1_6_1_3", T2), ("1_22_1_4_1_3", "1/22,1/4,1/3")):
+        for point, order in (("1", "1"), ("1", "2"), ("inf", "2")):
+            cases[f"expand_{point}_{label}_order{order}.json"] = ([
+                "hyper", "expand", "--point", point, "--params", triple,
+                "--order", order, "--emit", "json",
+            ], 0)
     cases["expand_0_1_11_1_9_1_4_order48.json"] = ([
         "hyper", "expand", "--point", "0", "--params", T3, "--order", "48", "--emit", "json",
     ], 0)
