@@ -23,6 +23,12 @@ u0 = s0 A + s1 B is linear in the two symbols, with rational series A
 and B, so the series there are :class:`SymbolicSeries`, one rational
 series per monomial, and u0^2 takes the three products A^2, AB and B^2.
 
+Every exact coefficient comes from one term recurrence: 2F1 at x and at
+-x, the binomials (1 +- x)**s and, as the exponents -1 and -2, the
+geometric series.  u0 and u1 at 0 and A and B at 1 and infinity are each
+x**lead (1 - sign x)**power 2F1(...; sign x).  The exact series of u0
+and u1 and their closed-form floating values read one recipe.
+
 The statement-form constant omega = G(g)G(b-a)/(G(g-a)G(b)) is the one
 the numeric check confirms; the variant with G(alpha) in the denominator
 is kept only to demonstrate that it fails, see
@@ -68,11 +74,15 @@ def pochhammer_falling(x, n):
 def _term_series(upper, lower, N, sign=1):
     """sum_n prod (u)_n / (prod (l)_n n!) (sign x)^n to x**N, (v)_n rising.
 
-    The term recurrence runs on one reduced integer numerator and
-    denominator, and stops at the first zero term.  The terms go over
-    the lcm of their denominators, the least common one, straight into
-    the stored form of the series.
+    The one place series coefficients are written: every 2F1, binomial
+    and geometric series of the package comes from here.  The term
+    recurrence runs on one reduced integer numerator and denominator,
+    and stops at the first zero term.  The terms go over the lcm of
+    their denominators, the least common one, straight into the stored
+    form of the series.
     """
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
     ud = math.prod(v.denominator for v in upper)
     ld = math.prod(v.denominator for v in lower)
     nums, dens = [1], [1]
@@ -98,36 +108,43 @@ def binomial_series(s, N, argument_sign=1):
     return _term_series((-Fraction(s),), (), N, -argument_sign)  # binom(s, n) = (-s)_n (-1)^n / n!
 
 
-def gauss_2F1(a, b, c, N):
-    """Truncated 2F1(a, b; c; x) with exact rational coefficients.
+def gauss_2F1(a, b, c, N, argument_sign=1):
+    """Truncated 2F1(a, b; c; argument_sign * x) with exact rational coefficients.
 
     Uses the rising-factorial ratio convention for the coefficients.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if c.denominator == 1 and c <= 0:
         raise PolarParameter(f"lower parameter {c} is a nonpositive integer")
-    return _term_series((a, b), (c,), N)
+    return _term_series((a, b), (c,), N, argument_sign)
 
 
-def _geometric(N, sign=1):
-    """1/(1 - sign*x) to order N."""
-    return PuiseuxSeries(1, {n: Fraction(sign ** n) for n in range(N + 1)}, N + 1)
+def _local_part(lead, power, F_args, N, sign=1):
+    """x**lead (1 - sign x)**power 2F1(*F_args; sign x), truncated at x**N.
+
+    Every basic solution at 0, 1 and infinity has this form: sign 1 at 0
+    and 1, sign -1 at infinity, where the argument 1/z is -x.
+    """
+    return (binomial_series(power, N, -sign) * gauss_2F1(*F_args, N, sign)).shift(lead)
+
+
+def _u_recipe(which, al, be, ga):
+    """u0 or u1 at 0 as z**lead (1-z)**s 2F1(*F_args; z): ``(lead, s, F_args)``.
+
+    Exact on Fractions, the same steps on floats.
+    """
+    s = (al + be - ga + 1) / 2
+    if which == "u0":
+        return ga / 2, s, (al, be, ga)
+    if which == "u1":
+        return 1 - ga / 2, s, (al - ga + 1, be - ga + 1, 2 - ga)
+    raise ValueError("which must be 'u0' or 'u1'")
 
 
 def u_series(which, params: TriangleParams, N=DEFAULT_ORDER):
     """Exact Puiseux series of u0 or u1 at z = 0."""
-    al, be, ga = params.as_tuple()
-    s = (al + be - ga + 1) / 2
-    binom = binomial_series(s, N, argument_sign=-1)
-    if which == "u0":
-        body = gauss_2F1(al, be, ga, N)
-        lead = ga / 2
-    elif which == "u1":
-        body = gauss_2F1(al - ga + 1, be - ga + 1, 2 - ga, N)
-        lead = 1 - ga / 2
-    else:
-        raise ValueError("which must be 'u0' or 'u1'")
-    return (binom * body).shift(lead)
+    lead, s, F_args = _u_recipe(which, *params.as_tuple())
+    return _local_part(lead, s, F_args, N)
 
 
 class SymbolicSeries:
@@ -232,33 +249,26 @@ def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
     """
     al, be, ga = params.as_tuple()
     s = (al + be - ga + 1) / 2
-    if point in ("zero", "0", 0):
+    if point == "zero":
         u0 = u_series("u0", params, N)
         inv_z = PuiseuxSeries.x_power(Fraction(-1), N)
-        inv_zm1 = -_geometric(N)  # 1/(z-1) = -(1 + z + z^2 + ...)
+        inv_zm1 = -binomial_series(-1, N, argument_sign=-1)  # 1/(z-1) = -1/(1-z)
         return _family_from_u0("zero", "z", u0, inv_z, inv_zm1)
-    if point in ("one", "1", 1):
-        F1 = gauss_2F1(al, be, al + be - ga + 1, N)
-        F2 = gauss_2F1(ga - al, ga - be, ga - al - be + 1, N)
-        binom = binomial_series(ga / 2, N, argument_sign=-1)  # (1-x)^(gamma/2)
-        A = (binom * F1).shift(s)
-        B = (binom * F2.shift(ga - al - be)).shift(s)
-        inv_z = _geometric(N)  # 1/z = 1/(1-x)
+    if point == "one":
+        A = _local_part(s, ga / 2, (al, be, al + be - ga + 1), N)
+        B = _local_part(1 - s, ga / 2, (ga - al, ga - be, ga - al - be + 1), N)
+        inv_z = binomial_series(-1, N, argument_sign=-1)  # 1/z = 1/(1-x)
         inv_zm1 = -PuiseuxSeries.x_power(Fraction(-1), N)  # z - 1 = -x
         return _symbolic_family(
             "one", "1-z", A, B, lambda f: -f.differentiate(),  # x = 1 - z
             inv_z, inv_zm1, SYMBOLS_AT_ONE,
         )
-    if point in ("inf", "infinity", "oo"):
-        # argument of both tails is 1/z = -x for x = (-z)^(-1)
-        Ft1 = gauss_2F1(al, 1 - ga + al, 1 - be + al, N).scale_argument(-1)
-        Ft2 = gauss_2F1(be, 1 - ga + be, 1 - al + be, N).scale_argument(-1)
-        binom = binomial_series(s, N, argument_sign=1)  # (1+x)^s
-        A = (binom * Ft1).shift((al - be - 1) / 2)
-        B = (binom * Ft2.shift(be - al)).shift((al - be - 1) / 2)
-        inv_z = PuiseuxSeries.x_power(Fraction(1), N, Fraction(-1))  # 1/z = -x
+    if point == "inf":  # x = (-z)^(-1)
+        A = _local_part((al - be - 1) / 2, s, (al, 1 - ga + al, 1 - be + al), N, sign=-1)
+        B = _local_part((be - al - 1) / 2, s, (be, 1 - ga + be, 1 - al + be), N, sign=-1)
+        inv_z = -PuiseuxSeries.x_power(Fraction(1), N)  # 1/z = -x
         # 1/(z-1) = -x/(1+x)
-        inv_zm1 = -(PuiseuxSeries.x_power(Fraction(1), N) * _geometric(N, sign=-1))
+        inv_zm1 = -(PuiseuxSeries.x_power(Fraction(1), N) * binomial_series(-1, N))
         return _symbolic_family(
             "inf", "(-z)^(-1)", A, B, lambda f: f.differentiate().shift(2),  # d/dz = x^2 d/dx
             inv_z, inv_zm1, SYMBOLS_AT_INF,
@@ -287,7 +297,7 @@ def wronskian_series(params: TriangleParams, N=DEFAULT_ORDER):
 def normal_form_potential(params: TriangleParams, N=DEFAULT_ORDER):
     """a/(4 z^2) + b/(4 (z-1)^2) + c/(4 z^2 (z-1)^2) as an exact series."""
     d = derived_constants(params)
-    g2 = _geometric(N) * _geometric(N)  # 1/(1-z)^2 = 1/(z-1)^2
+    g2 = binomial_series(-2, N, argument_sign=-1)  # 1/(1-z)^2 = 1/(z-1)^2
     x_m2 = PuiseuxSeries.x_power(Fraction(-2), N)
     return (
         x_m2.scale(d.a / 4)
@@ -400,12 +410,7 @@ def _check_sample(z):
 
 def _u_closed_form(which, params, z):
     """u = pref * 2F1(a, b; c; z) at z: ``(pref, g0, s, (a, b, c))``, pref = z^g0 (1-z)^s."""
-    al, be, ga = (float(v) for v in params.as_tuple())
-    s = (al + be - ga + 1) / 2
-    if which == "u0":
-        g0, F_args = ga / 2, (al, be, ga)
-    else:
-        g0, F_args = 1 - ga / 2, (al - ga + 1, be - ga + 1, 2 - ga)
+    g0, s, F_args = _u_recipe(which, *(float(v) for v in params.as_tuple()))
     return z ** g0 * (1 - z) ** s, g0, s, F_args
 
 

@@ -101,10 +101,10 @@ class PuiseuxSeries:
         return cls(ram, {0: value}, prec)
 
     @classmethod
-    def x_power(cls, exponent, prec, coef=Fraction(1)):
+    def x_power(cls, exponent, prec):
         e = Fraction(exponent)
         r = e.denominator
-        return cls(r, {e.numerator: coef}, prec)
+        return cls(r, {e.numerator: 1}, prec)
 
     @classmethod
     def from_exponent_map(cls, mapping, prec):
@@ -337,28 +337,6 @@ class PuiseuxSeries:
                 num[k] = acc * (den // q)
         nums = {k: c for k, c in enumerate(num) if c}
         return PuiseuxSeries._make(self.ram, self.prec, den, nums)
-
-    def scale_argument(self, factor):
-        """Replace x by factor*x; integer exponent grids only.
-
-        With ``factor = p/q``, step ``k`` is multiplied by ``p^k / q^k``,
-        here ``p^(k+s) q^(t-k)`` over ``p^s q^t`` for the least ``s, t >= 0``
-        that keep every power integral, so negative steps stay exact.
-        """
-        if self.ram != 1:
-            raise ValueError("argument scaling needs an integer exponent grid")
-        if not isinstance(factor, _SCALARS):
-            raise DomainMismatch(f"factor {factor!r} is not an exact rational")
-        if not self.nums:
-            return self
-        p, q = factor.as_integer_ratio()
-        s, t = max(0, -min(self.nums)), max(0, max(self.nums))
-        den = self.den * p ** s * q ** t
-        if not den:
-            raise ZeroDivisionError("a zero factor on a negative step")
-        sign = 1 if den > 0 else -1
-        nums = {k: sign * c * p ** (k + s) * q ** (t - k) for k, c in self.nums.items()}
-        return PuiseuxSeries._make(1, self.prec, sign * den, {k: c for k, c in nums.items() if c})
 
     # -- evaluation and serialization ------------------------------------------------
 

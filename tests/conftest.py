@@ -200,12 +200,12 @@ def reference_exp(f):
     return PuiseuxSeries(f.ram, out, f.prec)
 
 
-def reference_2F1(a, b, c, N):
-    """2F1(a, b; c; x) to x**N by the term ratio in ``Fraction`` arithmetic.
+def reference_2F1(a, b, c, N, argument_sign=1):
+    """2F1(a, b; c; argument_sign * x) to x**N by the term ratio in ``Fraction`` arithmetic.
 
     ``t_n = t_(n-1) (a+n-1)(b+n-1) / ((c+n-1) n)``, four ``Fraction``
-    operations a term.  A reference for ``hypergeom.gauss_2F1``, which
-    runs the same recurrence on integers.
+    operations a term, times ``argument_sign ** n``.  A reference for
+    ``hypergeom.gauss_2F1``, which runs the same recurrence on integers.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     coeffs = {}
@@ -213,8 +213,9 @@ def reference_2F1(a, b, c, N):
     for n in range(N + 1):
         if n:
             term = term * (a + n - 1) * (b + n - 1) / ((c + n - 1) * n)
-        if term:
-            coeffs[n] = term
+        value = term * argument_sign ** n
+        if value:
+            coeffs[n] = value
     return PuiseuxSeries(1, coeffs, N + 1)
 
 

@@ -79,8 +79,8 @@ def _cases():
                     "hyper", "expand", "--point", point, "--params", triple,
                     "--order", "8", "--emit", emit,
                 ], 0)
-    # A and B at 1 and infinity at their lowest orders; at infinity order 1
-    # exits 1 today, since 1/z = -x there keeps no term below its prec
+    # A and B at 1 and infinity at their lowest orders; order 1 at infinity
+    # exits 1, since 1/z = -x there keeps no term below its prec
     for label, triple in (("1_8_1_6_1_3", T2), ("1_22_1_4_1_3", "1/22,1/4,1/3")):
         for point, order in (("1", "1"), ("1", "2"), ("inf", "2")):
             cases[f"expand_{point}_{label}_order{order}.json"] = ([

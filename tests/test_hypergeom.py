@@ -69,15 +69,22 @@ EXPAND_TRIPLES = [
 
 
 def _recurrence_inputs(p):
-    """The 2F1 parameters and binomial (exponent, sign) pairs of u0, u1, 1 and infinity."""
+    """The 2F1 (parameters, sign) and binomial (exponent, sign) pairs of every local series.
+
+    The 2F1 tails at infinity are read at -x; the binomials include the
+    geometric series (1 +- x)^-1 and 1/(1-x)^2 of the inverses and the
+    normal-form potential.
+    """
     al, be, ga = p.as_tuple()
     s = (al + be - ga + 1) / 2
+    tails = [(al, 1 - ga + al, 1 - be + al), (be, 1 - ga + be, 1 - al + be)]
     two_f_one = [
         (al, be, ga), (al - ga + 1, be - ga + 1, 2 - ga),  # u0, u1
         (al, be, al + be - ga + 1), (ga - al, ga - be, ga - al - be + 1),  # at 1
-        (al, 1 - ga + al, 1 - be + al), (be, 1 - ga + be, 1 - al + be),  # at infinity
+        *tails,
     ]
-    return two_f_one, [(s, -1), (ga / 2, -1), (s, 1)]
+    signed = [(args, 1) for args in two_f_one] + [(args, -1) for args in tails]
+    return signed, [(s, -1), (ga / 2, -1), (s, 1), (-1, 1), (-1, -1), (-2, -1)]
 
 
 def assert_same_fraction_series(got, want):
@@ -89,8 +96,9 @@ def assert_same_fraction_series(got, want):
 @pytest.mark.parametrize("p", EXPAND_TRIPLES, ids=lambda p: p.label())
 def test_integer_recurrences_match_the_fraction_loops(p):
     two_f_one, binomials = _recurrence_inputs(p)
-    for a, b, c in two_f_one:
-        assert_same_fraction_series(hg.gauss_2F1(a, b, c, 96), reference_2F1(a, b, c, 96))
+    for (a, b, c), sign in two_f_one:
+        got = hg.gauss_2F1(a, b, c, 96, argument_sign=sign)
+        assert_same_fraction_series(got, reference_2F1(a, b, c, 96, sign))
     for s, sign in binomials:
         got = hg.binomial_series(s, 96, argument_sign=sign)
         assert_same_fraction_series(got, reference_binomial(s, 96, sign))
@@ -137,6 +145,29 @@ def test_u_series_leading_terms(p):
     assert (u0 * u0).ord() == ga and (u0 * u0).leading_coeff() == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda which: hg.u_series(which, P134, 8),
+    lambda which: hg.u_value(which, P134, 0.3),
+    lambda which: hg.u_value_and_derivative(which, P134, 0.3),
+], ids=["u_series", "u_value", "u_value_and_derivative"])
+def test_exact_and_float_routes_refuse_an_unknown_solution(make):
+    # the exact series and the closed-form floats read one recipe, which names two solutions
+    with pytest.raises(ValueError, match="'u0' or 'u1'"):
+        make("u2")
+
+
+@pytest.mark.parametrize("make", [
+    lambda N: hg.gauss_2F1(Fraction(1, 5), Fraction(1, 4), Fraction(1, 2), N),
+    lambda N: hg.binomial_series(Fraction(1, 3), N),
+    lambda N: hg.u_series("u0", P134, N),
+], ids=["gauss_2F1", "binomial_series", "u_series"])
+@pytest.mark.parametrize("N", [-1, -2])
+def test_negative_truncation_order_is_refused(make, N):
+    # a series cut at prec N + 1 <= 0 cannot hold its constant term
+    with pytest.raises(ValueError, match=f"N must be nonnegative, got {N}"):
+        make(N)
+
+
 @pytest.mark.parametrize("p", TRIPLES)
 def test_leading_terms_at_zero(p):
     al, be, ga = p.as_tuple()
@@ -174,12 +205,17 @@ def test_leading_terms_at_infinity(p):
     assert fam.y2.leading_coeff() == Fraction(al - be + 1, 2) * zw ** 2
 
 
+def _geometric(N, sign=1):
+    """1/(1 - sign*x) to x**N, written out term by term."""
+    return PuiseuxSeries(1, {n: Fraction(sign ** n) for n in range(N + 1)}, N + 1)
+
+
 def test_difference_identities_at_zero():
     p = P134
     N = 16
     fam = hg.y_series("zero", p, N)
     inv_z = PuiseuxSeries.x_power(Fraction(-1), N)
-    inv_zm1 = -hg._geometric(N)
+    inv_zm1 = -_geometric(N)
     assert (fam.y0 - fam.y1 - fam.u0sq * inv_z).is_zero_to_prec()
     assert (fam.y0 - fam.y2 - fam.u0sq * inv_zm1).is_zero_to_prec()
     assert (fam.y1 - fam.y2 - fam.u0sq * (inv_z * inv_zm1)).is_zero_to_prec()
@@ -214,13 +250,13 @@ def test_difference_identities_at_one_and_infinity(point, p):
 
 
 def _family_inverses(point, N):
-    """1/z and 1/(z-1) in the local variable, built as ``y_series`` builds them."""
+    """1/z and 1/(z-1) in the local variable, with the ``prec`` of ``y_series``'s."""
     x = PuiseuxSeries.x_power
     if point == "zero":
-        return x(Fraction(-1), N), -hg._geometric(N)
+        return x(Fraction(-1), N), -_geometric(N)
     if point == "one":
-        return hg._geometric(N), -x(Fraction(-1), N)
-    return x(Fraction(1), N, Fraction(-1)), -(x(Fraction(1), N) * hg._geometric(N, sign=-1))
+        return _geometric(N), -x(Fraction(-1), N)
+    return PuiseuxSeries(1, {1: -1}, N), -(x(Fraction(1), N) * _geometric(N, sign=-1))
 
 
 def _product_family(fam, N):

@@ -10,8 +10,7 @@ kernel ``_int_product`` under the product, which the exact orders at
 z = 0 also call, is checked against an int convolution.  ``exp``, which
 runs its recurrence on integers over a common denominator, is checked
 against the ``Fraction`` recurrence ``reference_exp``: same
-coefficients, ``int`` wherever integral.  ``scale_argument`` is checked
-against ``Fraction`` powers of the factor, negative steps included.  The one-pass difference is
+coefficients, ``int`` wherever integral.  The one-pass difference is
 checked against the sum with the negated operand, and every operation
 is checked to leave the stored form canonical: nonzero integer
 numerators below the bound over their least common denominator.
@@ -25,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_exp
-from triring.errors import DomainMismatch
 from triring.hypergeom import tau_q_series_at_zero
 from triring.params import validate
 from triring.series import PuiseuxSeries, _ceil_steps, _int_product
@@ -327,34 +325,3 @@ def test_every_operation_keeps_the_canonical_form(a, b, data):
         assert_canonical_form(s)
     assert_canonical_form(PuiseuxSeries(3, {}, 0).exp())
     assert_canonical_form(PuiseuxSeries.zero(Fraction(5, 2), 2).exp())
-
-
-scale_factors = st.one_of(
-    st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=7))
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=exact_series(), factor=scale_factors)
-def test_scale_argument_matches_fraction_powers(a, factor):
-    a = PuiseuxSeries(1, a.coeffs, a.prec * a.ram)  # the same steps on an integer grid
-    if factor == 0 and a.nums and min(a.nums) < 0:
-        with pytest.raises(ZeroDivisionError):
-            a.scale_argument(factor)
-        return
-    got = a.scale_argument(factor)
-    want = {k: c * Fraction(factor) ** k for k, c in a.coeffs.items()}
-    assert got.prec == a.prec
-    assert got.coeffs == {k: c for k, c in want.items() if c}
-    assert_canonical_form(got)
-
-
-def test_scale_argument_on_negative_steps_stays_exact():
-    s = PuiseuxSeries(1, {-1: 1, 0: 2}, 3)
-    assert s.scale_argument(-1).coeffs == {-1: -1, 0: 2}
-    assert s.scale_argument(Fraction(2, 3)).coeffs == {-1: Fraction(3, 2), 0: 2}
-    assert s.scale_argument(Fraction(-1, 2)).coeffs == {-1: -2, 0: 2}
-    with pytest.raises(DomainMismatch):
-        s.scale_argument(0.5)
-    with pytest.raises(ZeroDivisionError):
-        s.scale_argument(0)
-    assert PuiseuxSeries(1, {0: 3, 2: 1}, 4).scale_argument(0).coeffs == {0: 3}
