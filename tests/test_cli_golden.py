@@ -16,8 +16,10 @@ products; the order-48 expand file on 1/11,1/9,1/4 (tau and q on the
 ram-4 grid) was captured when ``exp`` summed its recurrence in
 ``Fraction`` term by term and the JSON went through ``json.dumps``; the
 Dprime and H derive files were captured when D, D' and H each had their
-own table of generator images; the expand files at orders 1 and 2 were
-captured when 2F1 at -x was made by a second pass over 2F1 at x.
+own table of generator images; the expand files at orders 1 and 2 at 1
+and infinity were captured when 2F1 at -x was made by a second pass over
+2F1 at x; those at 0 were captured when tau was the quotient of the u1
+and u0 series and the JSON was written from ``to_json_obj`` dicts.
 Every rewrite must reproduce them
 byte for byte, and with the same exit code.
 """
@@ -79,10 +81,11 @@ def _cases():
                     "hyper", "expand", "--point", point, "--params", triple,
                     "--order", "8", "--emit", emit,
                 ], 0)
-    # A and B at 1 and infinity at their lowest orders; order 1 at infinity
-    # exits 1, since 1/z = -x there keeps no term below its prec
+    # tau and q at 0, A and B at 1 and infinity at their lowest orders;
+    # order 1 at infinity exits 1, since 1/z = -x there keeps no term below
+    # its prec
     for label, triple in (("1_8_1_6_1_3", T2), ("1_22_1_4_1_3", "1/22,1/4,1/3")):
-        for point, order in (("1", "1"), ("1", "2"), ("inf", "2")):
+        for point, order in (("0", "1"), ("0", "2"), ("1", "1"), ("1", "2"), ("inf", "2")):
             cases[f"expand_{point}_{label}_order{order}.json"] = ([
                 "hyper", "expand", "--point", point, "--params", triple,
                 "--order", order, "--emit", "json",
