@@ -46,7 +46,6 @@ from .ideals import (
 )
 from .series import PuiseuxSeries
 from .hypergeom import (
-    pochhammer_falling,
     gauss_2F1,
     u_series,
     y_series,
@@ -95,7 +94,6 @@ __all__ = [
     "membership",
     "certify_case_one",
     "PuiseuxSeries",
-    "pochhammer_falling",
     "gauss_2F1",
     "u_series",
     "y_series",

@@ -27,9 +27,12 @@ from . import hypergeom, ideals, multiplicity, params as params_mod
 from .derivation import apply_D, apply_variant, rankin_bracket
 from .errors import IdentityFailed, TriringError
 from .ring import AFFINE_VARS, HOMOG_VARS, Poly, poly_from_text
+from .series import PuiseuxSeries
 
 USAGE_ERROR = 1
 IDENTITY_ERROR = 2
+#: the types ``_render`` writes through their ``json_text``
+_SERIES = (PuiseuxSeries, hypergeom.SymbolicSeries)
 
 
 def _default_order(fallback=24):
@@ -71,18 +74,27 @@ def _emit(args, payload, text_lines):
 def _json_text(payload):
     """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte.
 
-    With ``indent`` set, ``json.dumps`` always runs its pure-Python
-    encoder; ``_render`` writes the same text with the C string escaper.
-    A payload holding anything but str-keyed dicts, lists, tuples, str,
-    int, float, bool and None makes ``_render`` raise ``TypeError`` and
-    goes to ``json.dumps`` whole.
+    A series in the payload stands for its ``to_json_obj()``.  With
+    ``indent`` set, ``json.dumps`` always runs its pure-Python encoder;
+    ``_render`` writes the same text with the C string escaper, and each
+    series as its own ``json_text``, straight from its numerators.  A
+    payload holding anything but str-keyed dicts, lists, tuples, series,
+    str, int, float, bool and None makes ``_render`` raise ``TypeError``
+    and goes to ``json.dumps`` whole.
     """
     parts = []
     try:
         _render(payload, "\n", parts)
     except TypeError:
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2, default=_series_obj)
     return "".join(parts)
+
+
+def _series_obj(value):
+    """``json.dumps``'s ``default``: a series as its ``to_json_obj()``."""
+    if type(value) in _SERIES:
+        return value.to_json_obj()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(value, newline, parts):
@@ -115,6 +127,8 @@ def _render(value, newline, parts):
             _render(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "]")
+    elif kind in _SERIES:
+        parts.append(value.json_text(newline))
     elif kind is float or kind is bool or value is None:
         parts.append(json.dumps(value))
     else:
@@ -265,17 +279,15 @@ def _cmd_hyper(args):
     if args.action == "expand":
         point = {"0": "zero", "1": "one", "inf": "inf"}[args.point]
         fam = hypergeom.y_series(point, p, args.order)
-        series_json = {k: s.to_json_obj() for k, s in fam.series_map().items()}
+        series = fam.series_map()
         if point == "zero":
-            tau, q = hypergeom._tau_q(fam.u0, hypergeom.u_series("u1", p, args.order))
-            series_json["tau"] = tau.to_json_obj()
-            series_json["q"] = q.to_json_obj()
+            series["tau"], series["q"] = hypergeom.tau_q_series_at_zero(p, args.order)
         payload = {
             "params": p.label(),
             "point": point,
             "local_variable": fam.local_variable,
             "order": args.order,
-            "series": series_json,
+            "series": series,
         }
         lines = [f"{name}: ord {s.ord()} lead {_coef_text(s.leading_coeff())}"
                  for name, s in fam.series_map().items()]

@@ -14,11 +14,13 @@ and have Wronskian u1' u0 - u1 u0' identically 1 - gamma.  From them the
 weight-2 combinations y0 = u0 u0', y1 = y0 - u0^2/z, y2 = y0 - u0^2/(z-1)
 and the pair tau = u1/u0, q = exp(tau) are produced as exact rational
 Puiseux series at 0, y0 as (u0^2)'/2: the same precision as the product
-u0 u0', for no second product.  At 1 and infinity the expansions go
-through the classical connection formulas; the Gamma-ratio constants
-enter as opaque symbols (``theta``, ``theta1`` at 1; ``zw``, ``zw1`` at
-infinity, the products of the unit ``zeta1`` with the two connection
-coefficients) with floating bindings supplied for numeric work.
+u0 u0', for no second product.  u0 and u1 share their (1-z)**s factor,
+so tau is z**(1-gamma) times the quotient of their two 2F1 series.  At
+1 and infinity the expansions go through the classical connection
+formulas; the Gamma-ratio constants enter as opaque symbols (``theta``,
+``theta1`` at 1; ``zw``, ``zw1`` at infinity, the products of the unit
+``zeta1`` with the two connection coefficients) with floating bindings
+supplied for numeric work.
 u0 = s0 A + s1 B is linear in the two symbols, with rational series A
 and B, so the series there are :class:`SymbolicSeries`, one rational
 series per monomial, and u0^2 takes the three products A^2, AB and B^2.
@@ -41,11 +43,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import CutLineViolation, InconclusiveOrder, PolarParameter, TruncationExhausted
 from .params import TriangleParams, derived_constants
-from .ring import Poly, terms_json_obj
-from .series import PuiseuxSeries, series_json_obj
+from .ring import Poly, key_order, terms_json_obj
+from .series import PuiseuxSeries, json_list_text, rational_text, series_json_obj, series_json_text
 
 SYMBOLS_AT_ONE = ("theta", "theta1")
 SYMBOLS_AT_INF = ("zw", "zw1")
@@ -58,17 +61,6 @@ NUMERIC_CHECK_ORDER = 60
 
 
 # -- exact building blocks ------------------------------------------------------
-
-
-def pochhammer_falling(x, n):
-    """(x-n+1)(x-n+2)...(x-1)x; the empty product is 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x - i
-    return out
 
 
 def _term_series(upper, lower, N, sign=1):
@@ -195,6 +187,40 @@ class SymbolicSeries:
         values = {k: terms_json_obj(self.symbols, t) for k, t in grid.items()}
         return series_json_obj(ram, self.prec, values, "symbolic")
 
+    def json_text(self, newline="\n"):
+        """``json.dumps(self.to_json_obj(), sort_keys=True, indent=2)`` at ``newline``."""
+        ram = math.lcm(*(s.ram for s in self.parts.values()))
+        grid = {}  # {k: [(monomial, coefficient text)]}, each list in key order
+        for m in key_order(self.symbols, self.parts):
+            s = self.parts[m]
+            f, den = ram // s.ram, s.den
+            for k, c in s.nums.items():
+                grid.setdefault(k * f, []).append((m, rational_text(c, den)))
+        symbols = [_encode_str(name) for name in self.symbols]
+        return series_json_text(
+            ram, self.prec, grid, "symbolic", newline,
+            lambda terms, nl: _terms_text(symbols, terms, nl),
+        )
+
+
+def _terms_text(symbols, terms, newline):
+    """The JSON text of ``terms_json_obj`` at ``newline``, its parts already text.
+
+    ``symbols`` are the encoded names; ``terms`` the ``(monomial,
+    coefficient text)`` pairs in key order.
+    """
+    inner = newline + "  "
+    entry = inner + "  "
+    key = entry + "  "
+    items = [
+        f'{{{key}"coef": {coef},{key}"exps": {json_list_text([str(e) for e in m], key)}{entry}}}'
+        for m, coef in terms
+    ]
+    return (
+        f'{{{inner}"terms": {json_list_text(items, inner)},'
+        f'{inner}"vars": {json_list_text(symbols, inner)}{newline}}}'
+    )
+
 
 @dataclass
 class ExpansionFamily:
@@ -277,13 +303,15 @@ def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
 
 
 def tau_q_series_at_zero(params: TriangleParams, N=DEFAULT_ORDER):
-    """tau = u1/u0 (order 1 - gamma) and q = exp(tau), exact at z = 0."""
-    return _tau_q(u_series("u0", params, N), u_series("u1", params, N))
+    """tau = u1/u0 (order 1 - gamma) and q = exp(tau), exact at z = 0.
 
-
-def _tau_q(u0, u1):
-    """tau = u1/u0 and q = exp(tau) from the two series at z = 0."""
-    tau = (u1 / u0).normalize_ram()
+    The shared (1-z)**s cancels: tau = z**(1-gamma) 2F1(u1's) / 2F1(u0's),
+    with the same ``prec`` as the quotient of the u series.
+    """
+    lead0, _, F0_args = _u_recipe("u0", *params.as_tuple())
+    lead1, _, F1_args = _u_recipe("u1", *params.as_tuple())
+    tau = (gauss_2F1(*F1_args, N) / gauss_2F1(*F0_args, N)).shift(lead1 - lead0)
+    tau = tau.normalize_ram()
     return tau, tau.exp()
 
 

@@ -64,7 +64,7 @@ class OrdReport:
 def generator_series(params: TriangleParams, N: int):
     """Exact z = 0 series of tau, q, y0, y1, y2 (plus u0^2), cached."""
     fam = hypergeom.y_series("zero", params, N)
-    tau, q = hypergeom._tau_q(fam.u0, hypergeom.u_series("u1", params, N))
+    tau, q = hypergeom.tau_q_series_at_zero(params, N)
     return {
         "tau": tau,
         "q": q,

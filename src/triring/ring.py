@@ -534,9 +534,13 @@ _TOKEN = re.compile(
 
 def terms_json_obj(vars, terms):
     """``Poly(vars, terms).to_json_obj()`` for nonzero ``terms``: terms in key order."""
-    pack = _codec(len(vars))[0]
     return {"vars": list(vars), "terms": [
-        {"exps": list(e), "coef": str(terms[e])} for e in sorted(terms, key=pack)]}
+        {"exps": list(e), "coef": str(terms[e])} for e in key_order(vars, terms)]}
+
+
+def key_order(vars, monomials):
+    """The exponent tuples ``monomials`` over ``vars`` sorted by packed key (graded lex)."""
+    return sorted(monomials, key=_codec(len(vars))[0])
 
 
 def poly_from_text(text, vars=AFFINE_VARS):

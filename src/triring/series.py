@@ -18,7 +18,8 @@ on the numerators: a product of two series is one big-integer
 multiplication (Kronecker substitution) in ``_int_product`` over the
 product of the denominators, the inverse is Newton's iteration on top
 of it, and ``exp`` runs its term recurrence over one running
-denominator.
+denominator.  ``json_text`` writes the JSON text of a series straight
+from the numerators, one gcd per coefficient.
 """
 
 from __future__ import annotations
@@ -353,6 +354,13 @@ class PuiseuxSeries:
         values = {k: str(c) for k, c in self.coeffs.items()}
         return series_json_obj(self.ram, self.prec, values, RATIONAL)
 
+    def json_text(self, newline="\n"):
+        """``json.dumps(self.to_json_obj(), sort_keys=True, indent=2)`` at ``newline``."""
+        den = self.den
+        return series_json_text(
+            self.ram, self.prec, self.nums, RATIONAL, newline, lambda c, _: rational_text(c, den)
+        )
+
     def to_json(self):
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
@@ -396,19 +404,21 @@ def _int_product(a, b, bound):
     The terms that can land below ``bound`` are compressed by the common
     stride of their steps, packed into one integer each with fixed-width
     signed digits (Kronecker substitution) and multiplied once; the
-    nonzero digits come back as ``int`` coefficients.
+    nonzero digits come back as ``int`` coefficients.  ``a is b`` is a
+    square.
     """
     if not a or not b:
         return {}
+    square = a is b
     a_min, b_min = min(a), min(b)
     a, last_a, big_a = _cut(a, a_min, bound - b_min)
-    b, last_b, big_b = _cut(b, b_min, bound - a_min)
+    b, last_b, big_b = (a, last_a, big_a) if square else _cut(b, b_min, bound - a_min)
     if not a or not b:
         return {}
     g = _stride(a, b)
     if g > 1:
         a = [(k // g, c) for k, c in a]
-        b = [(k // g, c) for k, c in b]
+        b = a if square else [(k // g, c) for k, c in b]
     len_a = last_a // g + 1
     len_b = last_b // g + 1
     # a product digit sums at most min(len_a, len_b) products; one more bit
@@ -418,8 +428,10 @@ def _int_product(a, b, bound):
     half = 1 << (8 * width - 1)
     n = len_a + len_b - 1
     # the product's digits are signed; adding half to each one makes it
-    # nonnegative without a carry
-    product = _pack(a, len_a, width, half) * _pack(b, len_b, width, half)
+    # nonnegative without a carry.  A square packs once and multiplies the
+    # int by itself, which CPython squares faster than a product
+    packed = _pack(a, len_a, width, half)
+    product = packed * (packed if square else _pack(b, len_b, width, half))
     product += half * _repunit(width, n)
     raw = product.to_bytes(n * width, "little")
     stop = min(n, -(-(bound - a_min - b_min) // g))
@@ -474,23 +486,69 @@ def _repunit(width, n):
     return int.from_bytes(b"\x01".ljust(width, b"\x00") * n, "little")
 
 
+def _json_layout(ram, prec, steps):
+    """``(base_exponent, base_step, truncation)`` of a series with the stored ``steps``.
+
+    The layout stores each step as an offset from the leading one; an
+    empty series is written with ``prec`` as its base exponent.
+    """
+    base = Fraction(min(steps), ram) if steps else prec
+    n_steps = int(((prec - base) * ram).__ceil__()) - 1
+    return base, int(base * ram), max(n_steps, 0)
+
+
 def series_json_obj(ram, prec, values, domain):
     """The JSON layout of a series on the grid ``k / ram`` known below ``prec``.
 
     ``values`` maps each stored ``k`` to its coefficient's JSON value; the
     layout stores ``k`` as an offset from the leading exponent.
     """
-    base = Fraction(min(values), ram) if values else prec
-    n_steps = int(((prec - base) * ram).__ceil__()) - 1
-    base_k = int(base * ram)
+    base, base_k, truncation = _json_layout(ram, prec, values)
     coeffs = [{"k": k - base_k, "value": v} for k, v in sorted(values.items())]
     return {
         "ram": ram,
         "base_exponent": str(base),
         "coeffs": coeffs,
-        "truncation": max(n_steps, 0),
+        "truncation": truncation,
         "domain": domain,
     }
+
+
+def series_json_text(ram, prec, values, domain, newline, value_text):
+    """``series_json_obj`` as ``json.dumps(sort_keys=True, indent=2)`` writes it.
+
+    The text sits at the indent that ``newline`` (a line break and the
+    indent's spaces) carries.  ``values`` maps each stored ``k`` to a
+    coefficient, and ``value_text(value, newline)`` writes the JSON text
+    of one at the indent of its ``"value"`` key.
+    """
+    base, base_k, truncation = _json_layout(ram, prec, values)
+    inner = newline + "  "
+    entry = inner + "  "
+    key = entry + "  "
+    coeffs = json_list_text([
+        f'{{{key}"k": {k - base_k},{key}"value": {value_text(values[k], key)}{entry}}}'
+        for k in sorted(values)
+    ], inner)
+    return (
+        f'{{{inner}"base_exponent": "{base}",{inner}"coeffs": {coeffs},'
+        f'{inner}"domain": {json.dumps(domain)},{inner}"ram": {ram},'
+        f'{inner}"truncation": {truncation}{newline}}}'
+    )
+
+
+def json_list_text(texts, newline):
+    """The JSON list of the item ``texts`` at the indent ``newline`` carries."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def rational_text(num, den):
+    """The JSON string of ``str(num / den)`` for ``den > 0``: one gcd, no ``Fraction``."""
+    g = gcd(num, den)
+    return f'"{num // g}"' if g == den else f'"{num // g}/{den // g}"'
 
 
 def _coef_unjson(v):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from triring.derivation import apply_D
+from triring.hypergeom import u_series
 from triring.multiplicity import generator_series
 from triring.params import is_valid, validate
 from triring.ring import AFFINE_VARS, Poly
@@ -231,3 +232,13 @@ def reference_binomial(s, N, argument_sign=1):
         if value:
             coeffs[n] = value
     return PuiseuxSeries(1, coeffs, N + 1)
+
+
+def reference_tau_q(params, N):
+    """tau = (u1 / u0).normalize_ram() and q = exp(tau) from the two u series.
+
+    A reference for ``hypergeom.tau_q_series_at_zero``, which cancels
+    the shared (1-z)**s and divides the two 2F1 series.
+    """
+    tau = (u_series("u1", params, N) / u_series("u0", params, N)).normalize_ram()
+    return tau, tau.exp()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from conftest import reference_2F1, reference_binomial
+from conftest import reference_2F1, reference_binomial, reference_tau_q
 from test_series_kernel import assert_canonical
 from triring import hypergeom as hg
 from triring.errors import CutLineViolation, PolarParameter, TruncationExhausted
@@ -22,15 +22,19 @@ TRIPLES = [
 ]
 
 
+def _falling(x, n):
+    """(x-n+1)(x-n+2)...(x-1)x; the empty product is 1."""
+    return math.prod((Fraction(x) - i for i in range(n)), start=Fraction(1))
+
+
 def test_pochhammer_falling_examples():
-    x = Fraction(7, 3)
-    assert hg.pochhammer_falling(x, 0) == 1
-    assert hg.pochhammer_falling(5, 3) == 60  # 3*4*5
+    assert _falling(Fraction(7, 3), 0) == 1
+    assert _falling(5, 3) == 60  # 3*4*5
     # binomial check against (1-z)^s for s = 1/2
     s = Fraction(1, 2)
     binom = hg.binomial_series(s, 6, argument_sign=-1)
     for n in range(6):
-        expected = hg.pochhammer_falling(s, n) / math.factorial(n) * (-1) ** n
+        expected = _falling(s, n) / math.factorial(n) * (-1) ** n
         assert binom.coefficient(n) == expected
 
 
@@ -326,6 +330,14 @@ def test_tau_q_series():
     u0 = hg.u_series("u0", p, 16)
     lhs = u0 * u0 * tau.differentiate()
     assert (lhs - (1 - ga)).is_zero_to_prec()
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 13, 24])
+def test_tau_q_from_the_2F1_quotient_match_the_u_quotient(N):
+    for p in unit_fraction_triples(20)[::7]:
+        for got, want in zip(hg.tau_q_series_at_zero(p, N), reference_tau_q(p, N)):
+            assert (got.ram, got.prec, got.den, got.nums) == (
+                want.ram, want.prec, want.den, want.nums)
 
 
 # -- Gamma and numerics ---------------------------------------------------------

@@ -7,7 +7,8 @@ convolution and the term-by-term reciprocal recurrence: same
 coefficients, same ``prec``, no coefficient at or past the truncation
 bound, and ``int`` wherever a coefficient is integral.  The integer
 kernel ``_int_product`` under the product, which the exact orders at
-z = 0 also call, is checked against an int convolution.  ``exp``, which
+z = 0 also call, is checked against an int convolution, squares (one
+operand passed twice) included.  ``exp``, which
 runs its recurrence on integers over a common denominator, is checked
 against the ``Fraction`` recurrence ``reference_exp``: same
 coefficients, ``int`` wherever integral.  The one-pass difference is
@@ -224,6 +225,25 @@ def test_int_product_matches_schoolbook(a, b, data):
     product = _int_product(a, b, bound)
     assert product == schoolbook_int(a, b, bound)
     assert all(type(c) is int for c in product.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=int_steps(), data=st.data())
+def test_int_square_matches_schoolbook(a, data):
+    # a is b: one pack, squared
+    lo, hi = (2 * min(a), 2 * max(a)) if a else (-60, 1340)
+    bound = data.draw(st.integers(lo - 2, hi + 2))
+    square = _int_product(a, a, bound)
+    assert square == schoolbook_int(a, a, bound) == _int_product(a, dict(a), bound)
+    assert all(type(c) is int for c in square.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=exact_series())
+def test_exact_square_matches_schoolbook(a):
+    square = a * a
+    assert_matches(square, schoolbook_mul(a, a))
+    assert_canonical(square)
 
 
 def test_int_product_of_empty_or_cancelling_operands():
