@@ -5,10 +5,12 @@ The derivation D acts on generators as
     D tau = w,   D q = w q,   D y_i = y_i**2 - L,
 
 with L the weight-2 quadratic form built from the derived constants.
-This module states D once: ``generator_images`` holds the five images
-for one triple, and every derivation here, as well as the generic-point
+This module states D once: ``generator_images`` builds the five images
+for one triple, and ``integer_images`` caches them times their least
+common denominator; every derivation here, as well as the generic-point
 flow of ``multiplicity``, reads that table.  D is extended to the whole
-ring by Leibniz recursion over monomials, so no chain rule ever enters.
+ring by Leibniz recursion over monomials, on integers, so no chain rule
+ever enters.
 D' keeps only the y-directions, H only the tau/q-directions, and
 D = D' + H; each is D restricted to its generators.  The homogeneous
 derivation on (t, X0..X4) is D carried through homogenization: it
@@ -17,13 +19,16 @@ dehomogenizes, applies D and homogenizes back, two X-degrees higher.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ring
 from .errors import DomainMismatch, NotHomogeneous, NotInR, NotIsobaric
 from .params import TriangleParams, derived_constants
-from .ring import AFFINE_VARS, FIELD, HOMOG_VARS, _MASK, Poly, _check_degree, _tidy, _unit
+from .ring import (
+    AFFINE_VARS, FIELD, HOMOG_VARS, _MASK, Poly, _check_degree, _denominator, _div, _unit,
+)
 
 #: the generators each derivation moves; D' and H kill the others
 _MOVED = {"D": AFFINE_VARS, "Dprime": ("y0", "y1", "y2"), "Honly": ("tau", "q")}
@@ -32,21 +37,17 @@ _AFFINE_NAMES = {"t": "tau", "X1": "q", "X2": "y0", "X3": "y1", "X4": "y2"}
 
 
 def quadratic_form(params: TriangleParams) -> Poly:
-    """The form (1/4)(a(y0-y1)^2 + b(y0-y2)^2 + c(y1-y2)^2)."""
+    """The form (1/4)(a(y0-y1)^2 + b(y0-y2)^2 + c(y1-y2)^2), from its six coefficients."""
     d = derived_constants(params)
-    g = ring.gens(AFFINE_VARS)
-    y0, y1, y2 = g["y0"], g["y1"], g["y2"]
-    return Fraction(1, 4) * (
-        d.a * (y0 - y1) ** 2 + d.b * (y0 - y2) ** 2 + d.c * (y1 - y2) ** 2
-    )
+    a, b, c = d.a / 4, d.b / 4, d.c / 4
+    return Poly(AFFINE_VARS, {
+        (0, 0, 2, 0, 0): a + b, (0, 0, 1, 1, 0): -2 * a, (0, 0, 0, 2, 0): a + c,
+        (0, 0, 1, 0, 1): -2 * b, (0, 0, 0, 0, 2): b + c, (0, 0, 0, 1, 1): -2 * c,
+    })
 
 
-@lru_cache(maxsize=32)
 def generator_images(params: TriangleParams) -> tuple:
-    """The images of tau, q, y0, y1, y2 under D, in that order, cached per triple.
-
-    The cache is bounded like ``multiplicity.generator_series``.
-    """
+    """The images of tau, q, y0, y1, y2 under D, in that order."""
     d = derived_constants(params)
     g = ring.gens(AFFINE_VARS)
     L = quadratic_form(params)
@@ -54,36 +55,64 @@ def generator_images(params: TriangleParams) -> tuple:
             *(g[y] ** 2 - L for y in ("y0", "y1", "y2")))
 
 
+@lru_cache(maxsize=32)
+def integer_images(params: TriangleParams) -> tuple:
+    """``(M, images)``: the ``generator_images`` times their least common denominator M.
+
+    The five images are Polys with integer coefficients, cached per
+    triple and bounded like ``multiplicity.generator_series``;
+    ``apply_variant`` and the generic-point flow of ``multiplicity`` read
+    them.
+    """
+    images = generator_images(params)
+    M = math.lcm(*map(_denominator, images))
+    return M, tuple(M * image for image in images)
+
+
 def leibniz(P: Poly, table) -> Poly:
     """The derivation sending each generator ``name`` to ``table[name]``, on P.
 
     ``table`` maps variable names of P to polynomials over ``P.vars``; a
     missing name, or a zero image, is a generator the derivation kills.
-    On packed keys, the term ``c m`` gives ``c e img`` at key
-    ``m - unit + img`` for each variable of exponent ``e`` in ``m``.
     """
     images = [table.get(name) for name in P.vars]
     for image in images:
         if image:
             P._check_same_ring(image)
+    M = math.lcm(*(_denominator(image) for image in images if image))
+    return _leibniz(P, [image and M * image for image in images], M)
+
+
+def _leibniz(P: Poly, images, M) -> Poly:
+    """The derivation sending variable i of P to ``images[i] / M``, on P.
+
+    The images have integer coefficients, and P is taken over its least
+    common denominator dP, so the sums run on integers and each result
+    term is divided by ``dP * M`` once.  On packed keys, the term ``c m``
+    gives ``c e img`` at key ``m - unit + img`` for each variable of
+    exponent ``e`` in ``m``.
+    """
     n = len(P.vars)
     active = [(FIELD * idx, _unit(n, idx), image) for idx, image in enumerate(images) if image]
     if not P or not active:
         return Poly.zero(P.vars)
     _check_degree(P._degree() - 1 + max(image._degree() for _, _, image in active))
+    dP = _denominator(P)
     terms = {}
     get = terms.get
     for key, coef in P.mono.items():
+        num = coef * dP if type(coef) is int else coef.numerator * (dP // coef.denominator)
         for shift, unit, image in active:
             e = key >> shift & _MASK
             if not e:
                 continue
-            base, scaled = key - unit, coef * e
+            base, scaled = key - unit, num * e
             for img_key, img_coef in image.mono.items():
                 k = base + img_key
                 acc = get(k)
                 terms[k] = scaled * img_coef if acc is None else acc + scaled * img_coef
-    return Poly._make(P.vars, _tidy(terms))
+    den = dP * M
+    return Poly._make(P.vars, {k: _div(c, den) for k, c in terms.items() if c})
 
 
 def apply_D(P: Poly, params: TriangleParams) -> Poly:
@@ -102,8 +131,9 @@ def apply_variant(P: Poly, kind: str, params: TriangleParams) -> Poly:
         raise ValueError(f"kind must be one of {tuple(_MOVED)}")
     if P.vars != AFFINE_VARS:
         raise DomainMismatch(f"D acts on polynomials over {AFFINE_VARS}, not {P.vars}")
-    images = zip(AFFINE_VARS, generator_images(params))
-    return leibniz(P, {name: image for name, image in images if name in moved})
+    M, images = integer_images(params)
+    return _leibniz(P, [image if name in moved else None
+                        for name, image in zip(AFFINE_VARS, images)], M)
 
 
 def rankin_bracket(U: Poly, V: Poly, params: TriangleParams) -> Poly:

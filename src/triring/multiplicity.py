@@ -35,9 +35,9 @@ from .errors import (
     TruncationExhausted,
     ZeroPolynomial,
 )
-from .derivation import dehomogenize, generator_images, is_x_homogeneous, x_degree
+from .derivation import dehomogenize, integer_images, is_x_homogeneous, x_degree
 from .params import TriangleParams, derived_constants
-from .ring import AFFINE_VARS, Poly
+from .ring import AFFINE_VARS, FIELD, _MASK, Poly, _denominator
 from .series import PuiseuxSeries
 
 DEFAULT_ORDER = 24
@@ -277,7 +277,7 @@ def _flow(P: Poly, params, values, slopes):
     whose entry n comes from its image under D at entry n - 1, or the
     product of a shorter monomial and a generator, whose entry n is a
     binomial convolution.  The images are the cached table of
-    ``derivation.generator_images``, scaled on integers by their least
+    ``derivation.integer_images``: the images of D times their least
     common denominator M.  A node of degree d holds its entries as
     Gaussian integers over M^n 2^(K(n+d)) (``_gaussian_point``), so entry
     n of P is exact over ``den`` = lcm(P) M^n 2^(K(n+top)), top = deg P.
@@ -291,8 +291,8 @@ def _flow(P: Poly, params, values, slopes):
     Yields ``((re, im, majorant), slopes or None, den)``.
     """
     point, K = _gaussian_point(values, AFFINE_VARS)
-    terms, top = P.terms, P.total_degree()
-    lcm = math.lcm(*(c.denominator for c in terms.values()))
+    top, deg_shift = P.total_degree(), FIELD * len(AFFINE_VARS)  # where a key keeps its degree
+    lcm = _denominator(P)
     # nodes 0..4 are the generators and 5 the constant 1, each with its entry 0
     jets = [[[x]] for x in point]
     for s, jet in enumerate(jets if slopes else ()):
@@ -300,10 +300,10 @@ def _flow(P: Poly, params, values, slopes):
     index = {(): 5, **{(i,): i for i in range(5)}}  # sorted variable numbers: node
     products = []  # (factor, generator, product) jets, each after its factors
 
-    def node(exps):
+    def node(packed):  # a packed monomial key
         key, idx = (), 5
-        for i, e in enumerate(exps):
-            for _ in range(e):
+        for i in range(5):
+            for _ in range(packed >> FIELD * i & _MASK):
                 key += (i,)
                 step = index.get(key)
                 if step is None:  # entry 0 of a product is the product of entries 0
@@ -323,12 +323,11 @@ def _flow(P: Poly, params, values, slopes):
         slopes_n = [_combine(form, jets, j, n)[:2] for j in range(1, 6)] if slopes else None
         return _combine(form, jets, 0, n), slopes_n, den
 
-    form = [(node(e), int(c * lcm) << K * (top - sum(e))) for e, c in terms.items()]
+    form = [(node(k), int(c * lcm) << K * (top - (k >> deg_shift))) for k, c in P.mono.items()]
     yield entry(0, lcm << K * top)
-    images = [image.terms for image in generator_images(params)]
-    M = math.lcm(*(c.denominator for image in images for c in image.values()))
-    flows = [[(node(e), M // c.denominator * c.numerator << K * (2 - sum(e)))
-              for e, c in image.items()] for image in images]
+    M, images = integer_images(params)
+    flows = [[(node(k), c << K * (2 - (k >> deg_shift))) for k, c in image.mono.items()]
+             for image in images]
     flows.append([])  # the constant 1
     for n in itertools.count(1):
         for jet, flow in zip(jets, flows):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .errors import NotUnitFraction, OrderingViolated, SumConstraintViolated
@@ -86,8 +87,12 @@ def _abc(al, be, ga):
     return a, b, c
 
 
+@lru_cache(maxsize=32)
 def derived_constants(params: TriangleParams) -> DerivedConstants:
-    """The scalars a, b, c, w = 1 - gamma and the ramification index."""
+    """The scalars a, b, c, w = 1 - gamma and the ramification index, cached per triple.
+
+    The cache is bounded like ``derivation.integer_images``.
+    """
     al, be, ga = params.as_tuple()
     ram = lcm(al.denominator, be.denominator, ga.denominator)
     return DerivedConstants(*_abc(al, be, ga), 1 - ga, ram)

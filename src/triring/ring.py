@@ -32,12 +32,14 @@ Two variable tuples cover every computation in the package:
   in the ``X`` variables, with ``t`` acting as the coefficient variable.
 
 Resultants are Sylvester determinants evaluated by fraction-free Bareiss
-elimination, so no polynomial GCDs are ever required.
+elimination on the operands scaled to integer coefficients, so no
+polynomial GCDs are ever required.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from bisect import insort
@@ -134,6 +136,33 @@ def _tidy(terms):
         for e, c in terms.items()
         if c
     }
+
+
+def _shifted(mono, shift, coef):
+    """``mono`` times the term ``coef != 0`` at key ``shift``: no key collides, none cancels."""
+    if coef == 1:
+        return mono if not shift else {k + shift: c for k, c in mono.items()}
+    return {
+        k + shift: c if type(c := a * coef) is int or c.denominator != 1 else c.numerator
+        for k, a in mono.items()
+    }
+
+
+def _add_product(terms, left, right):
+    """Add the product of the terms dicts ``left`` and ``right`` into ``terms``; return it."""
+    get = terms.get
+    right = list(right.items())
+    for k1, c1 in left.items():
+        for k2, c2 in right:
+            key = k1 + k2
+            acc = get(key)
+            terms[key] = c1 * c2 if acc is None else acc + c1 * c2
+    return terms
+
+
+def _denominator(P):
+    """The least common denominator of the coefficients of ``P``."""
+    return math.lcm(*(c.denominator for c in P.mono.values() if type(c) is not int))
 
 
 class Poly:
@@ -273,7 +302,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _exact(other)
-            return Poly._make(self.vars, _tidy({k: c * other for k, c in self.mono.items()}))
+            return Poly._make(self.vars, _shifted(self.mono, 0, other) if other else {})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
@@ -282,15 +311,11 @@ class Poly:
             return Poly._make(self.vars, {})
         top = FIELD * len(self.vars)
         _check_degree((max(mono) >> top) + (max(other_mono) >> top))
-        terms = {}
-        get = terms.get
-        other_items = list(other_mono.items())
-        for k1, c1 in mono.items():
-            for k2, c2 in other_items:
-                key = k1 + k2
-                acc = get(key)
-                terms[key] = c1 * c2 if acc is None else acc + c1 * c2
-        return Poly._make(self.vars, _tidy(terms))
+        if len(other_mono) == 1:  # a term times a polynomial is a key shift
+            return Poly._make(self.vars, _shifted(mono, *next(iter(other_mono.items()))))
+        if len(mono) == 1:
+            return Poly._make(self.vars, _shifted(other_mono, *next(iter(mono.items()))))
+        return Poly._make(self.vars, _tidy(_add_product({}, mono, other_mono)))
 
     __rmul__ = __mul__
 
@@ -666,6 +691,20 @@ def homogenize_weight(F):
 # -- resultants ------------------------------------------------------------------
 
 
+def _cross(x, piv, a, y):
+    """``x*piv - a*y``, the numerator of a Bareiss update, in one terms dict."""
+    for P in (x, a, y):
+        piv._check_same_ring(P)
+    top = FIELD * len(piv.vars)
+    products = [(l.mono, r.mono) for l, r in ((x, piv), (-a, y)) if l and r]
+    for left, right in products:
+        _check_degree((max(left) >> top) + (max(right) >> top))
+    terms = {}
+    for left, right in products:
+        _add_product(terms, left, right)
+    return Poly._make(piv.vars, _tidy(terms))
+
+
 def _bareiss(M):
     """Last entry of a fraction-free Bareiss elimination of ``M``, in place.
 
@@ -673,7 +712,9 @@ def _bareiss(M):
     bordered minor (Sylvester's identity), so the exact division holds slot
     by slot: slot ``s`` of the result is the determinant with slot ``s`` of
     each tuple as the last column; all are zero when the first
-    ``len(M) - 1`` columns have no pivot.
+    ``len(M) - 1`` columns have no pivot.  A row whose entry below the
+    pivot is zero is left as it is when the pivot equals the last one,
+    since its update is then ``x * piv / prev == x``.
     """
     last = len(M) - 1
     sign, prev = 1, Poly.const(M[0][last][0].vars, 1)
@@ -687,9 +728,11 @@ def _bareiss(M):
         row_k, piv = M[k], M[k][k]
         for row in M[k + 1:]:
             a = row[k]
+            if not a and piv == prev:
+                continue
             for j in range(k + 1, last):
-                row[j] = (row[j] * piv - a * row_k[j]).exact_div(prev)
-            row[last] = tuple((x * piv - a * y).exact_div(prev)
+                row[j] = _cross(row[j], piv, a, row_k[j]).exact_div(prev)
+            row[last] = tuple(_cross(x, piv, a, y).exact_div(prev)
                               for x, y in zip(row[last], row_k[last]))
         prev = piv
     return M[last][last] if sign == 1 else tuple(-x for x in M[last][last])
@@ -728,12 +771,27 @@ def sylvester_matrix(P, Q, name):
     return rows
 
 
+def _cleared_sylvester(P, Q, name):
+    """The Sylvester matrix of ``dP*P`` and ``dQ*Q``, dP, dQ, and ``1/(dP^m dQ^n)``.
+
+    dP, dQ are the lcm of the denominators of P, Q; the matrix has m rows
+    of ``dP*P`` and n of ``dQ*Q``, so the last factor scales its
+    determinant back to the resultant of P and Q.
+    """
+    dP, dQ = _denominator(P), _denominator(Q)
+    S = sylvester_matrix(P * dP, Q * dQ, name)
+    m = Q.partial_degree(name)
+    return S, dP, dQ, Fraction(1, dP ** m * dQ ** (len(S) - m))
+
+
 def resultant(P, Q, name):
     """Resultant of ``P`` and ``Q`` in ``name`` (Sylvester determinant).
 
-    Sign convention: ``resultant(y - u, y - v, "y") == u - v``.
+    Sign convention: ``resultant(y - u, y - v, "y") == u - v``.  The
+    elimination runs on the operands with their denominators cleared.
     """
-    return _poly_matrix_det(sylvester_matrix(P, Q, name))
+    S, _, _, back = _cleared_sylvester(P, Q, name)
+    return _poly_matrix_det(S) * back
 
 
 def resultant_with_cofactors(P, Q, name):
@@ -742,14 +800,17 @@ def resultant_with_cofactors(P, Q, name):
     One Bareiss elimination of the Sylvester matrix whose constant column
     carries (entry, ``name^k``, 0) in the row of ``name^k * P`` and (entry,
     0, ``name^k``) in that of ``name^k * Q``; ``deg_name(A) < deg_name(Q)``.
+    It runs on ``dP*P`` and ``dQ*Q``, whose cofactors are ``dP^m dQ^n``
+    times ``A/dP`` and ``B/dQ``.
     """
-    S = sylvester_matrix(P, Q, name)
+    S, dP, dQ, back = _cleared_sylvester(P, Q, name)
     size, m = len(S), Q.partial_degree(name)
     zero = Poly.zero(P.vars)
     for i, row in enumerate(S):
         power = Poly.var(P.vars, name, (m if i < m else size) - 1 - i)
         row[-1] = (row[-1], power, zero) if i < m else (row[-1], zero, power)
-    return _bareiss(S)
+    R, A, B = _bareiss(S)
+    return R * back, A * (dP * back), B * (dQ * back)
 
 
 # -- convenience generators ---------------------------------------------------

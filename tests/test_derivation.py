@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from triring.errors import DomainMismatch, NotHomogeneous, NotInR, NotIsobaric
 from triring.params import derived_constants, validate
 from triring.ring import AFFINE_VARS, HOMOG_VARS, Poly, poly_from_text, weight
 
-from conftest import random_isobaric, random_poly, random_valid_triples
+from conftest import random_isobaric, random_poly, random_valid_triples, reference_leibniz
 
 P134 = validate(Fraction(1, 5), Fraction(1, 4), Fraction(1, 2))
 #: three triples with different w and form L
@@ -63,6 +64,54 @@ def test_leibniz_on_random_polynomials(p):
         assert dv.apply_D(A * B, p) == dv.apply_D(A, p) * B + A * dv.apply_D(B, p)
 
 
+def fractional(rng, P):
+    """P with each coefficient divided by a small random integer."""
+    return Poly(P.vars, {e: Fraction(c, rng.randint(1, 6)) for e, c in P.terms.items()})
+
+
+@pytest.mark.parametrize("kind", ["integral", "P fractional", "images fractional", "both fractional"])
+def test_leibniz_equals_the_reference(kind):
+    rng = random.Random(kind)
+    for _ in range(20):
+        P = random_poly(rng, max_degree=3, terms=5)
+        table = {name: random_poly(rng) for name in rng.sample(AFFINE_VARS, rng.randint(1, 5))}
+        if kind in ("P fractional", "both fractional"):
+            P = fractional(rng, P)
+        if kind in ("images fractional", "both fractional"):
+            table = {name: fractional(rng, image) for name, image in table.items()}
+        got, want = dv.leibniz(P, table), reference_leibniz(P, table)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        for c in got.terms.values():
+            assert type(c) is int or c.denominator != 1
+        if kind == "integral":
+            assert all(type(c) is int for c in got.terms.values())
+
+
+@pytest.mark.parametrize("p", TRIPLES)
+def test_apply_D_reads_the_integer_images(p):
+    M, images = dv.integer_images(p)
+    rational = dv.generator_images(p)
+    assert images == tuple(M * image for image in rational)
+    assert all(type(c) is int for image in images for c in image.terms.values())
+    assert M == math.lcm(*(c.denominator for image in rational for c in image.terms.values()))
+    table = dict(zip(AFFINE_VARS, rational))
+    rng = random.Random(7)
+    for _ in range(10):
+        P = fractional(rng, random_poly(rng))
+        assert dv.apply_D(P, p) == reference_leibniz(P, table)
+
+
+def test_quadratic_form_is_the_sum_of_squared_differences():
+    for p in TRIPLES:
+        d = derived_constants(p)
+        y0, y1, y2 = g("y0"), g("y1"), g("y2")
+        want = Fraction(1, 4) * (d.a * (y0 - y1) ** 2 + d.b * (y0 - y2) ** 2 + d.c * (y1 - y2) ** 2)
+        got = dv.quadratic_form(p)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+
 def test_leibniz_refuses_images_over_other_variables():
     with pytest.raises(DomainMismatch):
         dv.leibniz(g("y0"), {"y0": Poly.var(HOMOG_VARS, "X2")})
@@ -89,13 +138,13 @@ def test_unknown_kind_is_refused():
 
 
 def test_images_are_built_once_per_triple():
-    dv.generator_images.cache_clear()
+    dv.integer_images.cache_clear()
     P = poly_from_text("y0 y1 + q")
     for _ in range(4):
         for p in TRIPLES:
             dv.apply_D(P, p)
             dv.apply_variant(P, "Dprime", p)
-    info = dv.generator_images.cache_info()
+    info = dv.integer_images.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (3, 21, 32)
 
 

@@ -46,6 +46,16 @@ def test_derived_constants_reference_values():
     assert d.ram == 20
 
 
+def test_derived_constants_are_computed_once_per_triple():
+    pm.derived_constants.cache_clear()
+    triples = random_valid_triples(3, seed=5)
+    first = [pm.derived_constants(p) for p in triples]
+    for _ in range(3):
+        assert [pm.derived_constants(p) for p in triples] == first
+    info = pm.derived_constants.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (3, 9, 32)
+
+
 @pytest.mark.parametrize("p", random_valid_triples(12, seed=3))
 def test_sum_identities(p):
     al, be, ga = p.as_tuple()

@@ -11,11 +11,15 @@ The packed monomial keys are checked on 1 to 9 variables: int order is
 the graded-lex order, the guard-mask division test is componentwise
 ``>=``, decoding and re-encoding keeps a polynomial and its term order,
 packed ``leibniz`` equals the tuple-keyed ``reference_leibniz``, and no
-exponent, product or derivative passes ``DEGREE_CAP``.
+exponent, product or derivative passes ``DEGREE_CAP``.  A term times a
+polynomial, a key shift, equals a schoolbook product over exponent
+tuples; the fused Bareiss update keeps the ring and degree checks; and
+resultants, which run on operands with cleared denominators, scale as
+``Res(cP, dQ) == c^m d^n Res(P, Q)``.
 """
 
 from fractions import Fraction
-from operator import ge, sub
+from operator import add, ge, sub
 
 import pytest
 import sympy as sp
@@ -30,6 +34,7 @@ from triring.ring import (
     AFFINE_VARS,
     DEGREE_CAP,
     Poly,
+    _bareiss,
     _div,
     _poly_matrix_det,
     resultant,
@@ -405,3 +410,107 @@ def test_products_and_derivatives_past_the_cap_raise():
     # a linear image keeps the degree, so a derivative at the cap is fine
     turn = leibniz(Poly.var(AFFINE_VARS, "y0", DEGREE_CAP), {"y0": Poly.var(AFFINE_VARS, "y1")})
     assert turn.terms == {(0, 0, DEGREE_CAP - 1, 1, 0): DEGREE_CAP}
+
+
+# -- a term times a polynomial -------------------------------------------------------
+
+
+def schoolbook(P, Q):
+    """P * Q over exponent tuples, the terms of P outside, those of Q inside."""
+    terms = {}
+    for e1, c1 in P.terms.items():
+        for e2, c2 in Q.terms.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + Fraction(c1) * c2
+    return Poly(P.vars, terms)
+
+
+one_term = st.one_of(
+    st.just(Poly.const(VARS, 1)),
+    int_coef.map(lambda c: Poly.const(VARS, c)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).map(lambda c: Poly.const(VARS, c)),
+    st.builds(lambda e, c: Poly(VARS, {e: c}), exps, rat_coef.filter(bool)),
+    st.just(Poly.zero(VARS)),
+)
+
+
+@SETTINGS
+@given(any_poly, one_term)
+def test_a_term_times_a_polynomial_is_the_schoolbook_product(P, T):
+    for got, want in ((P * T, schoolbook(P, T)), (T * P, schoolbook(T, P))):
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        assert_canonical(got)
+    if T.mono.get(0) is not None:  # a constant, also as a scalar
+        c = T.mono[0]
+        for got in (P * c, c * P, P * Fraction(c)):
+            assert got == schoolbook(P, T)
+            assert_canonical(got)
+    if T == 1 and len(P.mono) > 1:  # times a constant 1, the other operand's terms
+        assert (P * T).mono is P.mono and (T * P).mono is P.mono
+
+
+def test_a_term_times_a_polynomial_keeps_the_ring_and_degree_checks():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    P = 3 * x ** 2 - Fraction(1, 2) * y + 1
+    for T in (Poly.const(("x", "z"), 1), Poly.var(("x", "z"), "z")):
+        for product in (lambda: P * T, lambda: T * P):
+            with pytest.raises(DomainMismatch):
+                product()
+    high = Poly.var(VARS, "x", DEGREE_CAP - 1)
+    with pytest.raises(DomainMismatch):
+        high * P
+    with pytest.raises(DomainMismatch):
+        P * Poly.var(VARS, "y", DEGREE_CAP - 1)
+    assert (high * y).terms == {(DEGREE_CAP - 1, 1): 1}
+
+
+def test_the_fused_bareiss_update_keeps_the_ring_and_degree_checks():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    high, low = Poly.var(VARS, "x", 20000), Poly.var(VARS, "y", 15000)
+    # the update of the last entry is x*piv - a*y: each product in turn passes the cap
+    for matrix in ([[high, x], [y, low]], [[x + 1, high], [low, y]]):
+        with pytest.raises(DomainMismatch):
+            _poly_matrix_det(matrix)
+        with pytest.raises(DomainMismatch):
+            _bareiss([row[:-1] + [(row[-1], row[-1])] for row in matrix])
+    assert _poly_matrix_det([[high, x], [y, y]]) == high * y - x * y
+    other = Poly.var(("x", "z"), "z")
+    for matrix in ([[x, y], [other, x]], [[x, other], [y, x]], [[x, y], [y, other]]):
+        with pytest.raises(DomainMismatch):
+            _poly_matrix_det(matrix)
+
+
+# -- resultants on cleared denominators ------------------------------------------------
+
+nonzero_rat = rat_coef.filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_in_y(rat_coef), poly_in_y(rat_coef), nonzero_rat, nonzero_rat)
+def test_resultant_scales_by_powers_of_the_constants(P, Q, c, d):
+    n, m = P.partial_degree("y"), Q.partial_degree("y")
+    R = resultant(P, Q, "y")
+    assert resultant(c * P, d * Q, "y") == Fraction(c) ** m * Fraction(d) ** n * R
+    R2, A, B = resultant_with_cofactors(c * P, d * Q, "y")
+    assert R2 == Fraction(c) ** m * Fraction(d) ** n * R
+    assert A * (c * P) + B * (d * Q) == R2
+    for X in (R2, A, B):
+        assert_canonical(X)
+
+
+def test_cofactors_of_operands_with_different_denominators():
+    x, y = Poly.var(VARS, "x"), Poly.var(VARS, "y")
+    P = Fraction(2, 3) * y ** 2 + Fraction(1, 6) * x * y - Fraction(5, 4)
+    Q = Fraction(3, 5) * y ** 3 - Fraction(1, 7) * x ** 2 * y + Fraction(2, 35) * x
+    R, A, B = resultant_with_cofactors(P, Q, "y")
+    assert A * P + B * Q == R
+    assert (R, A, B) == cofactors_by_minors(P, Q, "y")
+    assert R == resultant(P, Q, "y")
+    assert sp.expand(to_sympy(R) - sylvester(to_sympy(P), to_sympy(Q), SY).det()) == 0
+    # the integer multiples 12 P and 35 Q scale R by 12^3 35^2 and A, B by one power less
+    R12, A12, B12 = resultant_with_cofactors(12 * P, 35 * Q, "y")
+    assert R12 == 12 ** 3 * 35 ** 2 * R
+    assert (A12, B12) == (12 ** 2 * 35 ** 2 * A, 12 ** 3 * 35 * B)
+    for X in (R, A, B, R12, A12, B12):
+        assert_canonical(X)
