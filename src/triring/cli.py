@@ -78,23 +78,12 @@ def _json_text(payload):
     ``indent`` set, ``json.dumps`` always runs its pure-Python encoder;
     ``_render`` writes the same text with the C string escaper, and each
     series as its own ``json_text``, straight from its numerators.  A
-    payload holding anything but str-keyed dicts, lists, tuples, series,
-    str, int, float, bool and None makes ``_render`` raise ``TypeError``
-    and goes to ``json.dumps`` whole.
+    payload may hold str-keyed dicts, lists, tuples, series, str, int,
+    float, bool and None; anything else raises ``TypeError``.
     """
     parts = []
-    try:
-        _render(payload, "\n", parts)
-    except TypeError:
-        return json.dumps(payload, sort_keys=True, indent=2, default=_series_obj)
+    _render(payload, "\n", parts)
     return "".join(parts)
-
-
-def _series_obj(value):
-    """``json.dumps``'s ``default``: a series as its ``to_json_obj()``."""
-    if type(value) in _SERIES:
-        return value.to_json_obj()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render(value, newline, parts):
@@ -132,7 +121,7 @@ def _render(value, newline, parts):
     elif kind is float or kind is bool or value is None:
         parts.append(json.dumps(value))
     else:
-        raise TypeError(f"{kind.__name__} is left to json.dumps")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _complex_arg(text):

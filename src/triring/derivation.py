@@ -20,7 +20,6 @@ dehomogenizes, applies D and homogenizes back, two X-degrees higher.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import ring
@@ -184,8 +183,8 @@ def homog_D(Q: Poly, params: TriangleParams) -> Poly:
 
 def dehomogenize(Q: Poly) -> Poly:
     """Evaluate X0 -> 1 and rename (t, X1..X4) -> (tau, q, y0, y1, y2)."""
-    affine = Q.substitute({"X0": Fraction(1)})
-    return affine.rename_ring(AFFINE_VARS, _AFFINE_NAMES)
+    parts = [Q.coefficient_of("X0", k) for k in range(Q.partial_degree("X0") + 1)]
+    return Poly.sum(Q.vars, parts).rename_ring(AFFINE_VARS, _AFFINE_NAMES)
 
 
 def _homogenize(P: Poly, degree: int) -> Poly:

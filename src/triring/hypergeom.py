@@ -33,8 +33,8 @@ and u1 and their closed-form floating values read one recipe.
 
 The statement-form constant omega = G(g)G(b-a)/(G(g-a)G(b)) is the one
 the numeric check confirms; the variant with G(alpha) in the denominator
-is kept only to demonstrate that it fails, see
-:func:`omega_variant_check`.
+is kept only to demonstrate that it fails, see the ``omega_residuals``
+of :func:`numeric_checks`.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ SYMBOLS_AT_ONE = ("theta", "theta1")
 SYMBOLS_AT_INF = ("zw", "zw1")
 
 DEFAULT_ORDER = 40
+TOL = 1e-15
+MAX_TERMS = 200_000
 HALF = Fraction(1, 2)
 # terms of u0, u1 for the floating checks: at N = 24 the truncated
 # Wronskian is off by about 2e-9 at z = 0.5i, above its 1e-9 tolerance
@@ -348,9 +350,9 @@ class ConnectionConstants:
 
     ``omega`` follows the definition with Gamma(beta) in the denominator;
     ``omega_alt`` is the rejected variant with Gamma(alpha) instead (see
-    :func:`omega_variant_check`).  ``bindings`` maps the adjoined series
-    symbols to complex values: theta, theta1, zw = zeta1*omega and
-    zw1 = zeta1*omega1.
+    the ``omega_residuals`` of :func:`numeric_checks`).  ``bindings``
+    maps the adjoined series symbols to complex values: theta, theta1,
+    zw = zeta1*omega and zw1 = zeta1*omega1.
     """
 
     theta: complex
@@ -387,13 +389,13 @@ def connection_constants(params: TriangleParams) -> ConnectionConstants:
 # -- numeric verification --------------------------------------------------------
 
 
-def hyp2f1_numeric(a, b, c, z, tol=1e-15, max_terms=200_000):
-    """Plain series evaluation of 2F1; requires |z| < 1.
+def hyp2f1_numeric(a, b, c, z):
+    """Plain series evaluation of 2F1; requires a finite z with |z| < 1.
 
     Raises :class:`TruncationExhausted` when the terms have not fallen
-    below ``tol`` relative to the sum within ``max_terms`` terms.
+    below ``TOL`` relative to the sum within ``MAX_TERMS`` terms.
     """
-    z = complex(z)
+    z = finite_point(z)
     if abs(z) >= 1:
         raise ValueError("series evaluation needs |z| < 1")
     a, b, c = float(a), float(b), float(c)
@@ -401,13 +403,13 @@ def hyp2f1_numeric(a, b, c, z, tol=1e-15, max_terms=200_000):
         raise PolarParameter(f"lower parameter {c} is a nonpositive integer")
     term = 1.0 + 0j
     total = 1.0 + 0j
-    for n in range(1, max_terms):
+    for n in range(1, MAX_TERMS):
         term *= (a + n - 1) * (b + n - 1) / ((c + n - 1) * n) * z
         total += term
-        if abs(term) < tol * max(abs(total), 1e-30) and n > 8:
+        if abs(term) < TOL * max(abs(total), 1e-30) and n > 8:
             return total
     raise TruncationExhausted(
-        f"2F1({a}, {b}; {c}; {z}) not converged after {max_terms} terms; "
+        f"2F1({a}, {b}; {c}; {z}) not converged after {MAX_TERMS} terms; "
         f"last term {abs(term):.3e}"
     )
 
@@ -427,8 +429,16 @@ def hyp2f1_numeric_ext(a, b, c, z):
     return (1 - z) ** (-float(a)) * hyp2f1_numeric(float(a), float(c) - float(b), float(c), zz)
 
 
-def _check_sample(z):
+def finite_point(z):
+    """``z`` as a complex number; ``ValueError`` when a part is NaN or infinite."""
     z = complex(z)
+    if not cmath.isfinite(z):  # NaN would pass every range check
+        raise ValueError(f"point {z} is not finite")
+    return z
+
+
+def _check_sample(z):
+    z = finite_point(z)
     if z.imag == 0 and (z.real <= 0 or z.real >= 1):
         raise CutLineViolation(f"sample {z} lies on a branch cut")
     if abs(z) >= 1:
@@ -504,7 +514,12 @@ class NumericReport:
 
 
 def _infinity_residuals(params, k, z):
-    """``omega_variant_check`` at z with the constants ``k`` already made."""
+    """Relative residuals at z of the expansion at infinity under both omega variants.
+
+    Returns ``(residual_statement_form, residual_alt_form)`` with the
+    constants ``k``; the statement form (Gamma(beta) in the denominator)
+    is the one that matches, the alternative fails by orders of magnitude.
+    """
     al, be, ga = (float(v) for v in params.as_tuple())
     lhs = hyp2f1_numeric_ext(al, be, ga, z)
     t1 = hyp2f1_numeric(al, 1 - ga + al, 1 - be + al, 1 / z)
@@ -513,18 +528,9 @@ def _infinity_residuals(params, k, z):
     return abs(lhs - rhs(k.omega)) / abs(lhs), abs(lhs - rhs(k.omega_alt)) / abs(lhs)
 
 
-def omega_variant_check(params, z=-30.0):
-    """Residuals of the expansion at infinity under both omega variants.
-
-    Returns ``(residual_statement_form, residual_alt_form)``; the
-    statement form (Gamma(beta) in the denominator) is the one that
-    matches, the alternative fails by orders of magnitude.
-    """
-    return _infinity_residuals(params, connection_constants(params), z)
-
-
 def numeric_checks(params: TriangleParams, samples=(0.1, 0.3, 0.5j), N=NUMERIC_CHECK_ORDER):
     """Floating validation of the ODE, Wronskian and connection formulas."""
+    samples = [_check_sample(z) for z in samples]
     al, be, ga = (float(v) for v in params.as_tuple())
     d = derived_constants(params)
     k = connection_constants(params)
@@ -537,7 +543,6 @@ def numeric_checks(params: TriangleParams, samples=(0.1, 0.3, 0.5j), N=NUMERIC_C
     wron = {}
     ode = {}
     for z in samples:
-        z = _check_sample(z)
         w_val = u1_d.evaluate(z) * u0.evaluate(z) - u1.evaluate(z) * u0_d.evaluate(z)
         wron[z] = abs(w_val - complex(float(d.w)))
         pot = (

@@ -211,7 +211,7 @@ def certify_stability(generators, params, step_budget=DEFAULT_STEP_BUDGET):
 def case_one_quadric(params) -> Poly:
     """H: image of D(y0) under y0 -> 0."""
     g = ring.gens(AFFINE_VARS)
-    return apply_D(g["y0"], params).substitute({"y0": Fraction(0)})
+    return apply_D(g["y0"], params).coefficient_of("y0", 0)
 
 
 def expected_case_one_cubic(params) -> Poly:
@@ -252,7 +252,7 @@ def certify_case_one(params, raise_on_failure=True) -> CaseOneReport:
     g = ring.gens(AFFINE_VARS)
     y1, y2 = g["y1"], g["y2"]
     H = case_one_quadric(params)
-    K = apply_D(H, params).substitute({"y0": Fraction(0)})  # image of D(H) under y0 -> 0
+    K = apply_D(H, params).coefficient_of("y0", 0)  # image of D(H) under y0 -> 0
     R1 = resultant(H, K, "y1")
     R2 = resultant(H, K, "y2")
     e = eta(params)

@@ -365,7 +365,7 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
         raise ZeroPolynomial("the zero polynomial has no order")
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    z0 = complex(z0)
+    z0 = hypergeom.finite_point(z0)
     if abs(z0) >= 0.95 or abs(z0) < 1e-6 or abs(z0 - 1) < 0.05:
         raise ValueError("z0 must be inside the disk, away from 0 and 1")
     if z0.imag == 0 and z0.real < 0:

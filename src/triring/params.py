@@ -71,14 +71,6 @@ def validate(alpha, beta, gamma) -> TriangleParams:
     return TriangleParams(alpha, beta, gamma)
 
 
-def is_valid(alpha, beta, gamma):
-    try:
-        validate(alpha, beta, gamma)
-        return True
-    except (NotUnitFraction, OrderingViolated, SumConstraintViolated):
-        return False
-
-
 def _abc(al, be, ga):
     """a, b and c from alpha, beta, gamma: exact on Fractions, the same steps on floats."""
     a = ga * (1 - al - be) + 2 * al * be

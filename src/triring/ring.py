@@ -356,39 +356,6 @@ class Poly:
             key - drop: coef for key, coef in self.mono.items() if key >> shift & _MASK == k
         })
 
-    def substitute(self, mapping):
-        """Simultaneous exact substitution ``name -> Poly | Fraction | int``."""
-        images = {}
-        for name, image in mapping.items():
-            if name not in self.vars:
-                raise DomainMismatch(f"{name} is not a variable of this ring")
-            images[name] = image
-        power_cache = {}
-
-        def power(name, k):
-            key = (name, k)
-            if key not in power_cache:
-                img = images[name]
-                if isinstance(img, Poly):
-                    self._check_same_ring(img)
-                    power_cache[key] = img ** k
-                else:
-                    power_cache[key] = Poly.const(self.vars, _exact(img) ** k)
-            return power_cache[key]
-
-        parts = []
-        for exps, coef in self.terms.items():
-            term = Poly.const(self.vars, coef)
-            for name, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                if name in images:
-                    term = term * power(name, e)
-                else:
-                    term = term * Poly.var(self.vars, name, e)
-            parts.append(term)
-        return Poly.sum(self.vars, parts)
-
     def rename_ring(self, new_vars, mapping):
         """Move to another variable tuple, sending old names per ``mapping``.
 
@@ -502,24 +469,21 @@ class Poly:
             raise ValueError("division is not exact")
         return quo
 
-    def divides(self, other):
-        try:
-            other.exact_div(self)
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
-
     # -- serialization -----------------------------------------------------------
 
     def to_json_obj(self):
         return terms_json_obj(self.vars, self.terms)
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(obj["vars"], {tuple(t["exps"]): Fraction(t["coef"]) for t in obj["terms"]})
+        """The inverse of :meth:`to_json_obj`; a ``coef`` must be a str or an int."""
+        terms = {}
+        for t in obj["terms"]:
+            coef = t["coef"]
+            if type(coef) is not str and type(coef) is not int:  # a float is not exact, a bool no number
+                raise PolyParseError(f"coefficient {coef!r} is not a str or an int")
+            terms[tuple(t["exps"])] = Fraction(coef)
+        return cls(obj["vars"], terms)
 
     def to_text(self):
         """Render as a sum of monomials, e.g. ``3/4 * tau^2 q y0 - y1``."""

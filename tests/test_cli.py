@@ -312,3 +312,39 @@ def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.count("error:") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("sample", ["nan", "nanj", "0.1+nanj"])
+def test_hyper_verify_refuses_a_non_finite_sample(capsys, sample):
+    # NaN passes every range check; it must not reach the sums and read as a failed identity
+    code, out, err = invoke(capsys, "hyper", "verify", "--params", "1/5,1/4,1/2",
+                            "--samples", sample)
+    assert code == 1
+    assert out == ""
+    assert "is not finite" in err
+
+
+def test_generic_ord_refuses_a_non_finite_point(capsys):
+    # without the check the 2F1 sums run to their term cap before failing
+    code, out, err = invoke(capsys, "ord", "--at", "nanj", "--params", "1/5,1/4,1/2", "y0")
+    assert code == 1
+    assert out == ""
+    assert "is not finite" in err
+
+
+@pytest.mark.parametrize("coef", [0.1, True, None, [1]])
+def test_json_coefficients_must_be_exact(capsys, coef):
+    # a float would be read as its binary value and a bool as 0 or 1
+    poly = json.dumps({"vars": ["tau", "q", "y0", "y1", "y2"],
+                       "terms": [{"exps": [1, 0, 0, 0, 0], "coef": coef}]})
+    code, out, err = invoke(capsys, "derive", "--kind", "H", "--params", "1/5,1/4,1/2", poly)
+    assert code == 1
+    assert out == ""
+    assert "is not a str or an int" in err
+
+
+def test_json_coefficients_may_be_str_or_int(capsys):
+    poly = json.dumps({"vars": ["tau", "q", "y0", "y1", "y2"], "terms": [
+        {"exps": [1, 0, 0, 0, 0], "coef": "1/10"}, {"exps": [0, 1, 0, 0, 0], "coef": 3}]})
+    args = ("derive", "--kind", "H", "--params", "1/5,1/4,1/2")
+    assert invoke(capsys, *args, poly) == invoke(capsys, *args, "1/10 tau + 3 q")

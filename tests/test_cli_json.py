@@ -2,18 +2,19 @@
 
 ``triring ... --emit json`` writes its report through ``cli._json_text``,
 which renders str-keyed dicts, lists, tuples, scalars and series itself
-and hands any other payload to ``json.dumps`` whole.  A series, rational
+and raises ``TypeError`` on anything else.  A series, rational
 (``PuiseuxSeries``) or symbolic (``SymbolicSeries``), stands for its
 ``to_json_obj()`` and is written by its ``json_text`` straight from the
 numerators.  Every payload must come out byte for byte as
 ``json.dumps(payload, sort_keys=True, indent=2)`` writes it with each
-series replaced by its ``to_json_obj()``, the fallback included.
+series replaced by its ``to_json_obj()``.
 """
 
 import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +45,6 @@ trees = st.recursive(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(text, children, max_size=5),
-        # int keys are not rendered; the whole payload goes to json.dumps
-        st.dictionaries(st.integers(-5, 5), children, max_size=3),
     ),
     max_leaves=30,
 )
@@ -105,13 +104,6 @@ def test_series_write_what_json_dumps_writes_of_their_json_obj(payload):
     assert cli._json_text(payload) == dumps(plain(payload))
 
 
-@settings(max_examples=50, deadline=None)
-@given(s=series, key=st.integers(-5, 5))
-def test_series_under_an_int_key_go_to_json_dumps(s, key):
-    payload = {"a": [s], "b": {key: s}}
-    assert cli._json_text(payload) == dumps(plain(payload))
-
-
 def test_empty_and_off_grid_series():
     # an empty series is written with its prec as the base exponent
     for s in (PuiseuxSeries(3, {}, Fraction(5, 7)), PuiseuxSeries(2, {-3: 1, 4: 2}, Fraction(1, 3)),
@@ -123,12 +115,13 @@ def test_empty_and_off_grid_series():
 def test_empty_containers_and_fallbacks():
     for payload in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], {"k": [{}]}):
         assert cli._json_text(payload) == dumps(payload)
-    # int keys, a str subclass and a bool key each go to json.dumps
+    # int keys, a str subclass and a bool key are not rendered
     class Name(str):
         pass
 
     for payload in ({1: "a", -2: [1.5]}, {"x": Name("y\n")}, {True: None}, [{"a": 1}, {3: 4}]):
-        assert cli._json_text(payload) == dumps(payload)
+        with pytest.raises(TypeError):
+            cli._json_text(payload)
 
 
 def test_verify_json_report_renders_as_json_dumps(capsys, monkeypatch):
@@ -141,3 +134,16 @@ def test_verify_json_report_renders_as_json_dumps(capsys, monkeypatch):
     assert code == 0 and len(seen) == 1
     assert isinstance(seen[0]["omega_residuals"][0], float)
     assert out == dumps(seen[0]) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "check", "1/5", "1/4", "1/2"],
+    ["params", "eta", "--max-denominator", "8"],
+    ["params", "residuals", "1/5", "1/4", "1/2"],
+    ["ideal", "stable", "--params", "1/5,1/4,1/2", "--gen", "y0"],  # the unstable verdict
+], ids=" ".join)
+def test_unpinned_json_reports_render_as_json_dumps(capsys, argv):
+    code = run([*argv, "--emit", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == dumps(json.loads(out)) + "\n"
