@@ -124,8 +124,13 @@ def _render(value, newline, parts):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _complex_arg(text):
-    return complex(text.replace("i", "j"))
+def _complex_arg(text, name):
+    """``text`` as a complex number; a trailing imaginary unit ``i`` reads as ``j``."""
+    text = text.strip()
+    try:
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
+    except ValueError:
+        raise ValueError(f"{name}: {text!r} is not a complex number") from None
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -278,12 +283,19 @@ def _cmd_hyper(args):
             "order": args.order,
             "series": series,
         }
-        lines = [f"{name}: ord {s.ord()} lead {_coef_text(s.leading_coeff())}"
-                 for name, s in fam.series_map().items()]
+        # ord() refuses a series with no certified term, under --emit json too
+        ords = {name: s.ord() for name, s in fam.series_map().items()}
+        lines = [] if args.emit == "json" else [
+            f"{name}: ord {ords[name]} lead {_coef_text(s.leading_coeff())}"
+            for name, s in fam.series_map().items()
+        ]
         _emit(args, payload, lines)
         return 0
     if args.action == "verify":
-        samples = tuple(_complex_arg(s) for s in args.samples.split(",")) if args.samples else (0.1, 0.3, 0.5j)
+        samples = (
+            tuple(_complex_arg(s, "--samples") for s in args.samples.split(","))
+            if args.samples else (0.1, 0.3, 0.5j)
+        )
         rep = hypergeom.numeric_checks(p, samples=samples, N=args.order)
         worst_w = max(rep.wronskian_dev.values())
         worst_conn = rep.max_connection_residual()
@@ -306,7 +318,7 @@ def _cmd_ord(args):
     if args.at in ("0", "zero"):
         rep = multiplicity.ord_at_zero(P, p, N=args.order)
     else:
-        rep = multiplicity.ord_at_generic(P, p, _complex_arg(args.at), N=args.order)
+        rep = multiplicity.ord_at_generic(P, p, _complex_arg(args.at, "--at"), N=args.order)
     payload = {
         "point": rep.point,
         "poly": rep.poly,

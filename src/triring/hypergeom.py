@@ -14,8 +14,12 @@ and have Wronskian u1' u0 - u1 u0' identically 1 - gamma.  From them the
 weight-2 combinations y0 = u0 u0', y1 = y0 - u0^2/z, y2 = y0 - u0^2/(z-1)
 and the pair tau = u1/u0, q = exp(tau) are produced as exact rational
 Puiseux series at 0, y0 as (u0^2)'/2: the same precision as the product
-u0 u0', for no second product.  u0 and u1 share their (1-z)**s factor,
-so tau is z**(1-gamma) times the quotient of their two 2F1 series.  At
+u0 u0', for no second product.  1/z and 1/(z-1) enter y1 and y2 as maps
+of a series: in each local variable they are one term (x^-1, -x^-1,
+-x), a product that is a key shift, or geometric (1/(1-x), -x/(1+x)),
+a running sum, each with the ``prec`` of the product by the truncated
+series.  u0 and u1 share their (1-z)**s factor, so tau is
+z**(1-gamma) times the quotient of their two 2F1 series.  At
 1 and infinity the expansions go through the classical connection
 formulas; the Gamma-ratio constants enter as opaque symbols (``theta``,
 ``theta1`` at 1; ``zw``, ``zw1`` at infinity, the products of the unit
@@ -92,7 +96,7 @@ def _term_series(upper, lower, N, sign=1):
         nums.append(num)
         dens.append(den)
     common = math.lcm(*dens)
-    return PuiseuxSeries._make(
+    return PuiseuxSeries._reduced(
         1, Fraction(N + 1), common, {n: c * (common // d) for n, (c, d) in enumerate(zip(nums, dens))}
     )
 
@@ -157,21 +161,18 @@ class SymbolicSeries:
         self.prec = min(s.prec for s in parts.values())
         self.parts = {m: s.truncate(self.prec) for m, s in parts.items()}
 
-    def _leading(self):
-        """The leading exponent and coefficient, from the parts' leading terms only."""
-        ram = math.lcm(*(s.ram for s in self.parts.values()))
-        leads = {m: (min(s.nums) * (ram // s.ram), s) for m, s in self.parts.items() if s.nums}
+    def ord(self):
+        """The least leading exponent of the parts: monomials apart, they never cancel."""
+        leads = [s.ord() for s in self.parts.values() if s.nums]
         if not leads:
             raise InconclusiveOrder(self.prec)
-        k = min(step for step, _ in leads.values())
-        coeffs = {m: s.leading_coeff() for m, (step, s) in leads.items() if step == k}
-        return Fraction(k, ram), Poly(self.symbols, coeffs)
-
-    def ord(self):
-        return self._leading()[0]
+        return min(leads)
 
     def leading_coeff(self):
-        return self._leading()[1]
+        e = self.ord()
+        return Poly(self.symbols, {
+            m: s.leading_coeff() for m, s in self.parts.items() if s.nums and s.ord() == e
+        })
 
     def evaluate(self, x, bindings):
         """Numeric value at the local variable ``x`` under symbol bindings."""
@@ -190,38 +191,35 @@ class SymbolicSeries:
         return series_json_obj(ram, self.prec, values, "symbolic")
 
     def json_text(self, newline="\n"):
-        """``json.dumps(self.to_json_obj(), sort_keys=True, indent=2)`` at ``newline``."""
+        """``json.dumps(self.to_json_obj(), sort_keys=True, indent=2)`` at ``newline``.
+
+        Each step's value is the ``terms_json_obj`` text at the indent of
+        its ``"value"`` key, six spaces in from ``newline``: one
+        ``{"coef": ..., "exps": [...]}`` item per monomial, whose text
+        around the coefficient depends only on the monomial, so each
+        monomial's head and tail are written once per series.
+        """
         ram = math.lcm(*(s.ram for s in self.parts.values()))
-        grid = {}  # {k: [(monomial, coefficient text)]}, each list in key order
+        value = newline + "      "
+        inner = value + "  "
+        entry = inner + "  "
+        key = entry + "  "
+        head = f'{{{key}"coef": '
+        grid = {}  # {k: [term text]}, each list in key order
         for m in key_order(self.symbols, self.parts):
             s = self.parts[m]
             f, den = ram // s.ram, s.den
+            tail = f',{key}"exps": {json_list_text([str(e) for e in m], key)}{entry}}}'
             for k, c in s.nums.items():
-                grid.setdefault(k * f, []).append((m, rational_text(c, den)))
-        symbols = [_encode_str(name) for name in self.symbols]
+                grid.setdefault(k * f, []).append(head + rational_text(c, den) + tail)
+        symbols = json_list_text([_encode_str(name) for name in self.symbols], inner)
+        first = f'{{{inner}"terms": [{entry}'
+        sep = "," + entry
+        last = f'{inner}],{inner}"vars": {symbols}{value}}}'
         return series_json_text(
             ram, self.prec, grid, "symbolic", newline,
-            lambda terms, nl: _terms_text(symbols, terms, nl),
+            lambda terms, _: first + sep.join(terms) + last,
         )
-
-
-def _terms_text(symbols, terms, newline):
-    """The JSON text of ``terms_json_obj`` at ``newline``, its parts already text.
-
-    ``symbols`` are the encoded names; ``terms`` the ``(monomial,
-    coefficient text)`` pairs in key order.
-    """
-    inner = newline + "  "
-    entry = inner + "  "
-    key = entry + "  "
-    items = [
-        f'{{{key}"coef": {coef},{key}"exps": {json_list_text([str(e) for e in m], key)}{entry}}}'
-        for m, coef in terms
-    ]
-    return (
-        f'{{{inner}"terms": {json_list_text(items, inner)},'
-        f'{inner}"vars": {json_list_text(symbols, inner)}{newline}}}'
-    )
 
 
 @dataclass
@@ -245,10 +243,11 @@ class ExpansionFamily:
 
 
 def _family_from_u0(point, local_variable, u0, inv_z, inv_zm1):
+    """The family of u0; ``inv_z`` and ``inv_zm1`` map a series s to s/z and s/(z-1)."""
     u0sq = u0 * u0
     y0 = u0sq.differentiate().scale(HALF)  # (u0^2)'/2 = u0 u0'
-    y1 = y0 - u0sq * inv_z
-    y2 = y0 - u0sq * inv_zm1
+    y1 = y0 - inv_z(u0sq)
+    y2 = y0 - inv_zm1(u0sq)
     return ExpansionFamily(point, local_variable, u0, u0sq, y0, y1, y2, ())
 
 
@@ -257,13 +256,14 @@ def _symbolic_family(point, local_variable, A, B, d_dz, inv_z, inv_zm1, symbols)
 
     ``d_dz`` maps a rational series in the local variable to its d/dz; it
     is linear, so y0 = (u0^2)'/2 is ``d_dz`` of each part of u0^2, halved.
+    ``inv_z`` and ``inv_zm1`` map a rational series s to s/z and s/(z-1).
     """
     u0 = SymbolicSeries(symbols, {(1, 0): A, (0, 1): B})
     A, B = u0.parts[1, 0], u0.parts[0, 1]  # cut at their common prec
     u0sq = SymbolicSeries(symbols, {(2, 0): A * A, (1, 1): (A * B).scale(2), (0, 2): B * B})
     y0 = SymbolicSeries(symbols, {m: d_dz(s).scale(HALF) for m, s in u0sq.parts.items()})
     y1, y2 = (
-        SymbolicSeries(symbols, {m: y0.parts[m] - s * inv for m, s in u0sq.parts.items()})
+        SymbolicSeries(symbols, {m: y0.parts[m] - inv(s) for m, s in u0sq.parts.items()})
         for inv in (inv_z, inv_zm1)
     )
     return ExpansionFamily(point, local_variable, u0, u0sq, y0, y1, y2, symbols)
@@ -274,32 +274,40 @@ def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
 
     At zero the coefficients are exact rationals.  At one they are exact
     polynomials in the symbols theta, theta1; at infinity in zw, zw1.
+    The geometric 1/(1-x) is known below x**(N+1), as the binomial
+    series is, and -x/(1+x) at infinity below x**N.
     """
     al, be, ga = params.as_tuple()
     s = (al + be - ga + 1) / 2
     if point == "zero":
         u0 = u_series("u0", params, N)
-        inv_z = PuiseuxSeries.x_power(Fraction(-1), N)
-        inv_zm1 = -binomial_series(-1, N, argument_sign=-1)  # 1/(z-1) = -1/(1-z)
-        return _family_from_u0("zero", "z", u0, inv_z, inv_zm1)
+        x_m1 = PuiseuxSeries.x_power(-1, N)
+        return _family_from_u0(
+            "zero", "z", u0,
+            lambda f: f * x_m1,
+            lambda f: -f.geometric(1, N + 1),  # 1/(z-1) = -1/(1-z)
+        )
     if point == "one":
         A = _local_part(s, ga / 2, (al, be, al + be - ga + 1), N)
         B = _local_part(1 - s, ga / 2, (ga - al, ga - be, ga - al - be + 1), N)
-        inv_z = binomial_series(-1, N, argument_sign=-1)  # 1/z = 1/(1-x)
-        inv_zm1 = -PuiseuxSeries.x_power(Fraction(-1), N)  # z - 1 = -x
+        minus_x_m1 = -PuiseuxSeries.x_power(-1, N)
         return _symbolic_family(
             "one", "1-z", A, B, lambda f: -f.differentiate(),  # x = 1 - z
-            inv_z, inv_zm1, SYMBOLS_AT_ONE,
+            lambda f: f.geometric(1, N + 1),  # 1/z = 1/(1-x)
+            lambda f: f * minus_x_m1,  # z - 1 = -x
+            SYMBOLS_AT_ONE,
         )
     if point == "inf":  # x = (-z)^(-1)
         A = _local_part((al - be - 1) / 2, s, (al, 1 - ga + al, 1 - be + al), N, sign=-1)
         B = _local_part((be - al - 1) / 2, s, (be, 1 - ga + be, 1 - al + be), N, sign=-1)
-        inv_z = -PuiseuxSeries.x_power(Fraction(1), N)  # 1/z = -x
-        # 1/(z-1) = -x/(1+x)
-        inv_zm1 = -(PuiseuxSeries.x_power(Fraction(1), N) * binomial_series(-1, N))
+        minus_x = -PuiseuxSeries.x_power(1, N)
         return _symbolic_family(
             "inf", "(-z)^(-1)", A, B, lambda f: f.differentiate().shift(2),  # d/dz = x^2 d/dx
-            inv_z, inv_zm1, SYMBOLS_AT_INF,
+            lambda f: f * minus_x,  # 1/z = -x
+            # 1/(z-1) = -x/(1+x); known below x**N, it is x times 1/(1+x)
+            # known below x**(N-1)
+            lambda f: -f.shift(1).geometric(-1, N - 1),
+            SYMBOLS_AT_INF,
         )
     raise ValueError(f"unknown expansion point {point!r}")
 

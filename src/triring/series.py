@@ -20,6 +20,25 @@ product of the denominators, the inverse is Newton's iteration on top
 of it, and ``exp`` runs its term recurrence over one running
 denominator.  ``json_text`` writes the JSON text of a series straight
 from the numerators, one gcd per coefficient.
+
+Two products skip the Kronecker kernel.  A factor of one term c0 x^k0
+is a shift of the other operand's keys and a scale of its numerators,
+and ``geometric`` multiplies by 1 / (1 - sigma x) as a running sum
+along each residue class of the steps; both keep the product's
+``prec`` and cut.  Every result divides out the gcd of its denominator
+and numerators, but only where one can appear is it scanned for:
+
+- none where the numbers are those of a reduced input (``shift``,
+  ``with_ram``, ``normalize_ram``, negation, a ``truncate`` that cuts
+  nothing), where the denominator is built as the least common one
+  (``exp``; ``hypergeom._term_series``), or for an uncut running sum,
+  whose input steps are differences of its output steps;
+- from ``|p| q`` for ``scale(p/q)`` and from ``|c0| den0`` for an uncut
+  product by the one term c0 x^k0 over den0: of two reduced factors'
+  product, the gcd divides what the new factor brings;
+- in full for sums, other products, ``differentiate``, ``invert`` and
+  any result that cut a stored step, since a cut can leave numerators
+  that share a factor with the denominator.
 """
 
 from __future__ import annotations
@@ -51,9 +70,13 @@ def _coef(num, den):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-def _reduce(den, nums):
-    """``den`` and ``nums`` divided by their gcd; the gcd loop stops at 1."""
-    g = den
+def _reduce(den, nums, g=None):
+    """``den`` and ``nums`` divided by their gcd; the gcd loop stops at 1.
+
+    ``g``, when given, is a multiple of that gcd known in advance, and the
+    loop starts from ``gcd(den, g)`` instead of ``den``.
+    """
+    g = den if g is None else gcd(den, g)
     for c in nums.values():
         if g == 1:
             break
@@ -81,14 +104,23 @@ class PuiseuxSeries:
         self.nums = {k: c.numerator * (self.den // c.denominator) for k, c in kept}
 
     @classmethod
-    def _make(cls, ram, prec, den, nums):
+    def _make(cls, ram, prec, den, nums, g=None):
         """Trusted: nonzero int ``nums`` below ``ceil(prec * ram)`` over ``den > 0``.
 
-        Cuts nothing; only divides out the gcd of ``den`` and the numerators.
+        Cuts nothing; only divides out the gcd of ``den`` and the numerators,
+        scanning them from ``gcd(den, g)`` when ``g`` is a known multiple of
+        that gcd (see the module docstring for where one is known).
         """
         s = object.__new__(cls)
         s.ram, s.prec = ram, prec
-        s.den, s.nums = _reduce(den, nums)
+        s.den, s.nums = _reduce(den, nums, g)
+        return s
+
+    @classmethod
+    def _reduced(cls, ram, prec, den, nums):
+        """Trusted like ``_make``, with ``gcd(den, *nums) == 1`` already: no scan."""
+        s = object.__new__(cls)
+        s.ram, s.prec, s.den, s.nums = ram, prec, den, nums
         return s
 
     # -- constructors ------------------------------------------------------------
@@ -160,7 +192,7 @@ class PuiseuxSeries:
         if g == 1:
             return self
         nums = {k // g: c for k, c in self.nums.items()}
-        return PuiseuxSeries._make(self.ram // g, self.prec, self.den, nums)
+        return PuiseuxSeries._reduced(self.ram // g, self.prec, self.den, nums)
 
     def with_ram(self, new_ram):
         if new_ram % self.ram:
@@ -169,7 +201,7 @@ class PuiseuxSeries:
             return self
         f = new_ram // self.ram
         nums = {k * f: c for k, c in self.nums.items()}
-        return PuiseuxSeries._make(new_ram, self.prec, self.den, nums)
+        return PuiseuxSeries._reduced(new_ram, self.prec, self.den, nums)
 
     def _aligned(self, other):
         r = lcm(self.ram, other.ram)
@@ -208,7 +240,7 @@ class PuiseuxSeries:
 
     def __neg__(self):
         nums = {k: -c for k, c in self.nums.items()}
-        return PuiseuxSeries._make(self.ram, self.prec, self.den, nums)
+        return PuiseuxSeries._reduced(self.ram, self.prec, self.den, nums)
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -222,10 +254,11 @@ class PuiseuxSeries:
         if not isinstance(factor, _SCALARS):
             raise DomainMismatch(f"factor {factor!r} is not an exact rational")
         if not factor:
-            return PuiseuxSeries._make(self.ram, self.prec, 1, {})
-        p = factor.numerator
+            return PuiseuxSeries._reduced(self.ram, self.prec, 1, {})
+        p, q = factor.numerator, factor.denominator
         nums = self.nums if p == 1 else {k: c * p for k, c in self.nums.items()}
-        return PuiseuxSeries._make(self.ram, self.prec, self.den * factor.denominator, nums)
+        # a common factor of den * q and the numerators p c divides |p| q
+        return PuiseuxSeries._make(self.ram, self.prec, self.den * q, nums, abs(p) * q)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -237,8 +270,19 @@ class PuiseuxSeries:
             a.prec + b._ord_lower_bound(),
             b.prec + a._ord_lower_bound(),
         )
-        nums = _int_product(a.nums, b.nums, _ceil_steps(prec, a.ram))
-        return PuiseuxSeries._make(a.ram, prec, a.den * b.den, nums)
+        bound = _ceil_steps(prec, a.ram)
+        if len(a.nums) == 1:  # a one-term operand goes to b
+            a, b = b, a
+        if len(b.nums) != 1:
+            nums = _int_product(a.nums, b.nums, bound)
+            return PuiseuxSeries._make(a.ram, prec, a.den * b.den, nums)
+        # b is one term c0 x^(k0 / ram): a key shift and a scale of a's
+        # numerators.  If none is cut, a common factor of the den and the
+        # numerators c0 c divides |c0| b.den, since a and b are reduced
+        ((k0, c0),) = b.nums.items()
+        nums = {k + k0: c * c0 for k, c in a.nums.items() if k + k0 < bound}
+        g = abs(c0) * b.den if len(nums) == len(a.nums) else None
+        return PuiseuxSeries._make(a.ram, prec, a.den * b.den, nums, g)
 
     __rmul__ = __mul__
 
@@ -249,13 +293,49 @@ class PuiseuxSeries:
         s = self.with_ram(r)
         off = int(e * r)
         nums = {k + off: c for k, c in s.nums.items()}
-        return PuiseuxSeries._make(r, s.prec + e, s.den, nums)
+        return PuiseuxSeries._reduced(r, s.prec + e, s.den, nums)
 
     def truncate(self, new_prec):
         new_prec = min(self.prec, Fraction(new_prec))
         bound = _ceil_steps(new_prec, self.ram)
+        if max(self.nums, default=bound - 1) < bound:
+            return PuiseuxSeries._reduced(self.ram, new_prec, self.den, self.nums)
         nums = {k: c for k, c in self.nums.items() if k < bound}
         return PuiseuxSeries._make(self.ram, new_prec, self.den, nums)
+
+    def geometric(self, sigma, known):
+        """``self * F`` for F = 1 / (1 - sigma x), sigma = 1 or -1, known below x**known.
+
+        F stores sigma**n x**n for n < known, as ``binomial_series(-1, N,
+        -sigma)`` does with known N + 1; the result is ``self * F`` in
+        ``prec``, ``den`` and ``nums``, with no product: out_k = s_k +
+        sigma out_(k - ram), a running sum along each residue class of the
+        steps of s = self.  The product stops below known + ord(self), so
+        F's cut never shows.  If no step of s is cut, den is already
+        reduced: a common factor of den and every out_k divides every
+        s_k = out_k - sigma out_(k - ram).
+        """
+        r = self.ram
+        # F's order is 0, or known when F is empty (known <= 0), and then
+        # the bound cuts every step of s
+        prec = min(self.prec + min(0, known), known + self._ord_lower_bound())
+        bound = _ceil_steps(prec, r)
+        t = {k: c for k, c in self.nums.items() if k < bound}
+        starts = {}  # the first step of t in each residue class mod r
+        for k in t:
+            i = k % r
+            if k < starts.get(i, bound):
+                starts[i] = k
+        nums = {}
+        for first in starts.values():
+            acc = 0
+            for k in range(first, bound, r):
+                acc = t.get(k, 0) + acc if sigma == 1 else t.get(k, 0) - acc
+                if acc:
+                    nums[k] = acc
+        if len(t) == len(self.nums):
+            return PuiseuxSeries._reduced(r, prec, self.den, nums)
+        return PuiseuxSeries._make(r, prec, self.den, nums)
 
     def differentiate(self):
         """d/dx with respect to the series' own variable."""
@@ -309,7 +389,7 @@ class PuiseuxSeries:
         """exp of a series of positive order (composition with exp at 0)."""
         n = _ceil_steps(self.prec, self.ram)
         if not self.nums:
-            return PuiseuxSeries._make(self.ram, self.prec, 1, {0: 1} if n > 0 else {})
+            return PuiseuxSeries._reduced(self.ram, self.prec, 1, {0: 1} if n > 0 else {})
         if min(self.nums) <= 0:
             raise NonpositiveOrder("exp needs ord > 0")
         # (k/r) out_k = sum_j (j/r) f_j out_{k-j}  from  out' = f' out, on
@@ -337,7 +417,7 @@ class PuiseuxSeries:
                     den *= grow
                 num[k] = acc * (den // q)
         nums = {k: c for k, c in enumerate(num) if c}
-        return PuiseuxSeries._make(self.ram, self.prec, den, nums)
+        return PuiseuxSeries._reduced(self.ram, self.prec, den, nums)
 
     # -- evaluation and serialization ------------------------------------------------
 

@@ -332,6 +332,52 @@ def test_generic_ord_refuses_a_non_finite_point(capsys):
     assert "is not finite" in err
 
 
+@pytest.mark.parametrize("emit", ["json", "text"])
+def test_expand_with_no_certified_term_exits_one_under_either_emit(capsys, emit):
+    # at infinity at order 1, 1/z = -x keeps no term below its prec, so
+    # y1 has none; --emit json, which prints no orders, refuses it too
+    code, out, err = invoke(capsys, "hyper", "expand", "--point", "inf", "--params",
+                            "1/5,1/4,1/2", "--order", "1", "--emit", emit)
+    assert code == 1
+    assert out == ""
+    assert err == "error: all coefficients vanish below exponent -1/20\n"
+
+
+def test_generic_ord_at_inf_is_the_non_finite_error(capsys):
+    # only a trailing "i" is the imaginary unit; "inf" reads as infinity
+    code, out, err = invoke(capsys, "ord", "--at", "inf", "--params", "1/5,1/4,1/2", "y0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: point (inf+0j) is not finite\n"
+
+
+def test_hyper_verify_at_inf_is_the_non_finite_error(capsys):
+    code, out, err = invoke(capsys, "hyper", "verify", "--params", "1/5,1/4,1/2",
+                            "--samples", "0.1,inf")
+    assert code == 1
+    assert out == ""
+    assert err == "error: point (inf+0j) is not finite\n"
+
+
+@pytest.mark.parametrize("text, value", [("0.5i", 0.5j), ("0.3+0.2i", 0.3 + 0.2j),
+                                         (" -0.1-0.25i ", -0.1 - 0.25j), ("0.2", 0.2)])
+def test_complex_arguments_read_a_trailing_i(text, value):
+    assert cli._complex_arg(text, "--at") == value
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ord", "--at", "0.3+0.2x", "--params", "1/5,1/4,1/2", "y0"],
+     "--at: '0.3+0.2x' is not a complex number"),
+    (["hyper", "verify", "--params", "1/5,1/4,1/2", "--samples", "0.1,0.2i+"],
+     "--samples: '0.2i+' is not a complex number"),
+])
+def test_a_malformed_complex_argument_is_named(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("coef", [0.1, True, None, [1]])
 def test_json_coefficients_must_be_exact(capsys, coef):
     # a float would be read as its binary value and a bool as 0 or 1

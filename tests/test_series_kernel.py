@@ -15,6 +15,13 @@ coefficients, ``int`` wherever integral.  The one-pass difference is
 checked against the sum with the negated operand, and every operation
 is checked to leave the stored form canonical: nonzero integer
 numerators below the bound over their least common denominator.
+A product with a one-term operand (a key shift, no Kronecker packing)
+and the running sum ``geometric`` for s / (1 - sigma x) are checked
+against the double loop, the latter against the product by
+``binomial_series(-1, N, -sigma)``, in every stored field.  Both skip
+or shorten the gcd scan when nothing is cut, so the canonical-form test
+also draws numerators that share a prime with the denominator except
+on one step: cutting that step leaves a form that must be reduced.
 """
 
 from fractions import Fraction
@@ -25,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_exp
-from triring.hypergeom import tau_q_series_at_zero
+from triring.hypergeom import binomial_series, tau_q_series_at_zero
 from triring.params import validate
 from triring.series import PuiseuxSeries, _ceil_steps, _int_product
 
@@ -118,6 +125,45 @@ def exact_series(draw, min_terms=0):
     return PuiseuxSeries(ram, coeffs, prec)
 
 
+@st.composite
+def shared_factor_series(draw):
+    """Numerators over a prime power, all but one step's a multiple of the prime.
+
+    A result that cuts the one other step must divide the prime out.
+    """
+    ram = draw(st.sampled_from([1, 2, 3, 6, 40]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    den = p ** draw(st.integers(1, 4))
+    start = draw(st.integers(-10, 10))
+    stride = draw(st.sampled_from([1, 2, 3, 40]))
+    slots = draw(st.lists(st.integers(0, 16), min_size=1, max_size=10, unique=True))
+    odd = draw(st.sampled_from(slots))
+    coeffs = {}
+    for i in slots:
+        n = draw(st.integers(-(1 << 60), 1 << 60).filter(bool))
+        num = p * n + draw(st.integers(1, p - 1)) if i == odd else p * n
+        coeffs[start + stride * i] = Fraction(num, den)
+    top = 3 * (start + stride * 17)
+    prec = Fraction(draw(st.integers(3 * start - 6, top + 12)), 3 * ram)
+    return PuiseuxSeries(ram, coeffs, prec)
+
+
+@st.composite
+def one_term_series(draw):
+    """c x^(k / ram); ``prec`` may cut the term."""
+    ram = draw(st.sampled_from([1, 2, 3, 6, 40]))
+    k = draw(st.integers(-40, 40))
+    c = draw(st.one_of(coefficients(), st.sampled_from([1, -1, 2, 9, Fraction(1, 2)])).filter(bool))
+    return PuiseuxSeries(ram, {k: c}, Fraction(draw(st.integers(3 * k - 6, 3 * k + 90)), 3 * ram))
+
+
+any_series = st.one_of(exact_series(), shared_factor_series())
+
+
+def stored(s):
+    return s.ram, s.prec, s.den, s.nums
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=exact_series(), b=exact_series())
 def test_exact_product_matches_schoolbook(a, b):
@@ -133,6 +179,59 @@ def test_newton_inverse_matches_recurrence(f):
         return
     inverse = f.invert()
     assert_matches(inverse, recurrence_invert(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=any_series, b=one_term_series())
+def test_one_term_products_match_schoolbook(a, b):
+    for product in (a * b, b * a):
+        assert_matches(product, schoolbook_mul(a, b))
+        assert_canonical_form(product)
+
+
+def test_one_term_products_with_and_without_a_cut():
+    # (1/2 + x/4 + x^3/4) (2 x^-1 known below x^5) = x^-1 + 1/2 + x^2/2, no cut
+    a = PuiseuxSeries(1, {0: Fraction(1, 2), 1: Fraction(1, 4), 3: Fraction(1, 4)}, 9)
+    b = PuiseuxSeries(1, {-1: 2}, 5)
+    assert stored(a * b) == stored(b * a) == (1, 5, 2, {-1: 2, 0: 1, 2: 1})
+    # x^-1 known below x^0 cuts x/4 and x^3/4: the 2/4 x^-1 left reduces to 1/2
+    c = PuiseuxSeries(1, {-1: 1}, 0)
+    assert stored(a * c) == stored(c * a) == (1, 0, 2, {-1: 1})
+
+
+def binomial_product(s, sigma, known):
+    """``stored`` of s times sigma**n x**n for n < known, by the double loop."""
+    factor = PuiseuxSeries(1, {n: sigma ** n for n in range(known)}, known)
+    return stored(PuiseuxSeries(*schoolbook_mul(s, factor)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=any_series, sigma=st.sampled_from([1, -1]), n=st.integers(0, 40))
+def test_geometric_running_sum_matches_the_binomial_product(s, sigma, n):
+    assert stored(binomial_series(-1, n, -sigma)) == stored(PuiseuxSeries(
+        1, {k: sigma ** k for k in range(n + 1)}, n + 1))
+    for known in (n + 1, n, 0):
+        got = s.geometric(sigma, known)
+        assert stored(got) == binomial_product(s, sigma, known)
+        assert_canonical_form(got)
+    # x (1 - sigma x)**-1 known below x**n, as 1/(z-1) at infinity
+    got = s.shift(1).geometric(sigma, n - 1)
+    assert stored(got) == stored(s * (PuiseuxSeries.x_power(1, n) * binomial_series(-1, n, -sigma)))
+
+
+def test_geometric_with_and_without_a_cut():
+    # (1 + x/2) / (1 - x) known below x^4: 1 + 3/2 (x + x^2 + x^3), no cut
+    s = PuiseuxSeries(1, {0: 1, 1: Fraction(1, 2)}, 9)
+    assert stored(s.geometric(1, 4)) == (1, 4, 2, {0: 2, 1: 3, 2: 3, 3: 3})
+    # known below x^1 cuts x/2: the 2/2 left reduces to 1
+    assert stored(s.geometric(1, 1)) == (1, 1, 1, {0: 1})
+    # (1 + x/2) / (1 + x): 1 - x/2 + x^2/2 - ...
+    assert stored(s.geometric(-1, 4)) == (1, 4, 2, {0: 2, 1: -1, 2: 1, 3: -1})
+    # a factor known below x^0 has no term: empty, known below x^0
+    assert stored(s.geometric(1, 0)) == (1, 0, 1, {})
+    # on a grid of ram 3, on two residue classes
+    t = PuiseuxSeries(3, {-1: 1, 1: Fraction(-1, 3)}, 4)
+    assert stored(t.geometric(1, 2)) == binomial_product(t, 1, 2)
 
 
 def test_empty_operand_gives_empty_product():
@@ -331,12 +430,17 @@ def assert_canonical_form(s):
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=exact_series(), b=exact_series(), data=st.data())
-def test_every_operation_keeps_the_canonical_form(a, b, data):
+@given(a=any_series, b=any_series, one=one_term_series(), data=st.data())
+def test_every_operation_keeps_the_canonical_form(a, b, one, data):
     shift = Fraction(data.draw(st.integers(-20, 20)), data.draw(st.integers(1, 6)))
     cut = Fraction(data.draw(st.integers(-100, 100)), data.draw(st.integers(1, 6)))
+    factor = Fraction(data.draw(st.sampled_from([1, -2, 3, 10])),
+                      data.draw(st.sampled_from([1, 2, 5, 9])))
+    n = data.draw(st.integers(0, 30))
     results = [a, a + b, a - b, a * b, a.scale(-6), a.scale(Fraction(-4, 9)), a.scale(0),
-               a.differentiate(), a.shift(shift), a.truncate(cut), a.normalize_ram()]
+               a.scale(factor), a.differentiate(), a.shift(shift), a.truncate(cut),
+               a.truncate(a.prec), a.normalize_ram(), a.with_ram(6 * a.ram), -a,
+               a * one, one * a, a.geometric(1, n), a.geometric(-1, n)]
     if a.nums:
         results.append(a.invert())
         # exp needs a positive order
