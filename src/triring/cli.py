@@ -6,10 +6,13 @@ tell an identity regression from an operational failure).  JSON reports
 are emitted with sorted keys and no timestamps: identical seed and
 arguments give byte-identical output.
 
-The parser is built once per process and reads no environment.  Every
-``--order`` but ``audit``'s (16) defaults to ``None``, and :func:`run`
-alone fills it in: from ``TRIRING_ORDER`` when set, else 24, or 60 for
-``hyper verify``.  A ``TRIRING_ORDER`` that is not an integer, or is
+The parser is built once per process and reads no environment.
+``params``, ``ideal`` and ``hyper`` give each action its own parser,
+which takes only the options that action reads.  Every ``--order`` but
+``audit``'s (16) defaults to ``None``, and each parser that takes one
+also sets its fallback: 24, or 60 for ``hyper verify``.  :func:`run`
+alone fills a missing order in, from ``TRIRING_ORDER`` when set, else
+that fallback.  A ``TRIRING_ORDER`` that is not an integer, or is
 below 1, is a usage error of the commands that take that default only.
 """
 
@@ -35,7 +38,7 @@ IDENTITY_ERROR = 2
 _SERIES = (PuiseuxSeries, hypergeom.SymbolicSeries)
 
 
-def _default_order(fallback=24):
+def _default_order(fallback):
     """The default ``--order``: ``TRIRING_ORDER`` when set, else ``fallback``."""
     text = os.environ.get("TRIRING_ORDER", "").strip()
     try:
@@ -138,8 +141,6 @@ def _complex_arg(text, name):
 
 def _cmd_params(args):
     if args.action == "check":
-        if not args.values:
-            raise ValueError("check needs a triple like 1/5 1/4 1/2")
         p = _parse_triple(",".join(args.values))
         d = params_mod.derived_constants(p)
         payload = {
@@ -181,13 +182,11 @@ def _cmd_params(args):
             f"informative float min of ab+ac+bc over the open region: {sample_min:.6f}",
         ])
         return 0 if minimum > 0 else IDENTITY_ERROR
-    if args.action == "residuals":
-        r = params_mod.critical_residuals(
-            *_rationals(args.values, "residuals needs exactly three rationals"))
-        payload = {"residuals": [str(v) for v in r]}
-        _emit(args, payload, [f"critical residuals: {r[0]}, {r[1]}, {r[2]}"])
-        return 0
-    raise ValueError(f"unknown params action {args.action}")
+    r = params_mod.critical_residuals(
+        *_rationals(args.values, "residuals needs exactly three rationals"))
+    payload = {"residuals": [str(v) for v in r]}
+    _emit(args, payload, [f"critical residuals: {r[0]}, {r[1]}, {r[2]}"])
+    return 0
 
 
 def _cmd_derive(args):
@@ -210,14 +209,8 @@ def _cmd_bracket(args):
 
 
 def _cmd_ideal(args):
-    p = _parse_triple(args.params) if args.params else None
-    if args.action in ("certify-case1", "stable") and p is None:
-        raise ValueError(f"ideal {args.action} needs --params")
-    if args.action == "stable" and not args.gen:
-        raise ValueError("ideal stable needs --gen")
-    if args.action == "member" and not (args.poly and args.gens):
-        raise ValueError("ideal member needs --poly and --gens")
     if args.action == "certify-case1":
+        p = _parse_triple(args.params)
         report = ideals.certify_case_one(p, raise_on_failure=False)
         ok = all(report.checks.values())
         payload = {
@@ -231,6 +224,7 @@ def _cmd_ideal(args):
         _emit(args, payload, lines)
         return 0 if ok else IDENTITY_ERROR
     if args.action == "stable":
+        p = _parse_triple(args.params)
         P = poly_from_text(args.gen)
         cert = ideals.principal_stability(P, p, step_budget=args.budget)
         payload = {
@@ -249,18 +243,16 @@ def _cmd_ideal(args):
             lines.append(f"D^{cert.witness[1]}(gen) escapes the ideal")
         _emit(args, payload, lines)
         return 0
-    if args.action == "member":
-        P = poly_from_text(args.poly)
-        gens_list = [poly_from_text(g) for g in args.gens]
-        res = ideals.membership(P, gens_list, step_budget=args.budget)
-        payload = {"member": res.member}
-        lines = [f"member: {res.member}"]
-        if res.member:
-            payload["cofactors"] = [c.to_json_obj() for c in res.cofactors]
-            lines.extend(f"cofactor[{i}]: {c.to_text()}" for i, c in enumerate(res.cofactors))
-        _emit(args, payload, lines)
-        return 0
-    raise ValueError(f"unknown ideal action {args.action}")
+    P = poly_from_text(args.poly)
+    gens_list = [poly_from_text(g) for g in args.gens]
+    res = ideals.membership(P, gens_list, step_budget=args.budget)
+    payload = {"member": res.member}
+    lines = [f"member: {res.member}"]
+    if res.member:
+        payload["cofactors"] = [c.to_json_obj() for c in res.cofactors]
+        lines.extend(f"cofactor[{i}]: {c.to_text()}" for i, c in enumerate(res.cofactors))
+    _emit(args, payload, lines)
+    return 0
 
 
 def _coef_text(c):
@@ -291,25 +283,23 @@ def _cmd_hyper(args):
         ]
         _emit(args, payload, lines)
         return 0
-    if args.action == "verify":
-        samples = (
-            tuple(_complex_arg(s, "--samples") for s in args.samples.split(","))
-            if args.samples else (0.1, 0.3, 0.5j)
-        )
-        rep = hypergeom.numeric_checks(p, samples=samples, N=args.order)
-        worst_w = max(rep.wronskian_dev.values())
-        worst_conn = rep.max_connection_residual()
-        ok = rep.passed()
-        payload = dict(rep.as_dict(), passed=ok)
-        lines = [
-            f"wronskian deviation (max): {worst_w:.3e}",
-            f"connection residual (max): {worst_conn:.3e}",
-            f"omega statement-form confirmed: {rep.omega_matches_statement}",
-            f"verdict: {'ok' if ok else 'FAILED'}",
-        ]
-        _emit(args, payload, lines)
-        return 0 if ok else IDENTITY_ERROR
-    raise ValueError(f"unknown hyper action {args.action}")
+    samples = (
+        tuple(_complex_arg(s, "--samples") for s in args.samples.split(","))
+        if args.samples else (0.1, 0.3, 0.5j)
+    )
+    rep = hypergeom.numeric_checks(p, samples=samples, N=args.order)
+    worst_w = max(rep.wronskian_dev.values())
+    worst_conn = rep.max_connection_residual()
+    ok = rep.passed()
+    payload = dict(rep.as_dict(), passed=ok)
+    lines = [
+        f"wronskian deviation (max): {worst_w:.3e}",
+        f"connection residual (max): {worst_conn:.3e}",
+        f"omega statement-form confirmed: {rep.omega_matches_statement}",
+        f"verdict: {'ok' if ok else 'FAILED'}",
+    ]
+    _emit(args, payload, lines)
+    return 0 if ok else IDENTITY_ERROR
 
 
 def _cmd_ord(args):
@@ -451,17 +441,26 @@ def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--emit", choices=("text", "json"), default="text")
 
-    def command(name, fn, help):
-        parser = sub.add_parser(name, help=help, parents=[shared])
+    def command(name, fn, help=None, subparsers=sub):
+        # no abbreviations: "--gen" must not read as member's "--gens"
+        parser = subparsers.add_parser(name, help=help, parents=[shared], allow_abbrev=False)
         parser.set_defaults(fn=fn)
         return parser
 
-    order_help = "truncation order (default: TRIRING_ORDER or 24)"
+    def actions(name, fn, help):
+        """A command of actions: the returned ``action(name)`` adds the parser of one."""
+        group = sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+        return lambda action: command(action, fn, subparsers=group)
 
-    p_params = command("params", _cmd_params, "validate triples, scan eta")
-    p_params.add_argument("action", choices=("check", "eta", "residuals"))
-    p_params.add_argument("values", nargs="*", help="rationals like 1/5 1/4 1/2")
-    p_params.add_argument("--max-denominator", type=int, default=30)
+    def order(parser, fallback=24, help="truncation order"):
+        parser.add_argument("--order", type=int,
+                            help=f"{help} (default: TRIRING_ORDER or {fallback})")
+        parser.set_defaults(order_fallback=fallback)
+
+    params_action = actions("params", _cmd_params, "validate triples, scan eta")
+    for name in ("check", "residuals"):
+        params_action(name).add_argument("values", nargs="+", help="rationals like 1/5 1/4 1/2")
+    params_action("eta").add_argument("--max-denominator", type=int, default=30)
 
     p_derive = command("derive", _cmd_derive, "apply a derivation to a polynomial")
     p_derive.add_argument("--kind", choices=("D", "Dprime", "H"), default="D")
@@ -473,38 +472,40 @@ def build_parser():
     p_bracket.add_argument("U")
     p_bracket.add_argument("V")
 
-    p_ideal = command("ideal", _cmd_ideal, "stability certificates and membership")
-    p_ideal.add_argument("action", choices=("certify-case1", "stable", "member"))
-    p_ideal.add_argument("--params", default=None)
-    p_ideal.add_argument("--gen", default=None, help="generator polynomial")
-    p_ideal.add_argument("--poly", default=None)
-    p_ideal.add_argument("--gens", nargs="*", default=[])
-    p_ideal.add_argument("--budget", type=int, default=ideals.DEFAULT_STEP_BUDGET,
-                         help="cap on the division steps of member's Buchberger run "
-                              "and of stable's division (default: %(default)s)")
+    ideal_action = actions("ideal", _cmd_ideal, "stability certificates and membership")
+    ideal_action("certify-case1").add_argument("--params", required=True)
+    p_stable = ideal_action("stable")
+    p_stable.add_argument("--params", required=True)
+    p_stable.add_argument("--gen", required=True, help="generator polynomial")
+    p_member = ideal_action("member")
+    p_member.add_argument("--poly", required=True)
+    p_member.add_argument("--gens", nargs="+", required=True)
+    for parser, steps in ((p_stable, "its division"), (p_member, "its Buchberger run")):
+        parser.add_argument("--budget", type=int, default=ideals.DEFAULT_STEP_BUDGET,
+                            help=f"cap on the division steps of {steps} (default: %(default)s)")
 
-    p_hyper = command("hyper", _cmd_hyper, "series expansion and numeric verification")
-    p_hyper.add_argument("action", choices=("expand", "verify"))
-    p_hyper.add_argument("--point", choices=("0", "1", "inf"), default="0")
-    p_hyper.add_argument("--params", required=True)
-    p_hyper.add_argument("--order", type=int,
-                         help="truncation order (default: TRIRING_ORDER, or 24 for expand "
-                              f"and {hypergeom.NUMERIC_CHECK_ORDER} for verify)")
-    p_hyper.add_argument("--samples", default=None, help="comma list, e.g. 0.1,0.3,0.5i")
+    hyper_action = actions("hyper", _cmd_hyper, "series expansion and numeric verification")
+    p_expand = hyper_action("expand")
+    p_expand.add_argument("--point", choices=("0", "1", "inf"), default="0")
+    p_expand.add_argument("--params", required=True)
+    order(p_expand)
+    p_hverify = hyper_action("verify")
+    p_hverify.add_argument("--params", required=True)
+    order(p_hverify, hypergeom.NUMERIC_CHECK_ORDER)
+    p_hverify.add_argument("--samples", default=None, help="comma list, e.g. 0.1,0.3,0.5i")
 
     p_ord = command("ord", _cmd_ord, "vanishing order of a generator polynomial")
     p_ord.add_argument("--at", default="0", help="0 or a complex point like 0.3+0.2i")
     p_ord.add_argument("--params", required=True)
     p_ord.add_argument("poly")
-    p_ord.add_argument("--order", type=int,
-                       help="truncation order at 0; at a generic point, the cap on the "
-                            "number of derivatives D^n P tried (default: TRIRING_ORDER or 24)")
+    order(p_ord, help="truncation order at 0; at a generic point, the cap on the number "
+                      "of derivatives D^n P tried")
 
     p_dist = command("dist", _cmd_dist, "-log distance to a hypersurface")
     p_dist.add_argument("--at", default="0", choices=("0",))
     p_dist.add_argument("--params", required=True)
     p_dist.add_argument("poly", help="homogeneous polynomial in t, X0..X4")
-    p_dist.add_argument("--order", type=int, help=order_help)
+    order(p_dist)
 
     p_audit = command("audit", _cmd_audit, "degree-profile multiplicity audit")
     p_audit.add_argument("--profile", required=True, help="dtau,dq,dy0,dy1,dy2")
@@ -516,7 +517,7 @@ def build_parser():
     p_verify = command("verify", _cmd_verify, "run the built-in identity suite")
     p_verify.add_argument("target", choices=("all",))
     p_verify.add_argument("--params", required=True)
-    p_verify.add_argument("--order", type=int, help=order_help)
+    order(p_verify)
     return top
 
 
@@ -534,8 +535,7 @@ def run(argv) -> int:
     try:
         if "order" in args:
             if args.order is None:
-                verify = args.command == "hyper" and args.action == "verify"
-                args.order = _default_order(hypergeom.NUMERIC_CHECK_ORDER if verify else 24)
+                args.order = _default_order(args.order_fallback)
             elif args.order < 1:
                 raise ValueError("--order must be at least 1")
         return args.fn(args)

@@ -215,17 +215,19 @@ def case_one_quadric(params) -> Poly:
 
 
 def expected_case_one_cubic(params) -> Poly:
-    """The displayed closed form of K, rebuilt independently from a, b, c."""
+    """The displayed closed form of K, built from its coefficients in a, b, c.
+
+    8K = a^2 y1^3 + b(b-4) y2^3 - c(y1-y2)^2 (4y1 + (4-b)y2)
+         + a y1 ((c-4) y1^2 + (b-2c) y1 y2 + (b+c) y2^2), expanded.
+    """
     d = derived_constants(params)
-    g = ring.gens(AFFINE_VARS)
-    y1, y2 = g["y1"], g["y2"]
     a, b, c = d.a, d.b, d.c
-    return Fraction(1, 8) * (
-        a ** 2 * y1 ** 3
-        + b * (b - 4) * y2 ** 3
-        - c * (y1 - y2) ** 2 * (4 * y1 + (4 - b) * y2)
-        + a * y1 * ((c - 4) * y1 ** 2 + (b - 2 * c) * y1 * y2 + (b + c) * y2 ** 2)
-    )
+    return Poly(AFFINE_VARS, {
+        (0, 0, 0, 3, 0): (a - 4) * (a + c) / 8,
+        (0, 0, 0, 2, 1): (a * b - 2 * a * c + b * c + 4 * c) / 8,
+        (0, 0, 0, 1, 2): (a * b + a * c - 2 * b * c + 4 * c) / 8,
+        (0, 0, 0, 0, 3): (b - 4) * (b + c) / 8,
+    })
 
 
 @dataclass
@@ -242,6 +244,7 @@ class CaseOneReport:
 def certify_case_one(params, raise_on_failure=True) -> CaseOneReport:
     """Recompute H, K and the two resultants and check their closed forms.
 
+    Each closed form is built from its coefficients in a, b, c and eta.
     Verifies, all exactly:
 
     * H equals -(1/4)(a y1^2 + b y2^2 + c (y1-y2)^2),
@@ -249,21 +252,20 @@ def certify_case_one(params, raise_on_failure=True) -> CaseOneReport:
     * Res_{y1}(H, K) == -(1/256) eta y2^6 and Res_{y2}(H, K) == -(1/256) eta y1^6.
     """
     d = derived_constants(params)
-    g = ring.gens(AFFINE_VARS)
-    y1, y2 = g["y1"], g["y2"]
     H = case_one_quadric(params)
     K = apply_D(H, params).coefficient_of("y0", 0)  # image of D(H) under y0 -> 0
     R1 = resultant(H, K, "y1")
     R2 = resultant(H, K, "y2")
     e = eta(params)
-    expected_H = Fraction(-1, 4) * (
-        d.a * y1 ** 2 + d.b * y2 ** 2 + d.c * (y1 - y2) ** 2
-    )
+    expected_H = Poly(AFFINE_VARS, {
+        (0, 0, 0, 2, 0): -(d.a + d.c) / 4, (0, 0, 0, 1, 1): d.c / 2,
+        (0, 0, 0, 0, 2): -(d.b + d.c) / 4,
+    })
     pairs = {
         "H_closed_form": (H, expected_H),
         "K_closed_form": (K, expected_case_one_cubic(params)),
-        "R1_identity": (R1, Fraction(-1, 256) * e * y2 ** 6),
-        "R2_identity": (R2, Fraction(-1, 256) * e * y1 ** 6),
+        "R1_identity": (R1, Poly(AFFINE_VARS, {(0, 0, 0, 0, 6): -e / 256})),
+        "R2_identity": (R2, Poly(AFFINE_VARS, {(0, 0, 0, 6, 0): -e / 256})),
     }
     checks = {name: got == want for name, (got, want) in pairs.items()}
     failed = [name for name, ok in checks.items() if not ok]

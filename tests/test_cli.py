@@ -200,7 +200,7 @@ def test_env_var_sets_default_order(capsys, monkeypatch):
     monkeypatch.setenv("TRIRING_ORDER", "9")
     from triring.cli import _default_order
 
-    assert _default_order() == 9
+    assert _default_order(24) == 9
 
 
 def test_env_var_that_is_not_an_integer_exits_one(capsys, monkeypatch):
@@ -275,10 +275,12 @@ def test_bad_env_var_still_fails_the_default_order(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [
-    "params", "derive", "bracket", "ideal", "hyper", "ord", "dist", "audit", "verify",
+    "params check", "params eta", "params residuals", "derive", "bracket",
+    "ideal certify-case1", "ideal stable", "ideal member", "hyper expand", "hyper verify",
+    "ord", "dist", "audit", "verify",
 ])
 def test_every_subcommand_help_lists_emit(capsys, command):
-    code, out, _ = invoke(capsys, command, "--help")
+    code, out, _ = invoke(capsys, *command.split(), "--help")
     assert code == 0
     assert "--emit {text,json}" in out
 
@@ -306,6 +308,21 @@ FOREIGN_T = json.dumps({"vars": ["t", "X0"], "terms": [{"exps": [1, 0], "coef": 
     ["derive", "--kind", "Dprime", "--params", "1/5,1/4,1/2", FOREIGN_T],
     ["derive", "--kind", "H", "--params", "1/5,1/4,1/2", FOREIGN_T],
     ["params", "eta", "--seed", "3"],
+    # an option that its action does not read, and an option before its action
+    ["params", "check", "1/5", "1/4", "1/2", "--max-denominator", "5"],
+    ["params", "eta", "1/5", "1/4", "1/2"],
+    ["params", "residuals", "1/5", "1/4", "1/2", "--max-denominator", "5"],
+    ["ideal", "certify-case1", "--params", "1/5,1/4,1/2", "--gen", "q"],
+    ["ideal", "certify-case1", "--params", "1/5,1/4,1/2", "--poly", "q"],
+    ["ideal", "certify-case1", "--params", "1/5,1/4,1/2", "--gens", "q"],
+    ["ideal", "certify-case1", "--params", "1/5,1/4,1/2", "--budget", "5"],
+    ["ideal", "stable", "--params", "1/5,1/4,1/2", "--gen", "q", "--poly", "q"],
+    ["ideal", "stable", "--params", "1/5,1/4,1/2", "--gen", "q", "--gens", "q"],
+    ["ideal", "member", "--poly", "y0", "--gens", "y0", "--params", "1/5,1/4,1/2"],
+    ["ideal", "member", "--poly", "y0", "--gens", "y0", "--gen", "q"],
+    ["hyper", "expand", "--params", "1/5,1/4,1/2", "--order", "4", "--samples", "0.1"],
+    ["hyper", "verify", "--params", "1/5,1/4,1/2", "--order", "40", "--point", "inf"],
+    ["hyper", "--params", "1/5,1/4,1/2", "expand", "--order", "4"],
 ], ids=lambda argv: " ".join(argv)[:60])
 def test_bad_arguments_are_one_line_usage_errors(capsys, argv):
     code, out, err = invoke(capsys, *argv)

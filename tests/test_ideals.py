@@ -7,7 +7,7 @@ import sympy as sp
 from triring import ideals
 from triring.derivation import apply_D, dehomogenize, homog_D, rankin_bracket
 from triring.errors import BasisBudgetExceeded, IdentityFailed
-from triring.params import derived_constants, validate
+from triring.params import derived_constants, eta, unit_fraction_triples, validate
 from triring.ring import AFFINE_VARS, Poly, weight
 
 from conftest import random_isobaric, random_valid_triples
@@ -193,6 +193,26 @@ def test_case_one_failure_raises_with_residual(monkeypatch):
 def test_case_one_random_triples(p):
     report = ideals.certify_case_one(p)
     assert all(report.checks.values())
+
+
+@pytest.mark.parametrize("p", unit_fraction_triples(12), ids=lambda p: p.label())
+def test_case_one_closed_forms_match_their_displayed_products(p):
+    # the displayed forms in Poly arithmetic, the reference for the coefficient tables
+    d = derived_constants(p)
+    a, b, c = d.a, d.b, d.c
+    y1, y2 = g("y1"), g("y2")
+    displayed_H = Fraction(-1, 4) * (a * y1 ** 2 + b * y2 ** 2 + c * (y1 - y2) ** 2)
+    displayed_K = Fraction(1, 8) * (
+        a ** 2 * y1 ** 3
+        + b * (b - 4) * y2 ** 3
+        - c * (y1 - y2) ** 2 * (4 * y1 + (4 - b) * y2)
+        + a * y1 * ((c - 4) * y1 ** 2 + (b - 2 * c) * y1 * y2 + (b + c) * y2 ** 2)
+    )
+    assert ideals.expected_case_one_cubic(p) == displayed_K
+    report = ideals.certify_case_one(p)
+    assert report.H == displayed_H
+    assert report.R1 == Fraction(-1, 256) * eta(p) * y2 ** 6
+    assert report.R2 == Fraction(-1, 256) * eta(p) * y1 ** 6
 
 
 def test_case_one_against_sympy_oracle():
