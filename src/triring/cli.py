@@ -285,7 +285,7 @@ def _cmd_hyper(args):
         return 0
     samples = (
         tuple(_complex_arg(s, "--samples") for s in args.samples.split(","))
-        if args.samples else (0.1, 0.3, 0.5j)
+        if args.samples is not None else (0.1, 0.3, 0.5j)
     )
     rep = hypergeom.numeric_checks(p, samples=samples, N=args.order)
     worst_w = max(rep.wronskian_dev.values())

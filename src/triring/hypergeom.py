@@ -44,7 +44,9 @@ of :func:`numeric_checks`.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -85,12 +87,12 @@ def _term_series(upper, lower, N, sign=1):
     ld = math.prod(v.denominator for v in lower)
     nums, dens = [1], [1]
     num = den = 1
-    for n in range(1, N + 1):
-        # v + n - 1 = (v.numerator + (n - 1) v.denominator) / v.denominator
-        num *= sign * ld * math.prod(v.numerator + (n - 1) * v.denominator for v in upper)
+    steps = zip(range(1, N + 1), _rising_numerators(upper, N), _rising_numerators(lower, N))
+    for n, up, low in steps:
+        num *= sign * ld * up
         if not num:
             break
-        den *= n * ud * math.prod(v.numerator + (n - 1) * v.denominator for v in lower)
+        den *= n * ud * low
         g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         num, den = num // g, den // g
         nums.append(num)
@@ -99,6 +101,19 @@ def _term_series(upper, lower, N, sign=1):
     return PuiseuxSeries._reduced(
         1, Fraction(N + 1), common, {n: c * (common // d) for n, (c, d) in enumerate(zip(nums, dens))}
     )
+
+
+def _rising_numerators(values, N):
+    """For n = 1 .. N, the product of the numerators of v + n - 1 over ``values``.
+
+    v + n - 1 = (v.numerator + (n - 1) v.denominator) / v.denominator, so
+    each numerator steps by its denominator: one addition per factor and step.
+    """
+    out = itertools.repeat(1, N)
+    for v in values:
+        p, d = v.numerator, v.denominator
+        out = map(operator.mul, out, range(p, p + N * d, d))
+    return out
 
 
 def binomial_series(s, N, argument_sign=1):

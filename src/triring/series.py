@@ -14,14 +14,24 @@ numerators ``nums`` (nonzero, keyed by grid step, each step below
 back as ``int`` where integral and ``Fraction`` otherwise.  A float or
 complex coefficient is refused with :class:`DomainMismatch`; only
 ``evaluate`` turns a series into floating values.  Every operation works
-on the numerators: a product of two series is one big-integer
-multiplication (Kronecker substitution) in ``_int_product`` over the
-product of the denominators, the inverse is Newton's iteration on top
-of it, and ``exp`` runs its term recurrence over one running
-denominator.  ``json_text`` writes the JSON text of a series straight
-from the numerators, one gcd per coefficient.
+on the numerators: a product of two series is the integer kernel
+``_int_product`` over the product of the denominators, the inverse is
+Newton's iteration on top of it, and ``exp`` runs its term recurrence
+over one running denominator.  ``json_text`` writes the JSON text of a
+series straight from the numerators, one gcd per coefficient.
 
-Two products skip the Kronecker kernel.  A factor of one term c0 x^k0
+A product needs only its terms below the truncation bound, and the
+kernel takes one of two paths by the size of the operands' largest
+coefficients (``_SHORT_PRODUCT_BITS``).  The short product computes
+each coefficient product that lands below the bound, about n^2 / 2 of
+them, and no other.  The Kronecker product packs each operand into one
+integer, with digits wide enough for any product coefficient, and
+multiplies once (Kronecker substitution); it computes the whole
+product and drops the part past the bound.  CPython multiplies big
+ints by Karatsuba alone, so the one multiplication pays only once the
+coefficients are large.
+
+Two products skip the kernel.  A factor of one term c0 x^k0
 is a shift of the other operand's keys and a scale of its numerators,
 and ``geometric`` multiplies by 1 / (1 - sigma x) as a running sum
 along each residue class of the steps; both keep the product's
@@ -477,18 +487,82 @@ class PuiseuxSeries:
 # -- integer kernel --------------------------------------------------------------------
 
 
+#: Operands whose two largest coefficients have at most this many bits
+#: together take the short product, larger ones the Kronecker product.
+#: Measured on 1/5,1/4,1/2 (2-core x86-64, Python 3.11), time in products
+#: short over Kronecker: 0.58, 0.58 and 0.45 on one block each of the
+#: benchmark's orders, expand and audit workloads (at most 49 terms and
+#: 1,432 bits), 0.41 to 0.85 on each product of ``bench/series_micro.py``
+#: at N <= 96; ``generator_series`` at N = 256 spends 1.03 times the
+#: Kronecker time in products with this bound and 1.39 times with 4096,
+#: as its 257-term products at 2,946 to 3,898 bits run 1.03 to 1.66 times
+#: slower short.  A coefficient of these 2F1 series grows by about 12
+#: bits a term; long operands of far smaller coefficients would be faster
+#: on the Kronecker side, and no caller makes them.
+_SHORT_PRODUCT_BITS = 2048
+
+
 def _int_product(a, b, bound):
     """The coefficients below ``bound`` of the product of two integer series.
 
-    ``a`` and ``b`` map grid steps to ``int`` coefficients on one grid.
-    The terms that can land below ``bound`` are compressed by the common
-    stride of their steps, packed into one integer each with fixed-width
-    signed digits (Kronecker substitution) and multiplied once; the
-    nonzero digits come back as ``int`` coefficients.  ``a is b`` is a
-    square.
+    ``a`` and ``b`` map grid steps to ``int`` coefficients on one grid;
+    the result maps steps to the nonzero ``int`` coefficients.  ``a is
+    b`` is a square.  The path is chosen by coefficient size: see
+    ``_SHORT_PRODUCT_BITS``.
     """
     if not a or not b:
         return {}
+    if _bits(a) + _bits(b) <= _SHORT_PRODUCT_BITS:
+        return _short_product(a, b, bound)
+    return _kronecker_product(a, b, bound)
+
+
+def _bits(terms):
+    """The bit length of the largest ``|c|`` of a nonempty ``{k: c}``."""
+    return max(map(abs, terms.values())).bit_length()
+
+
+def _short_product(a, b, bound):
+    """``_int_product`` term by term, computing only the products below ``bound``.
+
+    Each term of ``a`` walks the steps of ``b`` in increasing order and
+    stops at ``bound`` less its own step; a square takes the diagonal once
+    and each product above it doubled.
+    """
+    out = {}
+    get = out.get
+    if a is b:
+        terms = sorted(a.items())
+        for i, (k, c) in enumerate(terms):
+            stop = bound - k
+            if k >= stop:  # every later pair lands at 2k or above
+                break
+            out[2 * k] = get(2 * k, 0) + c * c
+            c += c
+            for k2, c2 in terms[i + 1:]:
+                if k2 >= stop:
+                    break
+                out[k + k2] = get(k + k2, 0) + c * c2
+    else:
+        terms = sorted(b.items())
+        for k, c in a.items():
+            stop = bound - k
+            for k2, c2 in terms:
+                if k2 >= stop:
+                    break
+                out[k + k2] = get(k + k2, 0) + c * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _kronecker_product(a, b, bound):
+    """``_int_product`` of nonempty operands as one big-integer multiplication.
+
+    The terms that can land below ``bound`` are compressed by the common
+    stride of their steps, packed into one integer each with fixed-width
+    signed digits and multiplied once (Kronecker substitution); the nonzero
+    digits below ``bound`` come back as ``int`` coefficients.  A square
+    packs once.
+    """
     square = a is b
     a_min, b_min = min(a), min(b)
     a, last_a, big_a = _cut(a, a_min, bound - b_min)

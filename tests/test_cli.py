@@ -387,6 +387,8 @@ def test_complex_arguments_read_a_trailing_i(text, value):
      "--at: '0.3+0.2x' is not a complex number"),
     (["hyper", "verify", "--params", "1/5,1/4,1/2", "--samples", "0.1,0.2i+"],
      "--samples: '0.2i+' is not a complex number"),
+    (["hyper", "verify", "--params", "1/5,1/4,1/2", "--samples", ""],
+     "--samples: '' is not a complex number"),
 ])
 def test_a_malformed_complex_argument_is_named(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)

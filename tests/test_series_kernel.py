@@ -1,14 +1,18 @@
 """The exact series product, reciprocal and exp against schoolbook oracles.
 
-Exact ``PuiseuxSeries`` products go through one big-integer
-multiplication and exact ``invert`` through Newton's iteration on top
+Exact ``PuiseuxSeries`` products go through the integer kernel
+``_int_product`` and exact ``invert`` through Newton's iteration on top
 of it.  These tests compare both with a test-local ``Fraction``
 convolution and the term-by-term reciprocal recurrence: same
 coefficients, same ``prec``, no coefficient at or past the truncation
-bound, and ``int`` wherever a coefficient is integral.  The integer
-kernel ``_int_product`` under the product, which the exact orders at
-z = 0 also call, is checked against an int convolution, squares (one
-operand passed twice) included.  ``exp``, which
+bound, and ``int`` wherever a coefficient is integral.  The kernel,
+which the exact orders at z = 0 also call, picks a short schoolbook
+product or one big-integer multiplication (Kronecker substitution) by
+coefficient size.  Both paths are checked against an int convolution,
+squares (one operand passed twice) included, on coefficients on both
+sides of the rule and at its edge, and the rule is checked to pick the
+path it names there.  The Kronecker path's digit width is checked on
+the largest sums it can hold.  ``exp``, which
 runs its recurrence on integers over a common denominator, is checked
 against the ``Fraction`` recurrence ``reference_exp``: same
 coefficients, ``int`` wherever integral.  The one-pass difference is
@@ -34,7 +38,15 @@ from hypothesis import strategies as st
 from conftest import reference_exp
 from triring.hypergeom import binomial_series, tau_q_series_at_zero
 from triring.params import validate
-from triring.series import PuiseuxSeries, _ceil_steps, _int_product
+import triring.series as series_module
+from triring.series import (
+    _SHORT_PRODUCT_BITS,
+    PuiseuxSeries,
+    _ceil_steps,
+    _int_product,
+    _kronecker_product,
+    _short_product,
+)
 
 
 def _lower(s):
@@ -279,18 +291,6 @@ def test_stride_on_one_residue_class_at_high_ram():
     assert_matches(a.invert(), recurrence_invert(a))
 
 
-def test_digit_width_holds_the_largest_sums():
-    # equal-sign numerators of full size make every product digit as
-    # large as the width allows: min(len) * max|A| * max|B|
-    for bits in range(1, 40):
-        top = (1 << bits) - 1
-        for length in (2, 3, 17, 64):
-            for sign in (1, -1):
-                a = PuiseuxSeries(1, {k: top for k in range(length)}, 2 * length)
-                b = PuiseuxSeries(1, {k: sign * top for k in range(length)}, 2 * length)
-                assert_matches(a * b, schoolbook_mul(a, b))
-
-
 def schoolbook_int(a, b, bound):
     """The nonzero coefficients below ``bound`` of the int convolution of ``a`` and ``b``."""
     out = {}
@@ -301,17 +301,34 @@ def schoolbook_int(a, b, bound):
     return {k: c for k, c in out.items() if c}
 
 
+#: coefficient sizes of ``int_steps``: small ones, and ones near half the
+#: kernel's rule, so that two operands' largest coefficients together fall
+#: on either side of it, at its edge and past it
+HALF_EDGE = _SHORT_PRODUCT_BITS // 2
+COEFFICIENT_BITS = st.one_of(st.integers(1, 400), st.integers(HALF_EDGE - 8, HALF_EDGE + 8))
+
+
 @st.composite
 def int_steps(draw):
-    """Integer coefficients of up to 400 bits on one residue class of a random stride."""
+    """Integer coefficients on one residue class of a random stride."""
     stride = draw(st.sampled_from([1, 1, 2, 3, 7, 40]))
     start = draw(st.integers(-30, 30))
     slots = draw(st.lists(st.integers(0, 16), max_size=12, unique=True))
     coeffs = {}
     for i in slots:
-        bits = draw(st.integers(1, 400))
+        bits = draw(COEFFICIENT_BITS)
         coeffs[start + stride * i] = draw(st.integers(-(1 << bits), 1 << bits))
     return coeffs
+
+
+def assert_both_paths(a, b, bound):
+    """``_int_product`` and each of its two paths give the int convolution."""
+    product = _int_product(a, b, bound)
+    assert product == schoolbook_int(a, b, bound)
+    assert all(type(c) is int for c in product.values())
+    if a and b:
+        assert _short_product(a, b, bound) == product == _kronecker_product(a, b, bound)
+    return product
 
 
 @settings(max_examples=300, deadline=None)
@@ -321,20 +338,58 @@ def test_int_product_matches_schoolbook(a, b, data):
     # that most cut stored steps and some cut none
     lo, hi = (min(a) + min(b), max(a) + max(b)) if a and b else (-60, 1340)
     bound = data.draw(st.integers(lo - 2, hi + 2))
-    product = _int_product(a, b, bound)
-    assert product == schoolbook_int(a, b, bound)
-    assert all(type(c) is int for c in product.values())
+    assert_both_paths(a, b, bound)
 
 
 @settings(max_examples=200, deadline=None)
 @given(a=int_steps(), data=st.data())
 def test_int_square_matches_schoolbook(a, data):
-    # a is b: one pack, squared
+    # a is b: the diagonal and the doubled pairs above it, or one pack squared
     lo, hi = (2 * min(a), 2 * max(a)) if a else (-60, 1340)
     bound = data.draw(st.integers(lo - 2, hi + 2))
-    square = _int_product(a, a, bound)
-    assert square == schoolbook_int(a, a, bound) == _int_product(a, dict(a), bound)
-    assert all(type(c) is int for c in square.values())
+    assert assert_both_paths(a, a, bound) == _int_product(a, dict(a), bound)
+
+
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_the_rule_picks_the_path_at_its_edge(monkeypatch, square, extra):
+    # the two largest coefficients have _SHORT_PRODUCT_BITS + extra bits
+    # together; a square's total is even, so extra -1 and 1 round up
+    half = (_SHORT_PRODUCT_BITS + extra + 1) // 2
+    top_a = (1 << half) - 1
+    top_b = top_a if square else (1 << (_SHORT_PRODUCT_BITS + extra - half)) - 1
+    a = {0: top_a, 1: -3, 2: top_a // 5, 4: 1}
+    b = a if square else {-1: 7, 0: -top_b, 3: top_b // 3}
+    total = 2 * half if square else _SHORT_PRODUCT_BITS + extra
+    taken = []
+
+    def spy(name):
+        path = getattr(series_module, name)
+
+        def run(x, y, bound):
+            taken.append(name)
+            return path(x, y, bound)
+        return run
+
+    for name in ("_short_product", "_kronecker_product"):
+        monkeypatch.setattr(series_module, name, spy(name))
+    for bound in (1, 3, 5, 9):
+        assert_both_paths(a, b, bound)
+    want = "_short_product" if total <= _SHORT_PRODUCT_BITS else "_kronecker_product"
+    assert taken == [want] * 4
+
+
+def test_digit_width_holds_the_largest_sums():
+    # equal-sign numerators of full size make every product digit as
+    # large as the width allows: min(len) * max|A| * max|B|; the
+    # Kronecker path is called directly, as the rule would send these
+    # small coefficients to the short product
+    for bits in range(1, 40):
+        top = (1 << bits) - 1
+        for length in (2, 3, 17, 64):
+            a = {k: top for k in range(length)}
+            for b in (a, dict(a), {k: -top for k in range(length)}):
+                assert _kronecker_product(a, b, 2 * length) == schoolbook_int(a, b, 2 * length)
 
 
 @settings(max_examples=100, deadline=None)
