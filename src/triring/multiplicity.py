@@ -2,18 +2,22 @@
 
 Orders are computed in the z-coordinate throughout (the coordinate of
 the hypergeometric argument); reports carry that label explicitly.  At
-the singular point 0 the computation is exact, and ``ord_at_zero`` and
-the audit share it: the series of the monomials, products of the
-generator series, become integer columns, one per exponent, read from
-the numerators and the common denominator each series stores, and the
-order of a coefficient vector is the exponent of the first column with
-a nonzero dot product, retrying at doubled order while every column
-vanishes.  At a generic point u0 is a unit and the derivation D acts as
-u0^2 d/dz, so the order of P is the least n with (D^n P)(z0) nonzero:
-(D^n P)(z0) is the n-th derivative of P along the flow of D from the
-five generator values at z0, run exactly as truncated jets, and the
-first that stands clear of the error those values can carry gives the
-order.
+the singular point 0 the computation is exact: the series of a monomial
+is a product of the generator series, and the order of a combination of
+monomials is the exponent of its first nonzero coefficient below the
+least precision of their series, retrying at doubled order while every
+such coefficient vanishes.  ``ord_at_zero`` and the audit build the
+products by one walk over the monomials.  The audit builds each box's
+series whole and reads them as integer columns, one per exponent, read
+from the numerators and the common denominator each series stores, so
+that each sample is a run of dot products; ``ord_at_zero`` builds lazy
+product nodes instead and extends them only as far as the coefficient
+that decides the order.  At a generic point u0 is a unit and the
+derivation D acts as u0^2 d/dz, so the order of P is the least n with
+(D^n P)(z0) nonzero: (D^n P)(z0) is the n-th derivative of P along the
+flow of D from the five generator values at z0, run exactly as
+truncated jets, and the first that stands clear of the error those
+values can carry gives the order.
 """
 
 from __future__ import annotations
@@ -75,19 +79,18 @@ def generator_series(params: TriangleParams, N: int):
     }
 
 
-def _monomial_rows(params, monomials, N):
-    """The series of the monomials at order N, in the order given.
+def _walk_monomials(monomials, factors, product, one):
+    """The products of ``factors`` that the monomials stand for, in the order given.
 
-    A monomial (an exponent tuple over ``AFFINE_VARS``) is its prefix,
-    the exponents before its last nonzero one, times a power of its last
-    variable.  Walked in sorted order, monomials sharing a prefix come
-    together, so each prefix and power is built once, as a series
-    product.  The constant monomial is 1 to the least ``prec`` of the
-    five generators.
+    A monomial (an exponent tuple over the factors) is its prefix, the
+    exponents before its last nonzero one, times a power of its last
+    factor.  Walked in sorted order, monomials sharing a prefix come
+    together, so each prefix and power is built once, by
+    ``product(left, right)``; a power is built from the left, and a
+    prefix times a power is the prefix on the left.  The constant
+    monomial is ``one``.
     """
-    gens = generator_series(params, N)
-    series = [gens[v] for v in AFFINE_VARS]
-    powers = [[None, s] for s in series]
+    powers = [[None, s] for s in factors]
     monomials = list(monomials)
     rows = [None] * len(monomials)
     # (i, product of the factors at positions <= i) of the monomial before
@@ -101,11 +104,24 @@ def _monomial_rows(params, monomials, N):
             if exps[i]:
                 pw = powers[i]
                 while len(pw) <= exps[i]:
-                    pw.append(pw[-1] * series[i])
-                path.append((i, path[-1][1] * pw[exps[i]] if path else pw[exps[i]]))
+                    pw.append(product(pw[-1], factors[i]))
+                path.append((i, product(path[-1][1], pw[exps[i]]) if path else pw[exps[i]]))
         before = exps
-        rows[idx] = path[-1][1] if path else PuiseuxSeries.constant(1, min(s.prec for s in series))
+        rows[idx] = path[-1][1] if path else one
     return rows
+
+
+def _monomial_rows(params, monomials, N):
+    """The series of the monomials at order N, in the order given.
+
+    Each is a ``PuiseuxSeries`` product of the generator series
+    (``_walk_monomials``); the constant monomial is 1 to the least
+    ``prec`` of the five generators.
+    """
+    gens = generator_series(params, N)
+    series = [gens[v] for v in AFFINE_VARS]
+    one = PuiseuxSeries.constant(1, min(s.prec for s in series))
+    return _walk_monomials(monomials, series, mul, one)
 
 
 def _integer_columns(rows):
@@ -140,6 +156,8 @@ def _first_orders(columns_at, vectors, N):
     A vector's order is k / ram for the first column k of
     ``columns_at(order)`` with a nonzero dot product; vectors meeting only
     zero columns retry at ``max(2 * order, 1)``, up to MAX_DOUBLINGS times.
+    The columns are read once for each vector, so with a single vector
+    they may come from an iterator.
     """
     pending, orders = list(range(len(vectors))), {}
     order = order_used = N
@@ -167,12 +185,114 @@ def _affine(P: Poly) -> Poly:
     return P if P.vars == AFFINE_VARS else P.rename_ring(AFFINE_VARS, {v: v for v in AFFINE_VARS})
 
 
+class _Node:
+    """A series product of the search at 0, computed only as far as it is read.
+
+    Every node sits on one integer grid of steps k, standing for x^(k/ram).
+    ``lo`` and ``prec`` are known before any arithmetic: ``prec`` is the
+    step bound of ``PuiseuxSeries.__mul__``, min(a.prec + b.lo, b.prec +
+    a.lo), and ``lo`` the least step a.lo + b.lo, since leading
+    coefficients never cancel.  ``coef[n]`` is the integer coefficient
+    over ``den`` of step lo + n, for the steps below ``known``; a leaf
+    holds a generator series whole.  Every nonzero coefficient lies on a
+    step lo + n with n a multiple of ``stride``.
+    """
+
+    __slots__ = ("a", "b", "lo", "prec", "den", "stride", "coef", "known", "block")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.prec = min(a.prec + b.lo, b.prec + a.lo)
+        self.lo = self.known = a.lo + b.lo  # nothing lies below lo
+        self.den = a.den * b.den
+        self.stride = math.gcd(a.stride, b.stride)
+        self.coef = []
+        self.block = 1
+
+    @classmethod
+    def leaf(cls, s, ram):
+        """The series ``s`` whole, on the grid ``ram`` (a multiple of ``s.ram``)."""
+        node = object.__new__(cls)
+        f = ram // s.ram
+        node.a = node.b = None
+        node.prec = node.known = s.prec.numerator * (ram // s.prec.denominator)
+        node.lo = min(s.nums) * f
+        node.den = s.den
+        node.coef = [0] * (node.prec - node.lo)
+        for k, c in s.nums.items():
+            node.coef[k * f - node.lo] = c
+        # a single term lies on every stride; its length keeps the stride positive
+        node.stride = math.gcd(*[k * f - node.lo for k in s.nums]) or len(node.coef)
+        return node
+
+    def extend(self, stop):
+        """Compute the steps below ``stop`` (at most ``prec``) and a block past ``known``.
+
+        The block's length doubles with each extension.  a * b below a step
+        t reads a below t - b.lo and b below t - a.lo; step lo + n is the
+        dot product of a's coefficients 0..n with b's n..0, taken only on
+        the multiples of the larger stride.
+        """
+        start = self.known
+        stop = min(self.prec, max(stop, start + self.block))
+        self.block *= 2
+        a, b = self.a, self.b
+        if a.known < stop - b.lo:
+            a.extend(stop - b.lo)
+        if b.known < stop - a.lo:
+            b.extend(stop - a.lo)
+        if a.stride < b.stride:
+            a, b = b, a
+        s, g, A, B = a.stride, self.stride, a.coef, b.coef
+        self.coef += [sum(map(mul, A[:n + 1:s], B[n::-s])) if n % g == 0 else 0
+                      for n in range(start - self.lo, stop - self.lo)]
+        self.known = stop
+
+
+def _product_graph(params, monomials, N):
+    """The grid ``ram`` and a ``_Node`` per monomial at order N, in the order given.
+
+    The nodes are those of ``_monomial_rows``, built by the same walk with
+    no arithmetic; ``ram`` carries every step and ``prec`` of the five
+    generators.
+    """
+    gens = generator_series(params, N)
+    series = [gens[v] for v in AFFINE_VARS]
+    ram = math.lcm(*[s.ram for s in series], *[s.prec.denominator for s in series])
+    one = _Node.leaf(PuiseuxSeries.constant(1, min(s.prec for s in series)), ram)
+    return ram, _walk_monomials(monomials, [_Node.leaf(s, ram) for s in series], _Node, one)
+
+
+def _searched_columns(rows, limit):
+    """The nonzero columns of the nodes ``rows`` below step ``limit``, computed as read.
+
+    Column k holds each row's coefficient of step k over the lcm of the
+    rows' denominators: ``_integer_columns``'s column up to a positive
+    factor, so its dot products vanish together.  Columns start at the
+    least ``lo``, and a row is extended only when a column reaches past
+    what it holds.
+    """
+    den = math.lcm(*[row.den for row in rows])
+    weights = [den // row.den for row in rows]
+    for k in range(min(row.lo for row in rows), limit):
+        column = []
+        for row, w in zip(rows, weights):
+            if row.known <= k:
+                row.extend(k + 1)
+            column.append(row.coef[k - row.lo] * w if k >= row.lo else 0)
+        if any(column):
+            yield k, column
+
+
 def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
     """Exact z-coordinate vanishing order at 0, with automatic retries.
 
-    Columns as in ``bound_audit``, uncached, for P's monomials (variables
-    matched by name); ``truncation`` is the least ``prec`` of their
-    series.  N must be nonnegative; N = 0 retries from order 1.
+    The order is that of ``bound_audit``'s columns for P's monomials
+    (variables matched by name), but the series are ``_Node`` products
+    computed only as far as the first nonzero dot product needs;
+    ``truncation`` is the least ``prec`` of the monomials' series, known
+    before any product.  N must be nonnegative; N = 0 retries from
+    order 1.
     """
     if not P:
         raise ZeroPolynomial("the zero polynomial has no order")
@@ -185,9 +305,10 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
 
     def columns_at(order):
         nonlocal truncation
-        rows = _monomial_rows(params, terms, order)
-        truncation = min(s.prec for s in rows)
-        return _integer_columns(rows)
+        ram, rows = _product_graph(params, terms, order)
+        limit = min(row.prec for row in rows)
+        truncation = Fraction(limit, ram)
+        return ram, _searched_columns(rows, limit)
 
     orders, order_used = _first_orders(columns_at, [vector], N)
     if not orders:

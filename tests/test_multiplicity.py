@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triring import ideals
@@ -537,12 +537,125 @@ def test_monomial_rows_equal_the_series_products(p, N, profile):
     assert rows == reference_rows(p, box, N)
 
 
+#: (y0 - y2)^9 y1 expanded, as the pow9 goldens write it
+POW9 = text("y0 - y2") ** 9 * text("y1")
+
+
 @pytest.mark.parametrize("p", ROW_TRIPLES)
 def test_monomial_rows_of_an_expanded_power(p):
-    pow9 = (text("y0 - y2") ** 9 * text("y1")).terms
+    pow9 = POW9.terms
     for N in (0, 4, 16):
         rows = [(s.ram, s.prec, s.den, s.nums) for s in mult._monomial_rows(p, pow9, N)]
         assert rows == reference_rows(p, pow9, N)
+
+
+def _series_prec_and_least_step(s, ram):
+    """``prec`` and the least stored step of the series ``s`` on the grid ``ram``, as integers."""
+    prec = s.prec * ram
+    assert prec.denominator == 1
+    return int(prec), min(s.with_ram(ram).nums)
+
+
+BOX_PROFILES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (0, 3, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("p", ROW_TRIPLES)
+@pytest.mark.parametrize("N", [0, 4, 16])
+@pytest.mark.parametrize("which", [*BOX_PROFILES, "pow9"])
+def test_product_nodes_know_the_prec_and_least_step_of_their_series(p, N, which):
+    # the search reads each node's prec and least step before any product:
+    # a wrong one would move truncation or skip a step
+    if which == "pow9":
+        monomials = list(POW9.terms)
+    else:
+        monomials = list(itertools.product(*(range(d + 1) for d in which)))
+    ram, rows = mult._product_graph(p, monomials, N)
+    for s, row in zip(mult._monomial_rows(p, monomials, N), rows, strict=True):
+        assert (row.prec, row.lo) == _series_prec_and_least_step(s, ram)
+    # every node of the walk, beside the series product it stands for
+    gens = mult.generator_series(p, N)
+    pairs = []
+
+    def product(left, right):
+        pairs.append((left[0] * right[0], mult._Node(left[1], right[1])))
+        return pairs[-1]
+
+    leaves = [(gens[v], mult._Node.leaf(gens[v], ram)) for v in AFFINE_VARS]
+    mult._walk_monomials(monomials, leaves, product, None)
+    assert pairs
+    for s, node in pairs:
+        assert (node.prec, node.lo) == _series_prec_and_least_step(s, ram)
+        assert node.known == node.lo and not node.coef
+    for s, node in pairs:
+        if node.known < node.prec:
+            node.extend(node.prec)
+        coefficients = {node.lo + n: Fraction(c, node.den) for n, c in enumerate(node.coef) if c}
+        assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(ram).nums.items()}
+
+
+def _deep_products():
+    """The ``orders`` workload's products at 0, expanded; each cancels past its rows' least step."""
+    d02 = text("y0 - y2")
+    gens = [text(v) for v in AFFINE_VARS]
+    return (
+        [d02 ** k * g for k in range(1, 10) for g in gens]
+        + [ideals.kappa() * d02 ** 2]
+        + [text("tau^3") * d02 ** 4 * g for g in gens]
+        + [text("q^2 y0 - q^2 y1") * text("y1 - y2") ** 2 * text(y) for y in ("y0", "y1", "y2")]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.sampled_from(_deep_products()), p=st.sampled_from(ROW_TRIPLES), N=st.integers(0, 8))
+@example(P=POW9, p=P134, N=1)  # still inconclusive at N = 8
+@example(P=POW9, p=ROW_TRIPLES[2], N=8)  # decided after one doubling
+@example(P=POW9, p=ROW_TRIPLES[1], N=3)  # decided after two
+def test_ord_at_zero_matches_the_series_sum_through_deep_cancellation(P, p, N):
+    reference = reference_order(P, p, N, mult.MAX_DOUBLINGS)
+    if reference is None:
+        with pytest.raises(TruncationExhausted):
+            mult.ord_at_zero(P, p, N)
+    else:
+        report = mult.ord_at_zero(P, p, N)
+        assert (report.ord, report.truncation) == reference
+
+
+def test_the_search_stops_at_the_step_that_decides(monkeypatch):
+    # the order of q^2 (y0 - y1)(y1 - y2)^2 y0 is its rows' least step, so
+    # the search reads one step, and no node may hold a coefficient past
+    # what that step needs of it
+    graphs = []
+    build = mult._product_graph
+
+    def keeping(*args):
+        graphs.append(build(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(mult, "_product_graph", keeping)
+    P = text("q^2 y0 - q^2 y1") * text("y1 - y2") ** 2 * text("y0")
+    report = mult.ord_at_zero(P, P134, N=48)
+    ((ram, rows),) = graphs
+    step = report.ord * ram
+    assert step == min(row.lo for row in rows) == 4 * (P134.gamma - 1) * ram
+    needs = {}
+
+    def need(node, stop):  # the steps below stop of node, and what they read
+        if node.a is not None and stop > node.lo:
+            needs[node] = max(needs.get(node, stop), stop)
+            need(node.a, stop - node.b.lo)
+            need(node.b, stop - node.a.lo)
+
+    for row in rows:
+        need(row, int(step) + 1)
+    seen, todo = set(), list(rows)
+    while todo:
+        node = todo.pop()
+        if node.a is None or node in seen:
+            continue
+        seen.add(node)
+        todo += [node.a, node.b]
+        assert node.known == node.lo + len(node.coef) == needs.get(node, node.lo)
+    assert needs and seen >= set(needs)
 
 
 def test_cached_box_columns_are_immutable():
