@@ -437,21 +437,6 @@ def hyp2f1_numeric(a, b, c, z):
     )
 
 
-def hyp2f1_numeric_ext(a, b, c, z):
-    """2F1 off the unit disk via the Pfaff transform.
-
-    Maps the argument to z/(z-1); valid whenever that lands inside the
-    unit disk, e.g. everywhere on the cut plane with Re(z) < 1/2.
-    """
-    z = complex(z)
-    if abs(z) < 0.9:
-        return hyp2f1_numeric(a, b, c, z)
-    zz = z / (z - 1)
-    if abs(zz) >= 0.999:
-        raise ValueError(f"Pfaff transform does not converge at {z}")
-    return (1 - z) ** (-float(a)) * hyp2f1_numeric(float(a), float(c) - float(b), float(c), zz)
-
-
 def finite_point(z):
     """``z`` as a complex number; ``ValueError`` when a part is NaN or infinite."""
     z = complex(z)
@@ -542,9 +527,12 @@ def _infinity_residuals(params, k, z):
     Returns ``(residual_statement_form, residual_alt_form)`` with the
     constants ``k``; the statement form (Gamma(beta) in the denominator)
     is the one that matches, the alternative fails by orders of magnitude.
+    2F1 at z is taken by the Pfaff transform, at z/(z-1), which lies in
+    the unit disk wherever Re(z) < 1/2.
     """
     al, be, ga = (float(v) for v in params.as_tuple())
-    lhs = hyp2f1_numeric_ext(al, be, ga, z)
+    w = complex(z)
+    lhs = (1 - w) ** (-al) * hyp2f1_numeric(al, ga - be, ga, w / (w - 1))
     t1 = hyp2f1_numeric(al, 1 - ga + al, 1 - be + al, 1 / z)
     t2 = hyp2f1_numeric(be, 1 - ga + be, 1 - al + be, 1 / z)
     rhs = lambda om: om * (-z) ** (-al) * t1 + k.omega1 * (-z) ** (-be) * t2

@@ -7,12 +7,12 @@ is a product of the generator series, and the order of a combination of
 monomials is the exponent of its first nonzero coefficient below the
 least precision of their series, retrying at doubled order while every
 such coefficient vanishes.  ``ord_at_zero`` and the audit build the
-products by one walk over the monomials.  The audit builds each box's
-series whole and reads them as integer columns, one per exponent, read
-from the numerators and the common denominator each series stores, so
-that each sample is a run of dot products; ``ord_at_zero`` builds lazy
-product nodes instead and extends them only as far as the coefficient
-that decides the order.  At a generic point u0 is a unit and the
+products by one walk over the monomials and read them by one reader as
+integer columns, one per exponent.  The audit builds each box's series
+whole and keeps its columns, each made primitive, so that each sample
+is a run of dot products; ``ord_at_zero`` builds lazy product nodes
+instead, which the reader extends only as far as the coefficient that
+decides the order.  At a generic point u0 is a unit and the
 derivation D acts as u0^2 d/dz, so the order of P is the least n with
 (D^n P)(z0) nonzero: (D^n P)(z0) is the n-th derivative of P along the
 flow of D from the five generator values at z0, run exactly as
@@ -60,13 +60,12 @@ class OrdReport:
     ord: Fraction | int | None
     conclusive: bool
     truncation: Fraction  # at a generic point: N, the cap on derivatives tried
-    domain: str
     coordinate: str = "z"
 
 
 @lru_cache(maxsize=32)
 def generator_series(params: TriangleParams, N: int):
-    """Exact z = 0 series of tau, q, y0, y1, y2 (plus u0^2), cached."""
+    """Exact z = 0 series of tau, q, y0, y1, y2, cached."""
     fam = hypergeom.y_series("zero", params, N)
     tau, q = hypergeom.tau_q_series_at_zero(params, N)
     return {
@@ -75,7 +74,6 @@ def generator_series(params: TriangleParams, N: int):
         "y0": fam.y0.normalize_ram(),
         "y1": fam.y1.normalize_ram(),
         "y2": fam.y2.normalize_ram(),
-        "u0sq": fam.u0sq.normalize_ram(),
     }
 
 
@@ -122,32 +120,6 @@ def _monomial_rows(params, monomials, N):
     series = [gens[v] for v in AFFINE_VARS]
     one = PuiseuxSeries.constant(1, min(s.prec for s in series))
     return _walk_monomials(monomials, series, mul, one)
-
-
-def _integer_columns(rows):
-    """The series ``rows`` as ``(ram, ((k, column), ...))`` with integer columns.
-
-    Every row is put on one ``ram`` grid and cut at the least ``prec``
-    of the rows.  Column ``k`` holds the coefficients of x^(k/ram), one
-    per row in row order, times the lcm of their denominators; a
-    positive scale per column keeps each zero test of a dot product
-    exact.  Columns come in increasing order of ``k``, and every column
-    is a tuple, so a shared result cannot be changed by its readers.
-    """
-    ram = math.lcm(*[s.ram for s in rows])
-    limit = min(s.prec for s in rows) * ram
-    grid = [s.with_ram(ram).nums for s in rows]
-    scales = [s.den for s in rows]
-    columns = []
-    for k in sorted(k for k in set().union(*grid) if k < limit):
-        entries = [g.get(k, 0) for g in grid]
-        col = 1
-        for n, d in zip(entries, scales):
-            col = math.lcm(col, d // math.gcd(n, d))
-        # a list first: tuple() of a generator allocates and then shrinks, so
-        # freed columns would pile up in CPython's free list of their size
-        columns.append((k, tuple([n * col // d for n, d in zip(entries, scales)])))
-    return ram, tuple(columns)
 
 
 def _first_orders(columns_at, vectors, N):
@@ -211,7 +183,11 @@ class _Node:
 
     @classmethod
     def leaf(cls, s, ram):
-        """The series ``s`` whole, on the grid ``ram`` (a multiple of ``s.ram``)."""
+        """The series ``s`` whole, on the grid ``ram``.
+
+        ``ram`` must be a multiple of ``s.ram`` and of the denominator of
+        ``s.prec``.
+        """
         node = object.__new__(cls)
         f = ram // s.ram
         node.a = node.b = None
@@ -266,11 +242,13 @@ def _product_graph(params, monomials, N):
 def _searched_columns(rows, limit):
     """The nonzero columns of the nodes ``rows`` below step ``limit``, computed as read.
 
-    Column k holds each row's coefficient of step k over the lcm of the
-    rows' denominators: ``_integer_columns``'s column up to a positive
-    factor, so its dot products vanish together.  Columns start at the
-    least ``lo``, and a row is extended only when a column reaches past
-    what it holds.
+    Column k holds each row's coefficient of step k times the lcm of the
+    rows' denominators, a positive multiple of the exact coefficients,
+    so an integer vector's dot product with it vanishes exactly when the
+    vector's combination of the rows has no term at step k.  Columns
+    start at the least ``lo``, and a row is extended only when a column
+    reaches past what it holds; a leaf holds every step below its
+    ``prec`` and is never extended.
     """
     den = math.lcm(*[row.den for row in rows])
     weights = [den // row.den for row in rows]
@@ -321,7 +299,6 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
         ord=orders[0],
         conclusive=True,
         truncation=truncation,
-        domain="rational",
     )
 
 
@@ -510,7 +487,7 @@ def ord_at_generic(P: Poly, params: TriangleParams, z0, N=DEFAULT_ORDER) -> OrdR
     else:
         raise ThresholdAmbiguous(f"no D^n P with n < {N} clears its error bound")
     return OrdReport(point=str(z0), poly=P.to_text(), ord=n, conclusive=True,
-                     truncation=Fraction(N), domain="complex")
+                     truncation=Fraction(N))
 
 
 # -- hypersurface distance ------------------------------------------------------------
@@ -585,14 +562,26 @@ def profile_bound(profile):
 
 @lru_cache(maxsize=32)
 def _box_columns(params: TriangleParams, profile: tuple, N: int):
-    """Integer columns of the profile box at order N, cached per process.
+    """``(ram, ((k, column), ...))``: the profile box at order N, cached per process.
 
-    Bounded like ``generator_series``.  Only the immutable
-    ``(ram, columns)`` of ``_integer_columns`` is kept.  Rows come in
-    ``itertools.product`` order, the order of each sample's draws.
+    The rows are the ``_monomial_rows`` of the box in ``itertools.product``
+    order, the order of each sample's draws, put whole on one grid as
+    ``_Node`` leaves and read by ``_searched_columns`` below their least
+    ``prec``.  Each column is divided by the gcd of its entries, so it is
+    primitive.  Bounded like ``generator_series``; only these tuples are
+    kept, so a shared result cannot be changed by its readers.
     """
     box = itertools.product(*(range(d + 1) for d in profile))
-    return _integer_columns(_monomial_rows(params, box, N))
+    series = _monomial_rows(params, box, N)
+    ram = math.lcm(*[s.ram for s in series], *[s.prec.denominator for s in series])
+    rows = [_Node.leaf(s, ram) for s in series]
+    columns = []
+    for k, column in _searched_columns(rows, min(row.prec for row in rows)):
+        g = math.gcd(*column)
+        # a list first: tuple() of a generator allocates and then shrinks, so
+        # freed columns would pile up in CPython's free list of their size
+        columns.append((k, tuple([c // g for c in column])))
+    return ram, tuple(columns)
 
 
 # rng.choice(_NONZERO) keeps the top five bits of one 32-bit Mersenne
@@ -640,14 +629,14 @@ def bound_audit(
 
     A sample is evaluated as integer dot products (``_first_orders``):
     the monomial series of the box become integer columns, one per
-    exponent below the box's precision, each scaled by the lcm of its
-    denominators.  The columns of each (params, profile, order) are
-    built once per process and kept in a cache of at most 32 boxes
-    (``_box_columns``), so auditing a box again with new seeds costs
-    only the dot products.  Samples whose columns all give zero retry on
-    the box at doubled order; any that stay inconclusive are skipped and
-    counted, never silently dropped.  ``order_used`` is the truncation
-    order of the last box built.
+    exponent below the box's precision, each a positive multiple of the
+    exact coefficients with no common factor.  The columns of each
+    (params, profile, order) are built once per process and kept in a
+    cache of at most 32 boxes (``_box_columns``), so auditing a box
+    again with new seeds costs only the dot products.  Samples whose
+    columns all give zero retry on the box at doubled order; any that
+    stay inconclusive are skipped and counted, never silently dropped.
+    ``order_used`` is the truncation order of the last box built.
     """
     profile = tuple(int(d) for d in profile)
     if len(profile) != 5 or any(d < 0 for d in profile):

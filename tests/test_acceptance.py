@@ -228,7 +228,7 @@ def test_c07_analytic_algebraic_consistency():
         res = hg.ode_residual_series(hg.u_series("u0", p, N), p, N)
         gate.check(res.is_zero_to_prec(), f"normal-form residual of u0 ({lbl})")
         gens = mult.generator_series(p, N)
-        u0sq = gens["u0sq"]
+        u0sq = hg.y_series("zero", p, N).u0sq
         for name in AFFINE_VARS:
             lhs = u0sq * gens[name].differentiate()
             rhs = series_sum(apply_D(Poly.var(AFFINE_VARS, name), p), p, N)

@@ -39,7 +39,8 @@ CLI_CASES = {
     # each coefficient one rng.choice call
     "audit_1_11_1_9_1_4": ["--params", "1/11,1/9,1/4", "--profile", "1,2,1,2,1",
                            "--samples", "50", "--seed", "3", "--order", "4"],
-    # ram 3 at N = 32, twice the order of any other box here
+    # ram 3 at N = 32, twice the order of any other box here; captured when
+    # each column was scaled by the lcm of its denominators, not made primitive
     "audit_1_8_1_6_1_3_order32": ["--params", "1/8,1/6,1/3", "--profile", "2,2,2,2,2",
                                   "--order", "32", "--samples", "40", "--seed", "5"],
 }

@@ -664,3 +664,28 @@ def test_cached_box_columns_are_immutable():
     for k, column in columns:
         assert isinstance(column, tuple) and len(column) == 32
         assert all(type(c) is int for c in column)
+
+
+@pytest.mark.parametrize("p", ROW_TRIPLES)
+@pytest.mark.parametrize("N", [0, 4, 16])
+@pytest.mark.parametrize("profile", BOX_PROFILES)
+def test_cached_box_columns_are_primitive_multiples_of_the_exact_coefficients(p, N, profile):
+    # a positive multiple per column keeps every dot product's zero test;
+    # the gcd check pins the smallest such column
+    box = list(itertools.product(*(range(d + 1) for d in profile)))
+    reference = reference_rows(p, box, N)
+    limit = min(prec for _, prec, _, _ in reference)
+    exact = {}  # exponent: {row: exact coefficient}
+    for row, (ram, _, scale, coeffs) in enumerate(reference):
+        for k, c in coeffs.items():
+            if Fraction(k, ram) < limit:
+                exact.setdefault(Fraction(k, ram), {})[row] = Fraction(c, scale)
+    ram, columns = mult._box_columns(p, profile, N)
+    assert [Fraction(k, ram) for k, _ in columns] == sorted(exact)
+    for k, column in columns:
+        assert math.gcd(*column) == 1
+        want = exact[Fraction(k, ram)]
+        row = next(iter(want))
+        factor = column[row] / want[row]
+        assert factor > 0
+        assert list(column) == [factor * want.get(i, 0) for i in range(len(box))]
