@@ -4,6 +4,7 @@ import pytest
 
 from triring import cli
 from triring.cli import run
+from triring.ring import poly_from_text
 
 
 def invoke(capsys, *argv):
@@ -94,6 +95,16 @@ def test_ord_command(capsys):
     )
     assert code == 0
     assert "1/2" in out
+
+
+def test_ord_still_inconclusive_at_the_last_doubling_names_its_order(capsys):
+    # (y0 - y2)^9 y1 expanded: from --order 1 the doublings end at N = 8
+    poly = (poly_from_text("y0 - y2") ** 9 * poly_from_text("y1")).to_text()
+    code, out, err = invoke(
+        capsys, "ord", "--at", "0", "--params", "1/5,1/4,1/2", "--order", "1", poly
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: order of {poly} at zero still inconclusive at N=8\n"
 
 
 def test_ord_generic_command(capsys):

@@ -19,7 +19,9 @@ Dprime and H derive files were captured when D, D' and H each had their
 own table of generator images; the expand files at orders 1 and 2 at 1
 and infinity were captured when 2F1 at -x was made by a second pass over
 2F1 at x; those at 0 were captured when tau was the quotient of the u1
-and u0 series and the JSON was written from ``to_json_obj`` dicts.
+and u0 series and the JSON was written from ``to_json_obj`` dicts; the
+ord files at orders 1 and 3 were captured when each doubling of the
+search at 0 built its product graph anew.
 Every rewrite must reproduce them
 byte for byte, and with the same exit code.
 """
@@ -53,7 +55,11 @@ ORD_POLYS = {
     # ram 4: order 3/2, and order 9/4 from the tau, q and constant rows
     "pow9_1_11_1_9_1_4_order8": (T3, POW9, "8"),
     "tau_q_1_11_1_9_1_4_order8": (T3, "q - tau - 1 - 1/2 * tau^2", "8"),
+    # two doublings, 3 -> 6 -> 12: order 7/3
+    "pow9_1_8_1_6_1_3_order3": (T2, POW9, "3"),
 }
+#: still inconclusive at N = 8, the last doubling from 1: exit 1 with no stdout
+ORD_EXHAUSTED = {"pow9_1_5_1_4_1_2_order1": (T1, POW9, "1")}
 #: generic points: README's example; an expanded power that cancels to
 #: order 0; order 2 at the root of tau = 1/2 on 1/5,1/4,1/2; and kappa
 TAU_HALF = poly_from_text("tau - 1/2")
@@ -121,10 +127,11 @@ def _cases():
         ["ideal", "stable", "--params", T1, "--gens", "q", "y0 - y1", "--emit", "json"], 1)
     cases["ideal_member_nonunit.json"] = (MEMBER + ["--emit", "json"], 0)
     cases["ideal_member_nonunit.txt"] = (MEMBER, 0)
-    for label, (triple, poly, order) in ORD_POLYS.items():
-        argv = ["ord", "--at", "0", "--params", triple, "--order", order, poly]
-        cases[f"ord_zero_{label}.json"] = (argv + ["--emit", "json"], 0)
-        cases[f"ord_zero_{label}.txt"] = (argv, 0)
+    for polys, code in ((ORD_POLYS, 0), (ORD_EXHAUSTED, 1)):
+        for label, (triple, poly, order) in polys.items():
+            argv = ["ord", "--at", "0", "--params", triple, "--order", order, poly]
+            cases[f"ord_zero_{label}.json"] = (argv + ["--emit", "json"], code)
+            cases[f"ord_zero_{label}.txt"] = (argv, code)
     for label, (triple, at, poly, emits) in GENERIC_ORD.items():
         argv = ["ord", "--at", at, "--params", triple, poly]
         for emit in emits:
