@@ -6,13 +6,18 @@ the singular point 0 the computation is exact: the series of a monomial
 is a product of the generator series, and the order of a combination of
 monomials is the exponent of its first nonzero coefficient below the
 least precision of their series, retrying at doubled order while every
-such coefficient vanishes.  ``ord_at_zero`` and the audit build the
-products by one walk over the monomials and read them by one reader as
-integer columns, one per exponent.  The audit builds each box's series
-whole and keeps its columns, each made primitive, so that each sample
-is a run of dot products; ``ord_at_zero`` builds lazy product nodes
-instead, which the reader extends only as far as the coefficient that
-decides the order.  At a generic point u0 is a unit and the
+such coefficient vanishes, at most ``MAX_DOUBLINGS`` times.
+``ord_at_zero`` and the audit build the products by one walk over the
+monomials and read them by one reader as integer columns, one per
+exponent.  The audit builds each box's series whole and keeps its
+columns, each made primitive, so that each sample is a run of dot
+products; ``ord_at_zero`` builds lazy product nodes instead, which the
+reader extends only as far as the coefficient that decides the order.
+A retry of ``ord_at_zero`` grows the same nodes to the doubled order:
+the leaves take the generator series at that order, every product keeps
+the coefficients it has computed, and the reader resumes at the old
+limit, below which the combination met only zero coefficients.  At a
+generic point u0 is a unit and the
 derivation D acts as u0^2 d/dz, so the order of P is the least n with
 (D^n P)(z0) nonzero: (D^n P)(z0) is the n-th derivative of P along the
 flow of D from the five generator values at z0, run exactly as
@@ -116,10 +121,20 @@ def _monomial_rows(params, monomials, N):
     (``_walk_monomials``); the constant monomial is 1 to the least
     ``prec`` of the five generators.
     """
+    *series, one = _leaf_series(params, N)
+    return _walk_monomials(monomials, series, mul, one)
+
+
+def _leaf_series(params, N):
+    """The series of the five generators at order N, then 1 to their least ``prec``."""
     gens = generator_series(params, N)
     series = [gens[v] for v in AFFINE_VARS]
-    one = PuiseuxSeries.constant(1, min(s.prec for s in series))
-    return _walk_monomials(monomials, series, mul, one)
+    return series + [PuiseuxSeries.constant(1, min(s.prec for s in series))]
+
+
+def _grid(series):
+    """The least ``ram`` carrying every step and ``prec`` of ``series``."""
+    return math.lcm(*[s.ram for s in series], *[s.prec.denominator for s in series])
 
 
 def _first_orders(columns_at, vectors, N):
@@ -127,9 +142,11 @@ def _first_orders(columns_at, vectors, N):
 
     A vector's order is k / ram for the first column k of
     ``columns_at(order)`` with a nonzero dot product; vectors meeting only
-    zero columns retry at ``max(2 * order, 1)``, up to MAX_DOUBLINGS times.
-    The columns are read once for each vector, so with a single vector
-    they may come from an iterator.
+    zero columns retry at ``max(2 * order, 1)``, with a budget of
+    MAX_DOUBLINGS retries.  The columns of a retry may start where those
+    of the last order ended, since every pending vector met only zero
+    columns below it.  The columns are read once for each vector, so with
+    a single vector they may come from an iterator.
     """
     pending, orders = list(range(len(vectors))), {}
     order = order_used = N
@@ -170,7 +187,7 @@ class _Node:
     step lo + n with n a multiple of ``stride``.
     """
 
-    __slots__ = ("a", "b", "lo", "prec", "den", "stride", "coef", "known", "block")
+    __slots__ = ("a", "b", "lo", "prec", "den", "stride", "coef", "known")
 
     def __init__(self, a, b):
         self.a, self.b = a, b
@@ -179,7 +196,6 @@ class _Node:
         self.den = a.den * b.den
         self.stride = math.gcd(a.stride, b.stride)
         self.coef = []
-        self.block = 1
 
     @classmethod
     def leaf(cls, s, ram):
@@ -189,29 +205,58 @@ class _Node:
         ``s.prec``.
         """
         node = object.__new__(cls)
-        f = ram // s.ram
         node.a = node.b = None
-        node.prec = node.known = s.prec.numerator * (ram // s.prec.denominator)
-        node.lo = min(s.nums) * f
-        node.den = s.den
-        node.coef = [0] * (node.prec - node.lo)
-        for k, c in s.nums.items():
-            node.coef[k * f - node.lo] = c
-        # a single term lies on every stride; its length keeps the stride positive
-        node.stride = math.gcd(*[k * f - node.lo for k in s.nums]) or len(node.coef)
+        node.hold(s, ram)
         return node
 
-    def extend(self, stop):
-        """Compute the steps below ``stop`` (at most ``prec``) and a block past ``known``.
+    def hold(self, s, ram):
+        """Make the node a leaf holding the series ``s`` whole on the grid ``ram``."""
+        f = ram // s.ram
+        self.prec = self.known = s.prec.numerator * (ram // s.prec.denominator)
+        self.lo = min(s.nums) * f
+        self.den = s.den
+        self.coef = [0] * (self.prec - self.lo)
+        for k, c in s.nums.items():
+            self.coef[k * f - self.lo] = c
+        # a single term lies on every stride; its length keeps the stride positive
+        self.stride = math.gcd(*[k * f - self.lo for k in s.nums]) or len(self.coef)
 
-        The block's length doubles with each extension.  a * b below a step
+    def regrow(self, f):
+        """Keep the computed steps once both factors are put at a higher order.
+
+        The factors' grid must be ``f`` times finer than the node's.  A
+        step below ``known`` holds the same rational at any order, since it
+        lies below ``prec``; so the steps are only spread ``f`` apart and
+        scaled by the new ``den`` over the old, an integer, as a
+        generator's least denominator at a higher order is a multiple of
+        the one at a lower.  ``prec``, ``lo`` and ``stride`` are those of
+        the new factors.
+        """
+        coef = self.coef
+        scale = self.a.den * self.b.den // self.den
+        self.__init__(self.a, self.b)
+        if scale != 1:
+            coef = [c * scale for c in coef]
+        if f != 1:
+            spread = [0] * (len(coef) * f)
+            spread[::f] = coef
+            coef = spread
+        self.coef = coef
+        self.known += len(coef)
+
+    def extend(self, stop):
+        """Compute the steps below ``stop`` and on to the next step lo + 2^j - 1, below ``prec``.
+
+        Ending each block on a step lo + 2^j - 1 past ``stop`` makes a node
+        read step by step take about log2 of its steps in extensions, and
+        an extension cut short by ``prec`` leaves the next one ending where
+        it would have ended without the cut.  a * b below a step
         t reads a below t - b.lo and b below t - a.lo; step lo + n is the
         dot product of a's coefficients 0..n with b's n..0, taken only on
         the multiples of the larger stride.
         """
         start = self.known
-        stop = min(self.prec, max(stop, start + self.block))
-        self.block *= 2
+        stop = min(self.prec, max(stop, self.lo + (1 << (start - self.lo + 1).bit_length()) - 1))
         a, b = self.a, self.b
         if a.known < stop - b.lo:
             a.extend(stop - b.lo)
@@ -226,33 +271,56 @@ class _Node:
 
 
 def _product_graph(params, monomials, N):
-    """The grid ``ram`` and a ``_Node`` per monomial at order N, in the order given.
+    """The grid ``ram``, a ``_Node`` per monomial at order N in the order given, and all nodes.
 
     The nodes are those of ``_monomial_rows``, built by the same walk with
     no arithmetic; ``ram`` carries every step and ``prec`` of the five
-    generators.
+    generators.  The list of all nodes holds the leaves of the five
+    generators and of 1, then each product after its factors, as
+    ``_grow`` takes them.
     """
-    gens = generator_series(params, N)
-    series = [gens[v] for v in AFFINE_VARS]
-    ram = math.lcm(*[s.ram for s in series], *[s.prec.denominator for s in series])
-    one = _Node.leaf(PuiseuxSeries.constant(1, min(s.prec for s in series)), ram)
-    return ram, _walk_monomials(monomials, [_Node.leaf(s, ram) for s in series], _Node, one)
+    series = _leaf_series(params, N)
+    ram = _grid(series)
+    nodes = [_Node.leaf(s, ram) for s in series]
+
+    def product(a, b):
+        nodes.append(_Node(a, b))
+        return nodes[-1]
+
+    return ram, _walk_monomials(monomials, nodes[:5], product, nodes[5]), nodes
 
 
-def _searched_columns(rows, limit):
-    """The nonzero columns of the nodes ``rows`` below step ``limit``, computed as read.
+def _grow(nodes, params, N, ram):
+    """Put the graph ``nodes`` of ``_product_graph`` on grid ``ram`` at order N; the new grid.
+
+    N must be above the graph's order.  Each leaf takes its series at
+    order N whole, and each product keeps the steps it has computed
+    (``_Node.regrow``), so no step is computed twice.  The new grid is a
+    multiple of ``ram``.
+    """
+    series = _leaf_series(params, N)
+    grown = math.lcm(ram, _grid(series))
+    for node, s in zip(nodes, series):
+        node.hold(s, grown)
+    for node in nodes[len(series):]:
+        node.regrow(grown // ram)
+    return grown
+
+
+def _searched_columns(rows, limit, start=None):
+    """The nonzero columns of the nodes ``rows`` from ``start`` below ``limit``, computed as read.
 
     Column k holds each row's coefficient of step k times the lcm of the
     rows' denominators, a positive multiple of the exact coefficients,
     so an integer vector's dot product with it vanishes exactly when the
     vector's combination of the rows has no term at step k.  Columns
-    start at the least ``lo``, and a row is extended only when a column
-    reaches past what it holds; a leaf holds every step below its
-    ``prec`` and is never extended.
+    start at step ``start``, by default the least ``lo``, and a row is
+    extended only when a column reaches past what it holds; a leaf holds
+    every step below its ``prec`` and is never extended.
     """
     den = math.lcm(*[row.den for row in rows])
     weights = [den // row.den for row in rows]
-    for k in range(min(row.lo for row in rows), limit):
+    for k in range(min(row.lo for row in rows) if start is None else start, limit):
         column = []
         for row, w in zip(rows, weights):
             if row.known <= k:
@@ -269,8 +337,12 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
     (variables matched by name), but the series are ``_Node`` products
     computed only as far as the first nonzero dot product needs;
     ``truncation`` is the least ``prec`` of the monomials' series, known
-    before any product.  N must be nonnegative; N = 0 retries from
-    order 1.
+    before any product.  One product graph serves every order tried: a
+    retry at doubled order grows it (``_grow``), keeping every step
+    computed, and the reader resumes at the last order's limit.
+    ``MAX_DOUBLINGS`` is the budget of retries, and the orders tried are
+    N, 2N, ... as without the growth.  N must be nonnegative; N = 0
+    retries from order 1.
     """
     if not P:
         raise ZeroPolynomial("the zero polynomial has no order")
@@ -279,26 +351,33 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
     terms = _affine(P).terms  # decoded once: the retries below reuse the exponent tuples
     scale = math.lcm(*[c.denominator for c in terms.values()])
     vector = [c.numerator * (scale // c.denominator) for c in terms.values()]
-    truncation = None
+    graph = None  # (ram, rows, nodes, limit) of the last pass
 
     def columns_at(order):
-        nonlocal truncation
-        ram, rows = _product_graph(params, terms, order)
+        nonlocal graph
+        if graph is None:
+            ram, rows, nodes = _product_graph(params, terms, order)
+            start = None
+        else:  # the vector met only zero columns below the last limit
+            ram, rows, nodes, start = graph
+            grown = _grow(nodes, params, order, ram)
+            ram, start = grown, start * (grown // ram)
         limit = min(row.prec for row in rows)
-        truncation = Fraction(limit, ram)
-        return ram, _searched_columns(rows, limit)
+        graph = ram, rows, nodes, limit
+        return ram, _searched_columns(rows, limit, start)
 
     orders, order_used = _first_orders(columns_at, [vector], N)
     if not orders:
         raise TruncationExhausted(
             f"order of {P.to_text()} at zero still inconclusive at N={order_used}"
         )
+    ram, _, _, limit = graph
     return OrdReport(
         point="zero",
         poly=P.to_text(),
         ord=orders[0],
         conclusive=True,
-        truncation=truncation,
+        truncation=Fraction(limit, ram),
     )
 
 
@@ -573,7 +652,7 @@ def _box_columns(params: TriangleParams, profile: tuple, N: int):
     """
     box = itertools.product(*(range(d + 1) for d in profile))
     series = _monomial_rows(params, box, N)
-    ram = math.lcm(*[s.ram for s in series], *[s.prec.denominator for s in series])
+    ram = _grid(series)
     rows = [_Node.leaf(s, ram) for s in series]
     columns = []
     for k, column in _searched_columns(rows, min(row.prec for row in rows)):

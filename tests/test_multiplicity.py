@@ -90,12 +90,89 @@ def test_zero_polynomial_rejected():
         mult.ord_at_zero(Poly.zero(AFFINE_VARS), P134)
 
 
-def test_retry_resolves_high_order():
-    # tau^20 has order 10; a starting window of 4 needs two doublings
-    rep = mult.ord_at_zero(text("tau^20"), P134, N=4)
-    assert rep.ord == 20 * (1 - P134.gamma)
+#: (y0 - y2)^9 y1 expanded, as the pow9 goldens write it
+POW9 = text("y0 - y2") ** 9 * text("y1")
+P863 = validate(Fraction(1, 8), Fraction(1, 6), Fraction(1, 3))
+
+
+def _orders_tried(monkeypatch):
+    """The orders whose generator series the search at 0 puts in its graph, in turn."""
+    tried = []
+    leaf_series = mult._leaf_series
+
+    def recording(params, N):
+        tried.append(N)
+        return leaf_series(params, N)
+
+    monkeypatch.setattr(mult, "_leaf_series", recording)
+    return tried
+
+
+def test_retry_resolves_high_order(monkeypatch):
+    # from order 3 the expanded power vanishes below both 3 and 6
+    tried = _orders_tried(monkeypatch)
+    rep = mult.ord_at_zero(POW9, P863, N=3)
+    assert tried == [3, 6, 12]
+    assert (rep.ord, rep.truncation) == (Fraction(7, 3), Fraction(19, 3))
+    # from order 1 it is still inconclusive after the last doubling
+    tried.clear()
+    with pytest.raises(TruncationExhausted, match="still inconclusive at N=8$"):
+        mult.ord_at_zero(POW9, P134, N=1)
+    assert tried == [1, 2, 4, 8]
     with pytest.raises(ZeroPolynomial):
         mult.ord_at_zero(ideals.kappa() - ideals.kappa(), P134, N=4)
+
+
+def _steps_computed(monkeypatch):
+    """A one-entry list counting the steps ``_Node.extend`` computes from now on."""
+    steps = [0]
+    extend = mult._Node.extend
+
+    def counting(node, stop):
+        start = node.known
+        extend(node, stop)
+        steps[0] += node.known - start
+
+    monkeypatch.setattr(mult._Node, "extend", counting)
+    return steps
+
+
+@pytest.mark.parametrize("p, N, doublings", [(P863, 3, 2), (P134, 8, 1), (P134, 1, 3)])
+def test_a_search_builds_one_product_graph(monkeypatch, p, N, doublings):
+    built, leaves = [], []
+    product_graph, leaf = mult._product_graph, mult._Node.leaf.__func__
+
+    def building(*args):
+        built.append(args)
+        return product_graph(*args)
+
+    def counting_leaf(cls, s, ram):
+        leaves.append(s)
+        return leaf(cls, s, ram)
+
+    monkeypatch.setattr(mult, "_product_graph", building)
+    monkeypatch.setattr(mult._Node, "leaf", classmethod(counting_leaf))
+    tried = _orders_tried(monkeypatch)
+    try:
+        mult.ord_at_zero(POW9, p, N)
+    except TruncationExhausted:
+        pass
+    assert len(tried) == doublings + 1
+    assert built == [(p, POW9.terms, N)]
+    assert len(leaves) == 6  # the five generators and 1
+
+
+@pytest.mark.parametrize("p, N", [(P134, 8), (P863, 3), (P863, 6)])
+def test_a_resumed_search_computes_no_more_steps_than_one_started_where_it_decides(
+        monkeypatch, p, N):
+    tried = _orders_tried(monkeypatch)
+    steps = _steps_computed(monkeypatch)
+    resumed = mult.ord_at_zero(POW9, p, N)
+    assert len(tried) > 1
+    resumed_steps, steps[0] = steps[0], 0
+    direct = mult.ord_at_zero(POW9, p, tried[-1])
+    assert (direct.ord, direct.truncation) == (resumed.ord, resumed.truncation)
+    assert 0 < resumed_steps <= steps[0]
 
 
 #: variable tuples for random polynomials: the full ring, sub-tuples, another order
@@ -144,15 +221,19 @@ def test_exact_orders_reject_negative_truncation():
 
 
 def test_warm_exact_orders_leave_no_cyclic_garbage():
-    # the expanded (y0 - y2)^9 y1 at N = 8 decides after one doubling
-    P = text("y0 - y2") ** 9 * text("y1")
-    mult.ord_at_zero(P, P134, N=8)
+    # the expanded (y0 - y2)^9 y1 decides after one doubling from N = 8 on
+    # 1/5,1/4,1/2 and after two from N = 3 on 1/8,1/6,1/3: grown leaves and
+    # rescaled nodes must be freed by reference counts alone
+    searches = [(P134, 8), (P863, 3)]
+    for p, N in searches:
+        mult.ord_at_zero(POW9, p, N)
     mult.bound_audit((1, 1, 1, 1, 1), P134, samples=5, N=4, seed=0)
     gc.collect()
     gc.disable()
     try:
-        mult.ord_at_zero(P, P134, N=8)
-        assert gc.collect() == 0
+        for p, N in searches:
+            mult.ord_at_zero(POW9, p, N)
+            assert gc.collect() == 0
         mult.bound_audit((1, 1, 1, 1, 1), P134, samples=5, N=4, seed=0)
         assert gc.collect() == 0
     finally:
@@ -451,6 +532,19 @@ def test_profile_bound_values():
     assert mult.profile_bound((2, 2, 2, 2, 2)) == (3, 4, 768)
 
 
+def test_the_bound_is_exceeded_at_profile_0_0_1_1_1():
+    # profile_bound reads the bound as M1 M2^4 with no constant; on the box
+    # (0,0,1,1,1) that is 1, and these three combinations vanish deeper
+    assert mult.profile_bound((0, 0, 1, 1, 1)) == (1, 1, 1)
+    witnesses = [
+        (P863, "5*y0 + 2*y1 + 5*y2", Fraction(4, 3)),
+        (P134, "4*y0*y1 - 4*y1*y2 - 3", 2),
+        (TRIPLES[1], "3901*y0*y1 - 567*y0*y2 - 4090*y1*y2 - 3000", 2),
+    ]
+    for p, poly, order in witnesses:
+        assert mult.ord_at_zero(text(poly), p).ord == order > 1
+
+
 def test_audit_constant_profile():
     audit = mult.bound_audit((0, 0, 0, 0, 0), P134, samples=5, seed=1)
     assert audit.max_ord == 0
@@ -537,10 +631,6 @@ def test_monomial_rows_equal_the_series_products(p, N, profile):
     assert rows == reference_rows(p, box, N)
 
 
-#: (y0 - y2)^9 y1 expanded, as the pow9 goldens write it
-POW9 = text("y0 - y2") ** 9 * text("y1")
-
-
 @pytest.mark.parametrize("p", ROW_TRIPLES)
 def test_monomial_rows_of_an_expanded_power(p):
     pow9 = POW9.terms
@@ -569,7 +659,7 @@ def test_product_nodes_know_the_prec_and_least_step_of_their_series(p, N, which)
         monomials = list(POW9.terms)
     else:
         monomials = list(itertools.product(*(range(d + 1) for d in which)))
-    ram, rows = mult._product_graph(p, monomials, N)
+    ram, rows, _ = mult._product_graph(p, monomials, N)
     for s, row in zip(mult._monomial_rows(p, monomials, N), rows, strict=True):
         assert (row.prec, row.lo) == _series_prec_and_least_step(s, ram)
     # every node of the walk, beside the series product it stands for
@@ -591,6 +681,26 @@ def test_product_nodes_know_the_prec_and_least_step_of_their_series(p, N, which)
             node.extend(node.prec)
         coefficients = {node.lo + n: Fraction(c, node.den) for n, c in enumerate(node.coef) if c}
         assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(ram).nums.items()}
+
+
+@pytest.mark.parametrize("p", ROW_TRIPLES)
+@pytest.mark.parametrize("finer", [1, 2])
+def test_a_grown_graph_holds_the_series_of_the_higher_order(monkeypatch, p, finer):
+    # the rows computed in part at order 4 are put at order 8, on the same grid
+    # or, through a grid reader that asks for a finer one, on a grid twice as
+    # fine; each must then hold its series product at order 8 exactly
+    ram, rows, nodes = mult._product_graph(p, POW9.terms, 4)
+    for i, row in enumerate(rows):
+        row.extend(row.prec if i % 2 else (row.lo + row.prec) // 2)
+    grid = mult._grid
+    monkeypatch.setattr(mult, "_grid", lambda series: finer * grid(series))
+    grown = mult._grow(nodes, p, 8, ram)
+    assert grown == finer * ram
+    for s, row in zip(mult._monomial_rows(p, POW9.terms, 8), rows, strict=True):
+        assert (row.prec, row.lo) == _series_prec_and_least_step(s, grown)
+        row.extend(row.prec)
+        coefficients = {row.lo + n: Fraction(c, row.den) for n, c in enumerate(row.coef) if c}
+        assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(grown).nums.items()}
 
 
 def _deep_products():
@@ -634,7 +744,7 @@ def test_the_search_stops_at_the_step_that_decides(monkeypatch):
     monkeypatch.setattr(mult, "_product_graph", keeping)
     P = text("q^2 y0 - q^2 y1") * text("y1 - y2") ** 2 * text("y0")
     report = mult.ord_at_zero(P, P134, N=48)
-    ((ram, rows),) = graphs
+    ((ram, rows, _),) = graphs
     step = report.ord * ram
     assert step == min(row.lo for row in rows) == 4 * (P134.gamma - 1) * ram
     needs = {}
