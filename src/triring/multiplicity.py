@@ -291,12 +291,12 @@ def _product_graph(params, monomials, N):
 
 
 def _grow(nodes, params, N, ram):
-    """Put the graph ``nodes`` of ``_product_graph`` on grid ``ram`` at order N; the new grid.
+    """Grow the graph ``nodes`` of ``_product_graph``, on the grid ``ram``, to order N.
 
     N must be above the graph's order.  Each leaf takes its series at
     order N whole, and each product keeps the steps it has computed
-    (``_Node.regrow``), so no step is computed twice.  The new grid is a
-    multiple of ``ram``.
+    (``_Node.regrow``), so no step is computed twice.  Returns the new
+    grid, a multiple of ``ram``.
     """
     series = _leaf_series(params, N)
     grown = math.lcm(ram, _grid(series))
