@@ -59,7 +59,6 @@ from .series import PuiseuxSeries, json_list_text, rational_text, series_json_ob
 SYMBOLS_AT_ONE = ("theta", "theta1")
 SYMBOLS_AT_INF = ("zw", "zw1")
 
-DEFAULT_ORDER = 40
 TOL = 1e-15
 MAX_TERMS = 200_000
 HALF = Fraction(1, 2)
@@ -154,7 +153,7 @@ def _u_recipe(which, al, be, ga):
     raise ValueError("which must be 'u0' or 'u1'")
 
 
-def u_series(which, params: TriangleParams, N=DEFAULT_ORDER):
+def u_series(which, params: TriangleParams, N):
     """Exact Puiseux series of u0 or u1 at z = 0."""
     lead, s, F_args = _u_recipe(which, *params.as_tuple())
     return _local_part(lead, s, F_args, N)
@@ -284,7 +283,7 @@ def _symbolic_family(point, local_variable, A, B, d_dz, inv_z, inv_zm1, symbols)
     return ExpansionFamily(point, local_variable, u0, u0sq, y0, y1, y2, symbols)
 
 
-def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
+def y_series(point, params: TriangleParams, N) -> ExpansionFamily:
     """Expansions of u0^2, y0, y1, y2 at the requested singular point.
 
     At zero the coefficients are exact rationals.  At one they are exact
@@ -327,7 +326,7 @@ def y_series(point, params: TriangleParams, N=DEFAULT_ORDER) -> ExpansionFamily:
     raise ValueError(f"unknown expansion point {point!r}")
 
 
-def tau_q_series_at_zero(params: TriangleParams, N=DEFAULT_ORDER):
+def tau_q_series_at_zero(params: TriangleParams, N):
     """tau = u1/u0 (order 1 - gamma) and q = exp(tau), exact at z = 0.
 
     The shared (1-z)**s cancels: tau = z**(1-gamma) 2F1(u1's) / 2F1(u0's),
@@ -340,14 +339,14 @@ def tau_q_series_at_zero(params: TriangleParams, N=DEFAULT_ORDER):
     return tau, tau.exp()
 
 
-def wronskian_series(params: TriangleParams, N=DEFAULT_ORDER):
+def wronskian_series(params: TriangleParams, N):
     """u1' u0 - u1 u0' as a formal series; identically 1 - gamma."""
     u0 = u_series("u0", params, N)
     u1 = u_series("u1", params, N)
     return u1.differentiate() * u0 - u1 * u0.differentiate()
 
 
-def normal_form_potential(params: TriangleParams, N=DEFAULT_ORDER):
+def normal_form_potential(params: TriangleParams, N):
     """a/(4 z^2) + b/(4 (z-1)^2) + c/(4 z^2 (z-1)^2) as an exact series."""
     d = derived_constants(params)
     g2 = binomial_series(-2, N, argument_sign=-1)  # 1/(1-z)^2 = 1/(z-1)^2
@@ -359,7 +358,7 @@ def normal_form_potential(params: TriangleParams, N=DEFAULT_ORDER):
     )
 
 
-def ode_residual_series(u, params: TriangleParams, N=DEFAULT_ORDER):
+def ode_residual_series(u, params: TriangleParams, N):
     """u'' + potential * u; vanishes identically for u0 and u1."""
     return u.differentiate().differentiate() + normal_form_potential(params, N) * u
 

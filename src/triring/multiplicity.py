@@ -8,17 +8,18 @@ monomials is the exponent of its first nonzero coefficient below the
 least precision of their series, retrying at doubled order while every
 such coefficient vanishes, at most ``MAX_DOUBLINGS`` times.
 ``ord_at_zero`` and the audit build the products by one walk over the
-monomials and read them by one reader as integer columns, one per
-exponent.  The audit builds each box's series whole and keeps its
-columns, each made primitive, so that each sample is a run of dot
-products; ``ord_at_zero`` builds lazy product nodes instead, which the
-reader extends only as far as the coefficient that decides the order.
-A retry of ``ord_at_zero`` grows the same nodes to the doubled order:
-the leaves take the generator series at that order, every product keeps
-the coefficients it has computed, and the reader resumes at the old
-limit, below which the combination met only zero coefficients.  At a
-generic point u0 is a unit and the
-derivation D acts as u0^2 d/dz, so the order of P is the least n with
+monomials and read them by one reader as integer columns, one per step
+of the grid (1/c)Z, c the denominator of gamma (``_grid``), and each
+runs its own retries.  The audit builds each box's series whole and
+keeps its columns, each made primitive, so that each sample is a run of
+dot products; ``ord_at_zero`` builds lazy product nodes instead, which
+the reader extends only as far as the coefficient that decides the
+order.  A retry of ``ord_at_zero`` grows the same nodes to the doubled
+order: the leaves take the generator series at that order, every
+product keeps the coefficients it has computed, and the reader resumes
+at the old limit, below which the combination met only zero
+coefficients.  At a generic point u0 is a unit and the derivation D
+acts as u0^2 d/dz, so the order of P is the least n with
 (D^n P)(z0) nonzero: (D^n P)(z0) is the n-th derivative of P along the
 flow of D from the five generator values at z0, run exactly as
 truncated jets, and the first that stands clear of the error those
@@ -33,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import mul
 
 from . import hypergeom
@@ -132,41 +133,21 @@ def _leaf_series(params, N):
     return series + [PuiseuxSeries.constant(1, min(s.prec for s in series))]
 
 
-def _grid(series):
-    """The least ``ram`` carrying every step and ``prec`` of ``series``."""
-    return math.lcm(*[s.ram for s in series], *[s.prec.denominator for s in series])
+def _grid(params):
+    """The ``ram`` at 0, the denominator c of gamma: every step and ``prec`` lies on (1/c)Z.
 
-
-def _first_orders(columns_at, vectors, N):
-    """Orders at 0 of integer vectors by index, and the last order tried.
-
-    A vector's order is k / ram for the first column k of
-    ``columns_at(order)`` with a nonzero dot product; vectors meeting only
-    zero columns retry at ``max(2 * order, 1)``, with a budget of
-    MAX_DOUBLINGS retries.  The columns of a retry may start where those
-    of the last order ended, since every pending vector met only zero
-    columns below it.  The columns are read once for each vector, so with
-    a single vector they may come from an iterator.
+    tau has its steps on 1 - gamma + Z, q = exp(tau) its ``ram``, and each
+    y_i its steps on gamma - 1 + Z, at every order.
     """
-    pending, orders = list(range(len(vectors))), {}
-    order = order_used = N
-    for _ in range(MAX_DOUBLINGS + 1):
-        if not pending:
-            break
-        order_used = order
-        ram, columns = columns_at(order)
-        still = []
-        for idx in pending:
-            vector = vectors[idx]
-            for k, column in columns:
-                if sum(map(mul, column, vector)):
-                    orders[idx] = Fraction(k, ram)
-                    break
-            else:
-                still.append(idx)
-        pending = still
-        order = max(2 * order, 1)
-    return orders, order_used
+    return params.gamma.denominator
+
+
+def _first_step(columns, vector):
+    """The k of the first ``(k, column)`` with a nonzero dot product with ``vector``, or None."""
+    for k, column in columns:
+        if sum(map(mul, column, vector)):
+            return k
+    return None
 
 
 def _affine(P: Poly) -> Poly:
@@ -210,7 +191,7 @@ class _Node:
         return node
 
     def hold(self, s, ram):
-        """Make the node a leaf holding the series ``s`` whole on the grid ``ram``."""
+        """Make the node a leaf holding the series ``s`` whole on the grid ``ram``, at any order."""
         f = ram // s.ram
         self.prec = self.known = s.prec.numerator * (ram // s.prec.denominator)
         self.lo = min(s.nums) * f
@@ -221,27 +202,19 @@ class _Node:
         # a single term lies on every stride; its length keeps the stride positive
         self.stride = math.gcd(*[k * f - self.lo for k in s.nums]) or len(self.coef)
 
-    def regrow(self, f):
+    def regrow(self):
         """Keep the computed steps once both factors are put at a higher order.
 
-        The factors' grid must be ``f`` times finer than the node's.  A
-        step below ``known`` holds the same rational at any order, since it
-        lies below ``prec``; so the steps are only spread ``f`` apart and
-        scaled by the new ``den`` over the old, an integer, as a
-        generator's least denominator at a higher order is a multiple of
-        the one at a lower.  ``prec``, ``lo`` and ``stride`` are those of
-        the new factors.
+        A step below ``known`` holds the same rational at any order, since
+        it lies below ``prec``; so the steps are only scaled by the new
+        ``den`` over the old, an integer, as a generator's least
+        denominator at a higher order is a multiple of the one at a lower.
+        ``prec``, ``lo`` and ``stride`` are those of the new factors.
         """
         coef = self.coef
         scale = self.a.den * self.b.den // self.den
         self.__init__(self.a, self.b)
-        if scale != 1:
-            coef = [c * scale for c in coef]
-        if f != 1:
-            spread = [0] * (len(coef) * f)
-            spread[::f] = coef
-            coef = spread
-        self.coef = coef
+        self.coef = [c * scale for c in coef] if scale != 1 else coef
         self.known += len(coef)
 
     def extend(self, stop):
@@ -271,40 +244,35 @@ class _Node:
 
 
 def _product_graph(params, monomials, N):
-    """The grid ``ram``, a ``_Node`` per monomial at order N in the order given, and all nodes.
+    """A ``_Node`` per monomial at order N in the order given, and all nodes.
 
     The nodes are those of ``_monomial_rows``, built by the same walk with
-    no arithmetic; ``ram`` carries every step and ``prec`` of the five
-    generators.  The list of all nodes holds the leaves of the five
-    generators and of 1, then each product after its factors, as
-    ``_grow`` takes them.
+    no arithmetic, on the grid ``_grid(params)``.  The list of all nodes
+    holds the leaves of the five generators and of 1, then each product
+    after its factors, as ``_grow`` takes them.
     """
-    series = _leaf_series(params, N)
-    ram = _grid(series)
-    nodes = [_Node.leaf(s, ram) for s in series]
+    ram = _grid(params)
+    nodes = [_Node.leaf(s, ram) for s in _leaf_series(params, N)]
 
     def product(a, b):
         nodes.append(_Node(a, b))
         return nodes[-1]
 
-    return ram, _walk_monomials(monomials, nodes[:5], product, nodes[5]), nodes
+    return _walk_monomials(monomials, nodes[:5], product, nodes[5]), nodes
 
 
-def _grow(nodes, params, N, ram):
-    """Grow the graph ``nodes`` of ``_product_graph``, on the grid ``ram``, to order N.
+def _grow(nodes, params, N):
+    """Grow the graph ``nodes`` of ``_product_graph`` to order N, in place.
 
     N must be above the graph's order.  Each leaf takes its series at
-    order N whole, and each product keeps the steps it has computed
-    (``_Node.regrow``), so no step is computed twice.  Returns the new
-    grid, a multiple of ``ram``.
+    order N whole, on the same grid, and each product keeps the steps it
+    has computed (``_Node.regrow``), so no step is computed twice.
     """
-    series = _leaf_series(params, N)
-    grown = math.lcm(ram, _grid(series))
+    series, ram = _leaf_series(params, N), _grid(params)
     for node, s in zip(nodes, series):
-        node.hold(s, grown)
+        node.hold(s, ram)
     for node in nodes[len(series):]:
-        node.regrow(grown // ram)
-    return grown
+        node.regrow()
 
 
 def _searched_columns(rows, limit, start=None):
@@ -337,12 +305,12 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
     (variables matched by name), but the series are ``_Node`` products
     computed only as far as the first nonzero dot product needs;
     ``truncation`` is the least ``prec`` of the monomials' series, known
-    before any product.  One product graph serves every order tried: a
-    retry at doubled order grows it (``_grow``), keeping every step
-    computed, and the reader resumes at the last order's limit.
-    ``MAX_DOUBLINGS`` is the budget of retries, and the orders tried are
-    N, 2N, ... as without the growth.  N must be nonnegative; N = 0
-    retries from order 1.
+    before any product.  One product graph serves every order tried:
+    while the vector meets only zero columns, a retry at doubled order
+    grows it (``_grow``), keeping every step computed, and the reader
+    resumes at the last order's limit.  ``MAX_DOUBLINGS`` is the budget
+    of retries, and the orders tried are N, 2N, ... as without the
+    growth.  N must be nonnegative; N = 0 retries from order 1.
     """
     if not P:
         raise ZeroPolynomial("the zero polynomial has no order")
@@ -351,34 +319,20 @@ def ord_at_zero(P: Poly, params: TriangleParams, N=DEFAULT_ORDER) -> OrdReport:
     terms = _affine(P).terms  # decoded once: the retries below reuse the exponent tuples
     scale = math.lcm(*[c.denominator for c in terms.values()])
     vector = [c.numerator * (scale // c.denominator) for c in terms.values()]
-    graph = None  # (ram, rows, nodes, limit) of the last pass
-
-    def columns_at(order):
-        nonlocal graph
-        if graph is None:
-            ram, rows, nodes = _product_graph(params, terms, order)
-            start = None
-        else:  # the vector met only zero columns below the last limit
-            ram, rows, nodes, start = graph
-            grown = _grow(nodes, params, order, ram)
-            ram, start = grown, start * (grown // ram)
+    ram = _grid(params)
+    rows, nodes = _product_graph(params, terms, N)
+    order, start = N, None
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if doubling:  # the vector met only zero columns below the last limit
+            order = max(2 * order, 1)
+            _grow(nodes, params, order)
         limit = min(row.prec for row in rows)
-        graph = ram, rows, nodes, limit
-        return ram, _searched_columns(rows, limit, start)
-
-    orders, order_used = _first_orders(columns_at, [vector], N)
-    if not orders:
-        raise TruncationExhausted(
-            f"order of {P.to_text()} at zero still inconclusive at N={order_used}"
-        )
-    ram, _, _, limit = graph
-    return OrdReport(
-        point="zero",
-        poly=P.to_text(),
-        ord=orders[0],
-        conclusive=True,
-        truncation=Fraction(limit, ram),
-    )
+        k = _first_step(_searched_columns(rows, limit, start), vector)
+        if k is not None:
+            return OrdReport(point="zero", poly=P.to_text(), ord=Fraction(k, ram), conclusive=True,
+                             truncation=Fraction(limit, ram))
+        start = limit
+    raise TruncationExhausted(f"order of {P.to_text()} at zero still inconclusive at N={order}")
 
 
 # -- generic points -----------------------------------------------------------------
@@ -591,9 +545,9 @@ def log_dist_hypersurface(U: Poly, params: TriangleParams, N=DEFAULT_ORDER):
     # the least of these comes from the lowest t-degree in all of U
     t_idx = U.vars.index("t")
     min_coeff_ord = min(exps[t_idx] * d.w for exps in U.terms)
-    gens = generator_series(params, N)
-    correction = x_degree(U) * min(Fraction(0), *[gens[v].ord() for v in ("q", "y0", "y1", "y2")])
-    return value_ord - min_coeff_ord - correction
+    # q has order 0 and each y_i order gamma - 1 = -w < 0, so the least
+    # coordinate order is -w, and each degree of U adds w
+    return value_ord - min_coeff_ord + x_degree(U) * d.w
 
 
 # -- the degree-profile audit ----------------------------------------------------------
@@ -641,26 +595,25 @@ def profile_bound(profile):
 
 @lru_cache(maxsize=32)
 def _box_columns(params: TriangleParams, profile: tuple, N: int):
-    """``(ram, ((k, column), ...))``: the profile box at order N, cached per process.
+    """``((k, column), ...)``: the profile box at order N, cached per process.
 
     The rows are the ``_monomial_rows`` of the box in ``itertools.product``
-    order, the order of each sample's draws, put whole on one grid as
-    ``_Node`` leaves and read by ``_searched_columns`` below their least
-    ``prec``.  Each column is divided by the gcd of its entries, so it is
-    primitive.  Bounded like ``generator_series``; only these tuples are
-    kept, so a shared result cannot be changed by its readers.
+    order, the order of each sample's draws, put whole on the grid
+    ``_grid(params)`` as ``_Node`` leaves and read by ``_searched_columns``
+    below their least ``prec``.  Each column is divided by the gcd of its
+    entries, so it is primitive.  Bounded like ``generator_series``; only
+    these tuples are kept, so a shared result cannot be changed by its
+    readers.
     """
     box = itertools.product(*(range(d + 1) for d in profile))
-    series = _monomial_rows(params, box, N)
-    ram = _grid(series)
-    rows = [_Node.leaf(s, ram) for s in series]
+    rows = [_Node.leaf(s, _grid(params)) for s in _monomial_rows(params, box, N)]
     columns = []
     for k, column in _searched_columns(rows, min(row.prec for row in rows)):
         g = math.gcd(*column)
         # a list first: tuple() of a generator allocates and then shrinks, so
         # freed columns would pile up in CPython's free list of their size
         columns.append((k, tuple([c // g for c in column])))
-    return ram, tuple(columns)
+    return tuple(columns)
 
 
 # rng.choice(_NONZERO) keeps the top five bits of one 32-bit Mersenne
@@ -706,16 +659,18 @@ def bound_audit(
     reports the maximum against M1*M2^4.  ``samples`` and ``N`` must be
     nonnegative; N = 0 retries from order 1.
 
-    A sample is evaluated as integer dot products (``_first_orders``):
-    the monomial series of the box become integer columns, one per
-    exponent below the box's precision, each a positive multiple of the
-    exact coefficients with no common factor.  The columns of each
-    (params, profile, order) are built once per process and kept in a
-    cache of at most 32 boxes (``_box_columns``), so auditing a box
-    again with new seeds costs only the dot products.  Samples whose
-    columns all give zero retry on the box at doubled order; any that
-    stay inconclusive are skipped and counted, never silently dropped.
-    ``order_used`` is the truncation order of the last box built.
+    A sample is evaluated as integer dot products (``_first_step``):
+    the monomial series of the box become integer columns, one per step
+    of the grid ``_grid(params)`` below the box's precision, each a
+    positive multiple of the exact coefficients with no common factor.
+    The columns of each (params, profile, order) are built once per
+    process and kept in a cache of at most 32 boxes (``_box_columns``),
+    so auditing a box again with new seeds costs only the dot products.
+    Samples whose columns all give zero retry on the box at doubled
+    order, up to ``MAX_DOUBLINGS`` times; any that stay inconclusive are
+    skipped and counted, never silently dropped.  With no sample
+    pending no box is built.  ``order_used`` is the truncation order of
+    the last box read, N if none.
     """
     profile = tuple(int(d) for d in profile)
     if len(profile) != 5 or any(d < 0 for d in profile):
@@ -727,8 +682,17 @@ def bound_audit(
     m1, m2, bound = profile_bound(profile)
     draws = _draws(seed, samples, math.prod(d + 1 for d in profile))
 
-    results, order_used = _first_orders(partial(_box_columns, params, profile), draws, N)
-    ords = [results[i] for i in sorted(results)]
+    steps, pending, order = [None] * samples, range(samples), N
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if not pending:
+            break
+        if doubling:
+            order = max(2 * order, 1)
+        columns = _box_columns(params, profile, order)
+        for i in pending:
+            steps[i] = _first_step(columns, draws[i])
+        pending = [i for i in pending if steps[i] is None]
+    ords = [Fraction(k, _grid(params)) for k in steps if k is not None]
     max_ord = max(ords) if ords else None
     ratio = None if max_ord is None or not bound else Fraction(max_ord) / bound
     return BoundAudit(
@@ -738,10 +702,10 @@ def bound_audit(
         bound=bound,
         samples=samples,
         seed=seed,
-        order_used=order_used,
+        order_used=order,
         max_ord=max_ord,
         ratio=ratio,
-        skipped=samples - len(results),
+        skipped=samples - len(ords),
         all_within_bound=all(o <= bound for o in ords),
         ords=ords,
     )

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from triring import ideals
 from triring import multiplicity as mult
+from triring.derivation import dehomogenize
 from triring.errors import (
     DomainMismatch,
     ThresholdAmbiguous,
     TruncationExhausted,
     ZeroPolynomial,
 )
-from triring.params import derived_constants, validate
+from triring.params import derived_constants, unit_fraction_triples, validate
 from triring.ring import AFFINE_VARS, HOMOG_VARS, Poly, poly_from_text
 
 from conftest import reference_generic_entry, reference_order, reference_rows
@@ -492,6 +493,20 @@ def test_log_dist_values():
     assert value == 2
 
 
+def test_log_dist_corrects_each_degree_by_w():
+    # log_dist_hypersurface adds w = 1 - gamma per X-degree of U: the least
+    # order at 0 of 1, q, y0, y1 and y2 is that of the y_i, gamma - 1
+    U = X("X0") * X("X2") - Poly.var(HOMOG_VARS, "t") * X("X3") ** 2
+    for p in ROW_TRIPLES:
+        w = derived_constants(p).w
+        for N in (0, 4, 16):
+            gens = mult.generator_series(p, N)
+            assert [gens[v].ord() for v in ("q", "y0", "y1", "y2")] == [0, -w, -w, -w]
+        # U has least t-degree 0 and X-degree 2
+        value = mult.ord_at_zero(dehomogenize(U), p).ord
+        assert mult.log_dist_hypersurface(U, p) == value + 2 * w
+
+
 def test_log_dist_nonnegative_multiples_of_inverse_ram():
     d = derived_constants(P134)
     rng = random.Random(13)
@@ -586,6 +601,10 @@ def test_audit_builds_each_box_once(monkeypatch):
 
     monkeypatch.setattr(mult, "_monomial_rows", counting)
     mult._box_columns.cache_clear()
+    # with no sample pending no box is built
+    empty = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=0, N=4)
+    assert (empty.order_used, empty.ords, empty.max_ord) == (4, [], None)
+    assert builds == [] and mult._box_columns.cache_info().currsize == 0
     a1 = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=6, N=4, seed=1)
     a2 = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=6, N=4, seed=2)
     assert a1.ords != a2.ords
@@ -659,7 +678,8 @@ def test_product_nodes_know_the_prec_and_least_step_of_their_series(p, N, which)
         monomials = list(POW9.terms)
     else:
         monomials = list(itertools.product(*(range(d + 1) for d in which)))
-    ram, rows, _ = mult._product_graph(p, monomials, N)
+    ram = p.gamma.denominator
+    rows, _ = mult._product_graph(p, monomials, N)
     for s, row in zip(mult._monomial_rows(p, monomials, N), rows, strict=True):
         assert (row.prec, row.lo) == _series_prec_and_least_step(s, ram)
     # every node of the walk, beside the series product it stands for
@@ -683,24 +703,31 @@ def test_product_nodes_know_the_prec_and_least_step_of_their_series(p, N, which)
         assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(ram).nums.items()}
 
 
+@pytest.mark.parametrize("p", unit_fraction_triples(12))
+def test_every_series_at_zero_lies_on_the_grid_of_gamma(p):
+    # the search puts every step and prec at 0 on the grid (1/c)Z, c the
+    # denominator of gamma, at every order, and never refines it
+    c = p.gamma.denominator
+    assert mult._grid(p) == c
+    for N in (0, 1, 2, 5, 8):
+        for s in mult._leaf_series(p, N):
+            assert c % s.ram == 0 and c % s.prec.denominator == 0, (N, s.ram, s.prec)
+
+
 @pytest.mark.parametrize("p", ROW_TRIPLES)
-@pytest.mark.parametrize("finer", [1, 2])
-def test_a_grown_graph_holds_the_series_of_the_higher_order(monkeypatch, p, finer):
-    # the rows computed in part at order 4 are put at order 8, on the same grid
-    # or, through a grid reader that asks for a finer one, on a grid twice as
-    # fine; each must then hold its series product at order 8 exactly
-    ram, rows, nodes = mult._product_graph(p, POW9.terms, 4)
+def test_a_grown_graph_holds_the_series_of_the_higher_order(p):
+    # the rows computed in part at order 4 are put at order 8; each must
+    # then hold its series product at order 8 exactly
+    ram = p.gamma.denominator
+    rows, nodes = mult._product_graph(p, POW9.terms, 4)
     for i, row in enumerate(rows):
         row.extend(row.prec if i % 2 else (row.lo + row.prec) // 2)
-    grid = mult._grid
-    monkeypatch.setattr(mult, "_grid", lambda series: finer * grid(series))
-    grown = mult._grow(nodes, p, 8, ram)
-    assert grown == finer * ram
+    mult._grow(nodes, p, 8)
     for s, row in zip(mult._monomial_rows(p, POW9.terms, 8), rows, strict=True):
-        assert (row.prec, row.lo) == _series_prec_and_least_step(s, grown)
+        assert (row.prec, row.lo) == _series_prec_and_least_step(s, ram)
         row.extend(row.prec)
         coefficients = {row.lo + n: Fraction(c, row.den) for n, c in enumerate(row.coef) if c}
-        assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(grown).nums.items()}
+        assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(ram).nums.items()}
 
 
 def _deep_products():
@@ -744,7 +771,8 @@ def test_the_search_stops_at_the_step_that_decides(monkeypatch):
     monkeypatch.setattr(mult, "_product_graph", keeping)
     P = text("q^2 y0 - q^2 y1") * text("y1 - y2") ** 2 * text("y0")
     report = mult.ord_at_zero(P, P134, N=48)
-    ((ram, rows, _),) = graphs
+    ((rows, _),) = graphs
+    ram = P134.gamma.denominator
     step = report.ord * ram
     assert step == min(row.lo for row in rows) == 4 * (P134.gamma - 1) * ram
     needs = {}
@@ -769,7 +797,7 @@ def test_the_search_stops_at_the_step_that_decides(monkeypatch):
 
 
 def test_cached_box_columns_are_immutable():
-    _, columns = mult._box_columns(P134, (1, 1, 1, 1, 1), 4)
+    columns = mult._box_columns(P134, (1, 1, 1, 1, 1), 4)
     assert isinstance(columns, tuple) and columns
     for k, column in columns:
         assert isinstance(column, tuple) and len(column) == 32
@@ -790,7 +818,7 @@ def test_cached_box_columns_are_primitive_multiples_of_the_exact_coefficients(p,
         for k, c in coeffs.items():
             if Fraction(k, ram) < limit:
                 exact.setdefault(Fraction(k, ram), {})[row] = Fraction(c, scale)
-    ram, columns = mult._box_columns(p, profile, N)
+    ram, columns = p.gamma.denominator, mult._box_columns(p, profile, N)
     assert [Fraction(k, ram) for k, _ in columns] == sorted(exact)
     for k, column in columns:
         assert math.gcd(*column) == 1
