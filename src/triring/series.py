@@ -15,9 +15,9 @@ back as ``int`` where integral and ``Fraction`` otherwise.  A float or
 complex coefficient is refused with :class:`DomainMismatch`; only
 ``evaluate`` turns a series into floating values.  Every operation works
 on the numerators: a product of two series is the integer kernel
-``_int_product`` over the product of the denominators, the inverse is
-Newton's iteration on top of it, and ``exp`` runs its term recurrence
-over one running denominator.  ``json_text`` writes the JSON text of a
+``_int_product`` over the product of the denominators, and the inverse
+and ``exp`` run one term recurrence, ``_recurrence``, over one running
+least common denominator.  ``json_text`` writes the JSON text of a
 series straight from the numerators, one gcd per coefficient.
 
 A product needs only its terms below the truncation bound, and the
@@ -41,14 +41,14 @@ and numerators, but only where one can appear is it scanned for:
 - none where the numbers are those of a reduced input (``shift``,
   ``with_ram``, ``normalize_ram``, negation, a ``truncate`` that cuts
   nothing), where the denominator is built as the least common one
-  (``exp``; ``hypergeom._term_series``), or for an uncut running sum,
-  whose input steps are differences of its output steps;
+  (``invert``, ``exp``; ``hypergeom._term_series``), or for an uncut
+  running sum, whose input steps are differences of its output steps;
 - from ``|p| q`` for ``scale(p/q)`` and from ``|c0| den0`` for an uncut
   product by the one term c0 x^k0 over den0: of two reduced factors'
   product, the gcd divides what the new factor brings;
-- in full for sums, other products, ``differentiate``, ``invert`` and
-  any result that cut a stored step, since a cut can leave numerators
-  that share a factor with the denominator.
+- in full for sums, other products, ``differentiate`` and any result
+  that cut a stored step, since a cut can leave numerators that share
+  a factor with the denominator.
 """
 
 from __future__ import annotations
@@ -80,20 +80,36 @@ def _coef(num, den):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-def _reduce(den, nums, g=None):
-    """``den`` and ``nums`` divided by their gcd; the gcd loop stops at 1.
+def _recurrence(first, terms, divisor, n):
+    """``(num, den)``: v_0 .. v_(n-1) as int numerators over their least common denominator.
 
-    ``g``, when given, is a multiple of that gcd known in advance, and the
-    loop starts from ``gcd(den, g)`` instead of ``den``.
+    v_0 = ``first`` (an ``int`` or ``Fraction``) and, for 0 < k < n,
+    v_k = (sum of w v_(k-j) over the ``(j, w)`` pairs of ``terms`` with
+    j <= k) / ``divisor(k)``, for ``terms`` sorted by j > 0, int weights w
+    and a positive int ``divisor(k)``.  Each v_k is reduced by one gcd,
+    and the earlier numerators are rescaled only when v_k needs a larger
+    denominator, so ``den`` is the lcm of the reduced denominators and
+    shares no factor with all the numerators.
     """
-    g = den if g is None else gcd(den, g)
-    for c in nums.values():
-        if g == 1:
-            break
-        g = gcd(g, c)
-    if g == 1:
-        return den, nums
-    return den // g, {k: c // g for k, c in nums.items()}
+    num = [first.numerator] + [0] * (n - 1)
+    den = first.denominator
+    for k in range(1, n):
+        acc = 0
+        for j, w in terms:
+            if j > k:
+                break
+            acc += w * num[k - j]
+        if acc:
+            q = den * divisor(k)
+            g = gcd(acc, q)
+            acc, q = acc // g, q // g
+            if den % q:
+                grow = q // gcd(den, q)
+                for i in range(k):
+                    num[i] *= grow
+                den *= grow
+            num[k] = acc * (den // q)
+    return num, den
 
 
 class PuiseuxSeries:
@@ -121,10 +137,14 @@ class PuiseuxSeries:
         scanning them from ``gcd(den, g)`` when ``g`` is a known multiple of
         that gcd (see the module docstring for where one is known).
         """
-        s = object.__new__(cls)
-        s.ram, s.prec = ram, prec
-        s.den, s.nums = _reduce(den, nums, g)
-        return s
+        g = den if g is None else gcd(den, g)
+        for c in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, c)
+        if g != 1:
+            den, nums = den // g, {k: c // g for k, c in nums.items()}
+        return cls._reduced(ram, prec, den, nums)
 
     @classmethod
     def _reduced(cls, ram, prec, den, nums):
@@ -357,36 +377,22 @@ class PuiseuxSeries:
         """Multiplicative inverse; needs an exposed nonzero leading term.
 
         f = sign (g / den) x^(m/ram), with g the numerators times ``sign``
-        on steps k - m, so that g_0 > 0.  Newton's iteration
-        ``v <- v + v (1 - (g / g_0) v)`` on ``v = w / d`` doubles the number
-        of known steps of v = g_0 / g each round, and
-        1/f = sign (den / g_0) x^(-m/ram) v.
+        on steps k - m, so that g_0 > 0.  v = den / g is the recurrence
+        v_0 = den / g_0, g_0 v_k = -sum_j g_j v_(k-j), run by
+        ``_recurrence`` to the last step f certifies, and
+        1/f = sign v x^(-m/ram).
         """
         if not self.nums:
             raise NonUnitInverse("no certified nonzero leading coefficient")
         m = min(self.nums)
         sign = 1 if self.nums[m] > 0 else -1
-        n = max(int((self.prec * self.ram).__floor__()) - m, 1)
-        g = {k - m: sign * c for k, c in self.nums.items()}
-        w, d = {0: 1}, 1
-        known = 1
-        while known < n:
-            known = min(2 * known, n)
-            # the steps of g a round reads, over their own least common
-            # denominator, which is far smaller than den in early rounds
-            _, h = _reduce(self.den, {k: c for k, c in g.items() if k < known})
-            c0 = h[0]
-            # (h / c0) v is 1 below the old step count, so err starts there
-            err = {k: -c for k, c in _int_product(h, w, known).items() if k}
-            e, err = _reduce(c0 * d, err)
-            # v + v err = (w e + w err) / (d e); w err starts at the old count
-            step = _int_product(w, err, known)
-            w = {k: c * e for k, c in w.items()}
-            w.update(step)
-            d, w = _reduce(d * e, w)
-        nums = {k - m: sign * self.den * c for k, c in w.items()}
+        g0 = sign * self.nums[m]
+        terms = sorted((k - m, -sign * c) for k, c in self.nums.items() if k != m)
+        n = _ceil_steps(self.prec, self.ram) - m
+        num, den = _recurrence(Fraction(self.den, g0), terms, lambda k: g0, n)
+        nums = {k - m: sign * c for k, c in enumerate(num) if c}
         prec = self.prec - 2 * Fraction(m, self.ram)
-        return PuiseuxSeries._make(self.ram, prec, g[0] * d, nums)
+        return PuiseuxSeries._reduced(self.ram, prec, den, nums)
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
@@ -396,36 +402,21 @@ class PuiseuxSeries:
         return self * other.invert()
 
     def exp(self):
-        """exp of a series of positive order (composition with exp at 0)."""
+        """exp of a series of positive order (composition with exp at 0).
+
+        out = exp(f) solves out' = f' out, the recurrence
+        (k/r) out_k = sum_j (j/r) f_j out_(k-j) from out_0 = 1, run by
+        ``_recurrence`` on the numerators of f.
+        """
         n = _ceil_steps(self.prec, self.ram)
         if not self.nums:
             return PuiseuxSeries._reduced(self.ram, self.prec, 1, {0: 1} if n > 0 else {})
         if min(self.nums) <= 0:
             raise NonpositiveOrder("exp needs ord > 0")
-        # (k/r) out_k = sum_j (j/r) f_j out_{k-j}  from  out' = f' out, on
-        # integers: j f_j = j nums[j] / d, and out_i = num[i] / den over a
-        # common denominator that grows (rescaling num) only when out_k needs
-        # it, so den ends as the least common denominator
+        # on integers, out_k = sum_j (j nums[j]) out_(k-j) / (d k)
         d = self.den
         terms = [(j, j * c) for j, c in sorted(self.nums.items())]
-        num = [1] + [0] * (n - 1)
-        den = 1
-        for k in range(1, n):
-            acc = 0
-            for j, w in terms:
-                if j > k:
-                    break
-                acc += w * num[k - j]
-            if acc:
-                q = d * den * k
-                g = gcd(acc, q)
-                acc, q = acc // g, q // g
-                if den % q:
-                    grow = q // gcd(den, q)
-                    for i in range(k):
-                        num[i] *= grow
-                    den *= grow
-                num[k] = acc * (den // q)
+        num, den = _recurrence(1, terms, lambda k: d * k, n)
         nums = {k: c for k, c in enumerate(num) if c}
         return PuiseuxSeries._reduced(self.ram, self.prec, den, nums)
 

@@ -1,12 +1,13 @@
 """The exact series product, reciprocal and exp against schoolbook oracles.
 
 Exact ``PuiseuxSeries`` products go through the integer kernel
-``_int_product`` and exact ``invert`` through Newton's iteration on top
-of it.  These tests compare both with a test-local ``Fraction``
-convolution and the term-by-term reciprocal recurrence: same
-coefficients, same ``prec``, no coefficient at or past the truncation
-bound, and ``int`` wherever a coefficient is integral.  The kernel,
-which the exact orders at z = 0 also call, picks a short schoolbook
+``_int_product`` and exact ``invert`` through the term recurrence
+``_recurrence`` that ``exp`` also runs.  These tests compare both, and
+the quotient ``a / b``, with a test-local ``Fraction`` convolution and
+the term-by-term reciprocal recurrence, run to the last step ``prec``
+certifies: same coefficients, same ``prec``, no coefficient at or past
+the truncation bound, and ``int`` wherever a coefficient is integral.
+The kernel, which the exact orders at z = 0 also call, picks a short schoolbook
 product or one big-integer multiplication (Kronecker substitution) by
 coefficient size.  Both paths are checked against an int convolution,
 squares (one operand passed twice) included, on coefficients on both
@@ -80,7 +81,7 @@ def recurrence_invert(f):
     c0 = f.coeffs[m]
     inv_c0 = Fraction(1) / c0
     h = {k - m: c * inv_c0 for k, c in f.coeffs.items() if k != m}
-    steps = int((f.prec * f.ram).__floor__()) - m
+    steps = _bound(f.prec, f.ram) - m
     u = {0: Fraction(1)}
     for k in range(1, max(steps, 0)):
         acc = None
@@ -186,11 +187,31 @@ def test_exact_product_matches_schoolbook(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(f=exact_series(min_terms=1))
-def test_newton_inverse_matches_recurrence(f):
+def test_inverse_matches_recurrence(f):
     if not f.coeffs:  # every term cut by prec
         return
     inverse = f.invert()
     assert_matches(inverse, recurrence_invert(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=any_series, b=exact_series(min_terms=1))
+def test_quotient_matches_schoolbook_over_the_recurrence(a, b):
+    if not b.coeffs:  # every term cut by prec
+        return
+    quotient = a / b
+    assert_matches(quotient, schoolbook_mul(a, PuiseuxSeries(*recurrence_invert(b))))
+    assert_canonical(quotient)
+
+
+def test_inverse_off_the_grid_reaches_the_last_certified_step():
+    # 1 / (1 + x) known below x^(5/2) certifies x^2, with coefficient 1
+    inverse = PuiseuxSeries(1, {0: 1, 1: 1}, Fraction(5, 2)).invert()
+    assert stored(inverse) == (1, Fraction(5, 2), 1, {0: 1, 1: -1, 2: 1})
+    # 1 + x known below x^(9/4) on the grid of ram 2: 1/g g is 1 below x^(9/4)
+    g = PuiseuxSeries(2, {0: 1, 2: 1}, Fraction(9, 4))
+    assert stored(g.invert()) == (2, Fraction(9, 4), 1, {0: 1, 2: -1, 4: 1})
+    assert stored(g.invert() * g) == (2, Fraction(9, 4), 1, {0: 1})
 
 
 @settings(max_examples=300, deadline=None)
@@ -496,6 +517,8 @@ def test_every_operation_keeps_the_canonical_form(a, b, one, data):
                a.scale(factor), a.differentiate(), a.shift(shift), a.truncate(cut),
                a.truncate(a.prec), a.normalize_ram(), a.with_ram(6 * a.ram), -a,
                a * one, one * a, a.geometric(1, n), a.geometric(-1, n)]
+    if b.nums:
+        results.append(a / b)
     if a.nums:
         results.append(a.invert())
         # exp needs a positive order
