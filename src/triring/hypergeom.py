@@ -1,6 +1,6 @@
 """Local expansions of the hypergeometric system at 0, 1 and infinity.
 
-The two basic solutions are built as
+The two basic solutions at 0 are
 
     u0 = z**(gamma/2) (1-z)**((alpha+beta-gamma+1)/2) 2F1(alpha, beta; gamma; z)
     u1 = z**(1-gamma/2) (1-z)**((alpha+beta-gamma+1)/2)
@@ -29,11 +29,14 @@ u0 = s0 A + s1 B is linear in the two symbols, with rational series A
 and B, so the series there are :class:`SymbolicSeries`, one rational
 series per monomial, and u0^2 takes the three products A^2, AB and B^2.
 
-Every exact coefficient comes from one term recurrence: 2F1 at x and at
--x, the binomials (1 +- x)**s and, as the exponents -1 and -2, the
-geometric series.  u0 and u1 at 0 and A and B at 1 and infinity are each
-x**lead (1 - sign x)**power 2F1(...; sign x).  The exact series of u0
-and u1 and their closed-form floating values read one recipe.
+u0 and u1 at 0 and A and B at 1 and infinity are local solutions of the
+normal-form equation, each x**rho (1 + O(x)) in its local variable x.
+The equation has only three singular points, so the coefficients of
+each satisfy a three-term recurrence, which ``_local_solution`` runs on
+integers.  The 2F1 series of tau and the binomials come from one term
+recurrence, ``_term_series``.  u0 and u1 are named once, by their
+exponent and 2F1 parameters, for the exact series, tau and the
+closed-form floating values.
 
 The statement-form constant omega = G(g)G(b-a)/(G(g-a)G(b)) is the one
 the numeric check confirms; the variant with G(alpha) in the denominator
@@ -73,12 +76,12 @@ NUMERIC_CHECK_ORDER = 60
 def _term_series(upper, lower, N, sign=1):
     """sum_n prod (u)_n / (prod (l)_n n!) (sign x)^n to x**N, (v)_n rising.
 
-    The one place series coefficients are written: every 2F1, binomial
-    and geometric series of the package comes from here.  The term
-    recurrence runs on one reduced integer numerator and denominator,
-    and stops at the first zero term.  The terms go over the lcm of
-    their denominators, the least common one, straight into the stored
-    form of the series.
+    Every 2F1 and binomial series of the package comes from here; the
+    local solutions at 0, 1 and infinity come from ``_local_solution``.
+    The term recurrence runs on one reduced integer numerator and
+    denominator, and stops at the first zero term.  The terms go over
+    the lcm of their denominators, the least common one, straight into
+    the stored form of the series.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -131,13 +134,55 @@ def gauss_2F1(a, b, c, N, argument_sign=1):
     return _term_series((a, b), (c,), N, argument_sign)
 
 
-def _local_part(lead, power, F_args, N, sign=1):
-    """x**lead (1 - sign x)**power 2F1(*F_args; sign x), truncated at x**N.
+def _local_solution(rho, Q2, Q1, P0, N):
+    """x**rho sum_(n <= N) u_n x**n, u_0 = 1, solving x^2 Q2 u'' + x Q1 u' + P0 u = 0.
 
-    Every basic solution at 0, 1 and infinity has this form: sign 1 at 0
-    and 1, sign -1 at infinity, where the argument 1/z is -x.
+    Q2, Q1 and P0 are quadratics in x, each given as its coefficients
+    ``(c0, c1, c2)``, and rho is a root of the indicial polynomial
+    I(m) = Q2_0 m(m-1) + Q1_0 m + P0_0.  The x**(rho+n) coefficient of the
+    equation is the three-term recurrence P_0(n) u_n + P_1(n) u_(n-1) +
+    P_2(n) u_(n-2) = 0, with P_i(n) = Q2_i m(m-1) + Q1_i m + P0_i at
+    m = rho + n - i.  It runs on integers with no gcd per step: scaled by
+    the lcm L of their coefficient denominators, the P_i are integer
+    polynomials p_i, and U_n = u_n prod_(1 <= i <= n) p_0(i) obeys
+    U_n = -(p_1(n) U_(n-1) + p_2(n) p_0(n-1) U_(n-2)).  Every U_n goes over
+    the one denominator prod_(1 <= i <= N) p_0(i), and one scan divides
+    out the common factor.
+
+    No step resonates: Q2_0 = 4 at 0, 1 and infinity, so
+    p_0(n) = L I(rho + n) = 4 L n (n + rho - rho'), where rho' is the
+    other exponent.  On a valid triple the two exponents differ by
+    1 - gamma at 0, gamma - alpha - beta at 1 and beta - alpha at
+    infinity, each in (0, 1), so p_0(n) > 0 for n >= 1 and the
+    denominator is positive.
     """
-    return (binomial_series(power, N, -sign) * gauss_2F1(*F_args, N, sign)).shift(lead)
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    polys = []  # P_i(n) = c2 n^2 + c1 n + c0 as (c2, c1, c0), from m = n + t
+    for i in range(3):
+        t = rho - i
+        polys.append((Q2[i], Q2[i] * (2 * t - 1) + Q1[i], (Q2[i] * (t - 1) + Q1[i]) * t + P0[i]))
+    L = math.lcm(*(c.denominator for p in polys for c in p))
+    (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = ([int(c * L) for c in p] for p in polys)
+    U = [0, 1]  # U_(-1), U_0
+    d = [1]  # d[n] = p_0(n) for n >= 1; d[0] only multiplies U_(-1) = 0
+    for n in range(1, N + 1):
+        d.append((a0 * n + b0) * n + c0)
+        U.append(-((a1 * n + b1) * n + c1) * U[-1] - ((a2 * n + b2) * n + c2) * d[n - 1] * U[-2])
+    tails = [1] * (N + 1)  # tails[n] = prod_(n < i <= N) p_0(i)
+    for n in range(N, 0, -1):
+        tails[n - 1] = tails[n] * d[n]
+    nums = {n: u * t for n, (u, t) in enumerate(zip(U[1:], tails)) if u}
+    return PuiseuxSeries._make(1, Fraction(N + 1), tails[0], nums).shift(rho)
+
+
+def _finite_equation(a, b, c):
+    """(Q2, Q1, P0) of the normal form at 0 in x = z, for ``_local_solution``.
+
+    Times 4 z^2 (z-1)^2 it reads 4 x^2 (1-x)^2 U'' + (a (1-x)^2 + b x^2 + c) U
+    = 0.  At 1, in x = 1 - z, it is the same equation with a and b swapped.
+    """
+    return (4, -8, 4), (0, 0, 0), (a + c, -2 * a, a + b)
 
 
 def _u_recipe(which, al, be, ga):
@@ -155,8 +200,9 @@ def _u_recipe(which, al, be, ga):
 
 def u_series(which, params: TriangleParams, N):
     """Exact Puiseux series of u0 or u1 at z = 0."""
-    lead, s, F_args = _u_recipe(which, *params.as_tuple())
-    return _local_part(lead, s, F_args, N)
+    lead, _, _ = _u_recipe(which, *params.as_tuple())
+    d = derived_constants(params)
+    return _local_solution(lead, *_finite_equation(d.a, d.b, d.c), N)
 
 
 class SymbolicSeries:
@@ -301,9 +347,11 @@ def y_series(point, params: TriangleParams, N) -> ExpansionFamily:
             lambda f: f * x_m1,
             lambda f: -f.geometric(1, N + 1),  # 1/(z-1) = -1/(1-z)
         )
+    d = derived_constants(params)
     if point == "one":
-        A = _local_part(s, ga / 2, (al, be, al + be - ga + 1), N)
-        B = _local_part(1 - s, ga / 2, (ga - al, ga - be, ga - al - be + 1), N)
+        equation = _finite_equation(d.b, d.a, d.c)
+        A = _local_solution(s, *equation, N)
+        B = _local_solution(1 - s, *equation, N)
         minus_x_m1 = -PuiseuxSeries.x_power(-1, N)
         return _symbolic_family(
             "one", "1-z", A, B, lambda f: -f.differentiate(),  # x = 1 - z
@@ -312,8 +360,11 @@ def y_series(point, params: TriangleParams, N) -> ExpansionFamily:
             SYMBOLS_AT_ONE,
         )
     if point == "inf":  # x = (-z)^(-1)
-        A = _local_part((al - be - 1) / 2, s, (al, 1 - ga + al, 1 - be + al), N, sign=-1)
-        B = _local_part((be - al - 1) / 2, s, (be, 1 - ga + be, 1 - al + be), N, sign=-1)
+        # times 4 (1+x)^2 / x^2 the normal form reads
+        # 4 x^2 (1+x)^2 U'' + 8 x (1+x)^2 U' + (a (1+x)^2 + b + c x^2) U = 0
+        equation = (4, 8, 4), (8, 16, 8), (d.a + d.b, 2 * d.a, d.a + d.c)
+        A = _local_solution((al - be - 1) / 2, *equation, N)
+        B = _local_solution((be - al - 1) / 2, *equation, N)
         minus_x = -PuiseuxSeries.x_power(1, N)
         return _symbolic_family(
             "inf", "(-z)^(-1)", A, B, lambda f: f.differentiate().shift(2),  # d/dz = x^2 d/dx

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from triring.derivation import apply_D
-from triring.hypergeom import u_series
+from triring.hypergeom import binomial_series, gauss_2F1
 from triring.multiplicity import generator_series
 from triring.params import validate
 from triring.ring import AFFINE_VARS, Poly
@@ -234,11 +234,37 @@ def reference_binomial(s, N, argument_sign=1):
     return PuiseuxSeries(1, coeffs, N + 1)
 
 
+def reference_local_part(lead, power, F_args, N, sign=1):
+    """x**lead (1 - sign x)**power 2F1(*F_args; sign x) to x**N, a product of two series.
+
+    A reference for the local solutions at 0, 1 and infinity, which
+    ``hypergeom`` builds from the normal form's three-term recurrence:
+    each has this form, sign 1 at 0 and 1 and sign -1 at infinity, where
+    the argument 1/z is -x.
+    """
+    return (binomial_series(power, N, -sign) * gauss_2F1(*F_args, N, sign)).shift(lead)
+
+
+def reference_local_solutions(params, N):
+    """``{(point, name): series}`` of u0, u1 at 0 and A, B at 1 and infinity by ``reference_local_part``."""
+    al, be, ga = params.as_tuple()
+    s = (al + be - ga + 1) / 2
+    return {
+        ("zero", "u0"): reference_local_part(ga / 2, s, (al, be, ga), N),
+        ("zero", "u1"): reference_local_part(1 - ga / 2, s, (al - ga + 1, be - ga + 1, 2 - ga), N),
+        ("one", "A"): reference_local_part(s, ga / 2, (al, be, al + be - ga + 1), N),
+        ("one", "B"): reference_local_part(1 - s, ga / 2, (ga - al, ga - be, ga - al - be + 1), N),
+        ("inf", "A"): reference_local_part((al - be - 1) / 2, s, (al, 1 - ga + al, 1 - be + al), N, -1),
+        ("inf", "B"): reference_local_part((be - al - 1) / 2, s, (be, 1 - ga + be, 1 - al + be), N, -1),
+    }
+
+
 def reference_tau_q(params, N):
-    """tau = (u1 / u0).normalize_ram() and q = exp(tau) from the two u series.
+    """tau = (u1 / u0).normalize_ram() and q = exp(tau), u0 and u1 by ``reference_local_part``.
 
     A reference for ``hypergeom.tau_q_series_at_zero``, which cancels
     the shared (1-z)**s and divides the two 2F1 series.
     """
-    tau = (u_series("u1", params, N) / u_series("u0", params, N)).normalize_ram()
+    parts = reference_local_solutions(params, N)
+    tau = (parts["zero", "u1"] / parts["zero", "u0"]).normalize_ram()
     return tau, tau.exp()

@@ -6,8 +6,14 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from conftest import reference_2F1, reference_binomial, reference_tau_q
-from test_series_kernel import assert_canonical
+from conftest import (
+    reference_2F1,
+    reference_binomial,
+    reference_local_part,
+    reference_local_solutions,
+    reference_tau_q,
+)
+from test_series_kernel import assert_canonical, stored
 from triring import hypergeom as hg
 from triring.errors import CutLineViolation, PolarParameter, TruncationExhausted
 from triring.params import derived_constants, unit_fraction_triples, validate
@@ -147,6 +153,25 @@ def test_u_series_leading_terms(p):
     assert u0.ord() == ga / 2 and u0.leading_coeff() == 1
     assert u1.ord() == 1 - ga / 2 and u1.leading_coeff() == 1
     assert (u0 * u0).ord() == ga and (u0 * u0).leading_coeff() == 1
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 13, 24])
+def test_local_solutions_match_the_binomial_2F1_products(N):
+    # A and B are held cut at their common prec, so the products are cut there too
+    for p in unit_fraction_triples(12)[::5]:
+        want = reference_local_solutions(p, N)
+        for name in ("u0", "u1"):
+            assert stored(hg.u_series(name, p, N)) == stored(want["zero", name]), (p, name)
+        for point in ("one", "inf"):
+            parts = hg.y_series(point, p, N).u0.parts
+            for name, got in (("A", parts[1, 0]), ("B", parts[0, 1])):
+                assert stored(got) == stored(want[point, name].truncate(got.prec)), (p, point, name)
+
+
+def test_u0_matches_the_binomial_2F1_product_at_order_256():
+    al, be, ga = P134.as_tuple()
+    want = reference_local_part(ga / 2, (al + be - ga + 1) / 2, (al, be, ga), 256)
+    assert stored(hg.u_series("u0", P134, 256)) == stored(want)
 
 
 @pytest.mark.parametrize("make", [
