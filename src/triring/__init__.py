@@ -46,7 +46,6 @@ from .ideals import (
 )
 from .series import PuiseuxSeries
 from .hypergeom import (
-    gauss_2F1,
     u_series,
     y_series,
     tau_q_series_at_zero,
@@ -94,7 +93,6 @@ __all__ = [
     "membership",
     "certify_case_one",
     "PuiseuxSeries",
-    "gauss_2F1",
     "u_series",
     "y_series",
     "tau_q_series_at_zero",

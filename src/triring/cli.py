@@ -267,7 +267,8 @@ def _cmd_hyper(args):
         fam = hypergeom.y_series(point, p, args.order)
         series = fam.series_map()
         if point == "zero":
-            series["tau"], series["q"] = hypergeom.tau_q_series_at_zero(p, args.order)
+            w = params_mod.derived_constants(p).w
+            series["tau"], series["q"] = hypergeom._tau_q(fam.u0sq, w)
         payload = {
             "params": p.label(),
             "point": point,

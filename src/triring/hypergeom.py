@@ -18,13 +18,13 @@ u0 u0', for no second product.  1/z and 1/(z-1) enter y1 and y2 as maps
 of a series: in each local variable they are one term (x^-1, -x^-1,
 -x), a product that is a key shift, or geometric (1/(1-x), -x/(1+x)),
 a running sum, each with the ``prec`` of the product by the truncated
-series.  u0 and u1 share their (1-z)**s factor, so tau is
-z**(1-gamma) times the quotient of their two 2F1 series.  At
-1 and infinity the expansions go through the classical connection
-formulas; the Gamma-ratio constants enter as opaque symbols (``theta``,
-``theta1`` at 1; ``zw``, ``zw1`` at infinity, the products of the unit
-``zeta1`` with the two connection coefficients) with floating bindings
-supplied for numeric work.
+series.  At 0 the derivation acts as D = u0^2 d/dz and D tau =
+w = 1 - gamma, so tau is w times the antiderivative of 1/u0^2, with no
+constant term.  At 1 and infinity the expansions go through the
+classical connection formulas; the Gamma-ratio constants enter as
+opaque symbols (``theta``, ``theta1`` at 1; ``zw``, ``zw1`` at
+infinity, the products of the unit ``zeta1`` with the two connection
+coefficients) with floating bindings supplied for numeric work.
 u0 = s0 A + s1 B is linear in the two symbols, with rational series A
 and B, so the series there are :class:`SymbolicSeries`, one rational
 series per monomial, and u0^2 takes the three products A^2, AB and B^2.
@@ -33,10 +33,9 @@ u0 and u1 at 0 and A and B at 1 and infinity are local solutions of the
 normal-form equation, each x**rho (1 + O(x)) in its local variable x.
 The equation has only three singular points, so the coefficients of
 each satisfy a three-term recurrence, which ``_local_solution`` runs on
-integers.  The 2F1 series of tau and the binomials come from one term
-recurrence, ``_term_series``.  u0 and u1 are named once, by their
-exponent and 2F1 parameters, for the exact series, tau and the
-closed-form floating values.
+integers; it is the one exact series recurrence of this module.  u0
+and u1 are named once, by their exponent and 2F1 parameters, for the
+exact series and the closed-form floating values.
 
 The statement-form constant omega = G(g)G(b-a)/(G(g-a)G(b)) is the one
 the numeric check confirms; the variant with G(alpha) in the denominator
@@ -47,9 +46,7 @@ of :func:`numeric_checks`.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -71,67 +68,6 @@ NUMERIC_CHECK_ORDER = 60
 
 
 # -- exact building blocks ------------------------------------------------------
-
-
-def _term_series(upper, lower, N, sign=1):
-    """sum_n prod (u)_n / (prod (l)_n n!) (sign x)^n to x**N, (v)_n rising.
-
-    Every 2F1 and binomial series of the package comes from here; the
-    local solutions at 0, 1 and infinity come from ``_local_solution``.
-    The term recurrence runs on one reduced integer numerator and
-    denominator, and stops at the first zero term.  The terms go over
-    the lcm of their denominators, the least common one, straight into
-    the stored form of the series.
-    """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    ud = math.prod(v.denominator for v in upper)
-    ld = math.prod(v.denominator for v in lower)
-    nums, dens = [1], [1]
-    num = den = 1
-    steps = zip(range(1, N + 1), _rising_numerators(upper, N), _rising_numerators(lower, N))
-    for n, up, low in steps:
-        num *= sign * ld * up
-        if not num:
-            break
-        den *= n * ud * low
-        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-        num, den = num // g, den // g
-        nums.append(num)
-        dens.append(den)
-    common = math.lcm(*dens)
-    return PuiseuxSeries._reduced(
-        1, Fraction(N + 1), common, {n: c * (common // d) for n, (c, d) in enumerate(zip(nums, dens))}
-    )
-
-
-def _rising_numerators(values, N):
-    """For n = 1 .. N, the product of the numerators of v + n - 1 over ``values``.
-
-    v + n - 1 = (v.numerator + (n - 1) v.denominator) / v.denominator, so
-    each numerator steps by its denominator: one addition per factor and step.
-    """
-    out = itertools.repeat(1, N)
-    for v in values:
-        p, d = v.numerator, v.denominator
-        out = map(operator.mul, out, range(p, p + N * d, d))
-    return out
-
-
-def binomial_series(s, N, argument_sign=1):
-    """(1 + argument_sign * x)**s truncated at x**N (exact rationals)."""
-    return _term_series((-Fraction(s),), (), N, -argument_sign)  # binom(s, n) = (-s)_n (-1)^n / n!
-
-
-def gauss_2F1(a, b, c, N, argument_sign=1):
-    """Truncated 2F1(a, b; c; argument_sign * x) with exact rational coefficients.
-
-    Uses the rising-factorial ratio convention for the coefficients.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if c.denominator == 1 and c <= 0:
-        raise PolarParameter(f"lower parameter {c} is a nonpositive integer")
-    return _term_series((a, b), (c,), N, argument_sign)
 
 
 def _local_solution(rho, Q2, Q1, P0, N):
@@ -334,8 +270,8 @@ def y_series(point, params: TriangleParams, N) -> ExpansionFamily:
 
     At zero the coefficients are exact rationals.  At one they are exact
     polynomials in the symbols theta, theta1; at infinity in zw, zw1.
-    The geometric 1/(1-x) is known below x**(N+1), as the binomial
-    series is, and -x/(1+x) at infinity below x**N.
+    The geometric 1/(1-x) is known below x**(N+1), and -x/(1+x) at
+    infinity below x**N.
     """
     al, be, ga = params.as_tuple()
     s = (al + be - ga + 1) / 2
@@ -377,17 +313,21 @@ def y_series(point, params: TriangleParams, N) -> ExpansionFamily:
     raise ValueError(f"unknown expansion point {point!r}")
 
 
-def tau_q_series_at_zero(params: TriangleParams, N):
-    """tau = u1/u0 (order 1 - gamma) and q = exp(tau), exact at z = 0.
+def _tau_q(u0sq, w):
+    """tau and q = exp(tau) at z = 0 from u0^2 and w = 1 - gamma.
 
-    The shared (1-z)**s cancels: tau = z**(1-gamma) 2F1(u1's) / 2F1(u0's),
-    with the same ``prec`` as the quotient of the u series.
+    At 0 the derivation acts as D = u0^2 d/dz and D tau = w, so tau is
+    w times the antiderivative of 1/u0^2, with no constant term.  Its
+    ``prec`` is that of the quotient u1/u0.
     """
-    lead0, _, F0_args = _u_recipe("u0", *params.as_tuple())
-    lead1, _, F1_args = _u_recipe("u1", *params.as_tuple())
-    tau = (gauss_2F1(*F1_args, N) / gauss_2F1(*F0_args, N)).shift(lead1 - lead0)
-    tau = tau.normalize_ram()
+    tau = u0sq.invert().integrate().scale(w).normalize_ram()
     return tau, tau.exp()
+
+
+def tau_q_series_at_zero(params: TriangleParams, N):
+    """tau = u1/u0 (order 1 - gamma) and q = exp(tau), exact at z = 0."""
+    u0 = u_series("u0", params, N)
+    return _tau_q(u0 * u0, derived_constants(params).w)
 
 
 def wronskian_series(params: TriangleParams, N):
@@ -400,7 +340,8 @@ def wronskian_series(params: TriangleParams, N):
 def normal_form_potential(params: TriangleParams, N):
     """a/(4 z^2) + b/(4 (z-1)^2) + c/(4 z^2 (z-1)^2) as an exact series."""
     d = derived_constants(params)
-    g2 = binomial_series(-2, N, argument_sign=-1)  # 1/(1-z)^2 = 1/(z-1)^2
+    # 1/(z-1)^2 = 1/(1-z)^2, the constant 1 through the running sum twice
+    g2 = PuiseuxSeries.constant(1, N + 1).geometric(1, N + 1).geometric(1, N + 1)
     x_m2 = PuiseuxSeries.x_power(Fraction(-2), N)
     return (
         x_m2.scale(d.a / 4)

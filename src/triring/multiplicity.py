@@ -73,7 +73,7 @@ class OrdReport:
 def generator_series(params: TriangleParams, N: int):
     """Exact z = 0 series of tau, q, y0, y1, y2, cached."""
     fam = hypergeom.y_series("zero", params, N)
-    tau, q = hypergeom.tau_q_series_at_zero(params, N)
+    tau, q = hypergeom._tau_q(fam.u0sq, derived_constants(params).w)
     return {
         "tau": tau,
         "q": q,

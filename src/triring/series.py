@@ -41,14 +41,14 @@ and numerators, but only where one can appear is it scanned for:
 - none where the numbers are those of a reduced input (``shift``,
   ``with_ram``, ``normalize_ram``, negation, a ``truncate`` that cuts
   nothing), where the denominator is built as the least common one
-  (``invert``, ``exp``; ``hypergeom._term_series``), or for an uncut
-  running sum, whose input steps are differences of its output steps;
+  (``invert``, ``exp``), or for an uncut running sum, whose input
+  steps are differences of its output steps;
 - from ``|p| q`` for ``scale(p/q)`` and from ``|c0| den0`` for an uncut
   product by the one term c0 x^k0 over den0: of two reduced factors'
   product, the gcd divides what the new factor brings;
-- in full for sums, other products, ``differentiate`` and any result
-  that cut a stored step, since a cut can leave numerators that share
-  a factor with the denominator.
+- in full for sums, other products, ``differentiate``, ``integrate``
+  and any result that cut a stored step, since a cut can leave
+  numerators that share a factor with the denominator.
 """
 
 from __future__ import annotations
@@ -336,8 +336,7 @@ class PuiseuxSeries:
     def geometric(self, sigma, known):
         """``self * F`` for F = 1 / (1 - sigma x), sigma = 1 or -1, known below x**known.
 
-        F stores sigma**n x**n for n < known, as ``binomial_series(-1, N,
-        -sigma)`` does with known N + 1; the result is ``self * F`` in
+        F stores sigma**n x**n for n < known; the result is ``self * F`` in
         ``prec``, ``den`` and ``nums``, with no product: out_k = s_k +
         sigma out_(k - ram), a running sum along each residue class of the
         steps of s = self.  The product stops below known + ord(self), so
@@ -372,6 +371,21 @@ class PuiseuxSeries:
         r = self.ram
         nums = {k - r: c * k for k, c in self.nums.items() if k}
         return PuiseuxSeries._make(r, self.prec - 1, self.den * r, nums)
+
+    def integrate(self):
+        """The antiderivative with no constant term, known below x**(prec + 1).
+
+        Step k goes to k + ram with the factor ram / (k + ram); every term
+        goes over ``den`` times the lcm L of the k + ram, so the numerators
+        are nums_k ram L / (k + ram), and one scan reduces them.  A step at
+        x**-1 (k = -ram) has no antiderivative in the series: ``ValueError``.
+        """
+        r = self.ram
+        if -r in self.nums:
+            raise ValueError("x**-1 has no antiderivative in a Puiseux series")
+        L = lcm(*(k + r for k in self.nums))
+        nums = {k + r: c * r * (L // (k + r)) for k, c in self.nums.items()}
+        return PuiseuxSeries._make(r, self.prec + 1, self.den * L, nums)
 
     def invert(self):
         """Multiplicative inverse; needs an exposed nonzero leading term.

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from triring.derivation import apply_D
-from triring.hypergeom import binomial_series, gauss_2F1
 from triring.multiplicity import generator_series
 from triring.params import validate
 from triring.ring import AFFINE_VARS, Poly
@@ -205,8 +204,7 @@ def reference_2F1(a, b, c, N, argument_sign=1):
     """2F1(a, b; c; argument_sign * x) to x**N by the term ratio in ``Fraction`` arithmetic.
 
     ``t_n = t_(n-1) (a+n-1)(b+n-1) / ((c+n-1) n)``, four ``Fraction``
-    operations a term, times ``argument_sign ** n``.  A reference for
-    ``hypergeom.gauss_2F1``, which runs the same recurrence on integers.
+    operations a term, times ``argument_sign ** n``.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     coeffs = {}
@@ -242,7 +240,7 @@ def reference_local_part(lead, power, F_args, N, sign=1):
     each has this form, sign 1 at 0 and 1 and sign -1 at infinity, where
     the argument 1/z is -x.
     """
-    return (binomial_series(power, N, -sign) * gauss_2F1(*F_args, N, sign)).shift(lead)
+    return (reference_binomial(power, N, -sign) * reference_2F1(*F_args, N, sign)).shift(lead)
 
 
 def reference_local_solutions(params, N):
@@ -262,8 +260,8 @@ def reference_local_solutions(params, N):
 def reference_tau_q(params, N):
     """tau = (u1 / u0).normalize_ram() and q = exp(tau), u0 and u1 by ``reference_local_part``.
 
-    A reference for ``hypergeom.tau_q_series_at_zero``, which cancels
-    the shared (1-z)**s and divides the two 2F1 series.
+    A reference for ``hypergeom.tau_q_series_at_zero``, which integrates
+    w / u0^2.
     """
     parts = reference_local_solutions(params, N)
     tau = (parts["zero", "u1"] / parts["zero", "u0"]).normalize_ram()

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private helper it defines is read somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every private helper it defines is read somewhere in the package, and
+the package imports nothing but itself and the standard library.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules.
 Each module under ``src/triring`` but ``__init__.py`` (which imports to
@@ -7,9 +8,13 @@ re-export) is parsed with ``ast``, and every name bound by an ``import``
 must occur as a name somewhere in the module.  Every module-level name
 and every method whose name starts with a single ``_`` must be read (as
 a name, an attribute or an import) in some module of the package.
+``pyproject.toml`` declares no dependencies while the tests install
+several, so every import of every module, ``__init__.py`` included,
+must be relative or name a module of ``sys.stdlib_module_names``.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +47,43 @@ def test_an_unused_import_is_caught():
     assert MODULES  # the glob found the package
     source = "import json\nimport math\nfrom fractions import Fraction as F\nmath.pi\n"
     assert unused_imports(source) == [(1, "json"), (3, "F")]
+
+
+def non_stdlib_imports(source):
+    """``(line, module)`` of the absolute imports of ``source`` outside the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.partition(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_a_third_party_import_is_caught():
+    source = (
+        "import mpmath\n"
+        "from . import ring\n"
+        "from .series import PuiseuxSeries\n"
+        "from fractions import Fraction\n"
+        "import os.path, sympy.core\n"
+        "from numpy.linalg import det\n"
+        "from __future__ import annotations\n"
+        "def f():\n"
+        "    import hypothesis\n"
+    )
+    assert non_stdlib_imports(source) == [
+        (1, "mpmath"), (5, "sympy.core"), (6, "numpy.linalg"), (9, "hypothesis"),
+    ]
 
 
 def _is_private(name):

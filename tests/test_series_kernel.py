@@ -22,11 +22,12 @@ is checked to leave the stored form canonical: nonzero integer
 numerators below the bound over their least common denominator.
 A product with a one-term operand (a key shift, no Kronecker packing)
 and the running sum ``geometric`` for s / (1 - sigma x) are checked
-against the double loop, the latter against the product by
-``binomial_series(-1, N, -sigma)``, in every stored field.  Both skip
+against the double loop, the latter against the product by the
+written-out sum of sigma**n x**n, in every stored field.  Both skip
 or shorten the gcd scan when nothing is cut, so the canonical-form test
 also draws numerators that share a prime with the denominator except
 on one step: cutting that step leaves a form that must be reduced.
+The antiderivative ``integrate`` must differentiate back to its input.
 """
 
 from fractions import Fraction
@@ -37,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_exp
-from triring.hypergeom import binomial_series, tau_q_series_at_zero
+from triring.hypergeom import tau_q_series_at_zero
 from triring.params import validate
 import triring.series as series_module
 from triring.series import (
@@ -241,15 +242,14 @@ def binomial_product(s, sigma, known):
 @settings(max_examples=300, deadline=None)
 @given(s=any_series, sigma=st.sampled_from([1, -1]), n=st.integers(0, 40))
 def test_geometric_running_sum_matches_the_binomial_product(s, sigma, n):
-    assert stored(binomial_series(-1, n, -sigma)) == stored(PuiseuxSeries(
-        1, {k: sigma ** k for k in range(n + 1)}, n + 1))
     for known in (n + 1, n, 0):
         got = s.geometric(sigma, known)
         assert stored(got) == binomial_product(s, sigma, known)
         assert_canonical_form(got)
     # x (1 - sigma x)**-1 known below x**n, as 1/(z-1) at infinity
     got = s.shift(1).geometric(sigma, n - 1)
-    assert stored(got) == stored(s * (PuiseuxSeries.x_power(1, n) * binomial_series(-1, n, -sigma)))
+    geometric = PuiseuxSeries(1, {k: sigma ** k for k in range(n + 1)}, n + 1)
+    assert stored(got) == stored(s * (PuiseuxSeries.x_power(1, n) * geometric))
 
 
 def test_geometric_with_and_without_a_cut():
@@ -527,3 +527,27 @@ def test_every_operation_keeps_the_canonical_form(a, b, one, data):
         assert_canonical_form(s)
     assert_canonical_form(PuiseuxSeries(3, {}, 0).exp())
     assert_canonical_form(PuiseuxSeries.zero(Fraction(5, 2), 2).exp())
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=any_series)
+def test_integral_differentiates_back_to_the_series(s):
+    if -s.ram in s.nums:  # x^-1 has no antiderivative
+        return
+    got = s.integrate()
+    assert got.prec == s.prec + 1
+    assert 0 not in got.nums  # no constant term
+    assert stored(got.differentiate()) == stored(s)
+    assert_canonical(got)
+    assert_canonical_form(got)
+
+
+def test_integral_of_the_empty_series_and_of_x_to_the_minus_one():
+    assert stored(PuiseuxSeries.zero(Fraction(7, 3), 3).integrate()) == (3, Fraction(10, 3), 1, {})
+    # 3 x^-1/2 + 1/2 x^2 integrates to 6 x^(1/2) + 1/6 x^3
+    s = PuiseuxSeries(2, {-1: 3, 4: Fraction(1, 2)}, 4)
+    assert stored(s.integrate()) == (2, 5, 6, {1: 36, 6: 1})
+    for ram in (1, 2, 3):
+        with pytest.raises(ValueError, match="x\\*\\*-1"):
+            PuiseuxSeries(ram, {-ram: 1, 0: 1}, 2).integrate()
+
