@@ -7,23 +7,23 @@ is a product of the generator series, and the order of a combination of
 monomials is the exponent of its first nonzero coefficient below the
 least precision of their series, retrying at doubled order while every
 such coefficient vanishes, at most ``MAX_DOUBLINGS`` times.
-``ord_at_zero`` and the audit build the products by one walk over the
-monomials and read them by one reader as integer columns, one per step
-of the grid (1/c)Z, c the denominator of gamma (``_grid``), and each
-runs its own retries.  The audit builds each box's series whole and
-keeps its columns, each made primitive, so that each sample is a run of
-dot products; ``ord_at_zero`` builds lazy product nodes instead, which
-the reader extends only as far as the coefficient that decides the
-order.  A retry of ``ord_at_zero`` grows the same nodes to the doubled
-order: the leaves take the generator series at that order, every
-product keeps the coefficients it has computed, and the reader resumes
-at the old limit, below which the combination met only zero
-coefficients.  At a generic point u0 is a unit and the derivation D
-acts as u0^2 d/dz, so the order of P is the least n with
-(D^n P)(z0) nonzero: (D^n P)(z0) is the n-th derivative of P along the
-flow of D from the five generator values at z0, run exactly as
-truncated jets, and the first that stands clear of the error those
-values can carry gives the order.
+``ord_at_zero`` and the audit build the same product nodes by one walk
+over the monomials and read them by one reader as integer columns, one
+per step of the grid (1/c)Z, c the denominator of gamma (``_grid``),
+and each runs its own retries.  The audit settles every node of a box,
+all its steps over their least denominator, and keeps the box's
+columns, each made primitive, so that each sample is a run of dot
+products; ``ord_at_zero`` leaves the nodes lazy, and the reader extends
+them only as far as the coefficient that decides the order.  A retry
+of ``ord_at_zero`` grows the same nodes to the doubled order: the
+leaves take the generator series at that order, every product keeps
+the coefficients it has computed, and the reader resumes at the old
+limit, below which the combination met only zero coefficients.  At a
+generic point u0 is a unit and the derivation D acts as u0^2 d/dz, so
+the order of P is the least n with (D^n P)(z0) nonzero: (D^n P)(z0) is
+the n-th derivative of P along the flow of D from the five generator
+values at z0, run exactly as truncated jets, and the first that stands
+clear of the error those values can carry gives the order.
 """
 
 from __future__ import annotations
@@ -83,49 +83,6 @@ def generator_series(params: TriangleParams, N: int):
     }
 
 
-def _walk_monomials(monomials, factors, product, one):
-    """The products of ``factors`` that the monomials stand for, in the order given.
-
-    A monomial (an exponent tuple over the factors) is its prefix, the
-    exponents before its last nonzero one, times a power of its last
-    factor.  Walked in sorted order, monomials sharing a prefix come
-    together, so each prefix and power is built once, by
-    ``product(left, right)``; a power is built from the left, and a
-    prefix times a power is the prefix on the left.  The constant
-    monomial is ``one``.
-    """
-    powers = [[None, s] for s in factors]
-    monomials = list(monomials)
-    rows = [None] * len(monomials)
-    # (i, product of the factors at positions <= i) of the monomial before
-    path, before = [], ()
-    for idx in sorted(range(len(monomials)), key=monomials.__getitem__):
-        exps = monomials[idx]
-        same = next((i for i, (a, b) in enumerate(zip(exps, before)) if a != b), len(before))
-        while path and path[-1][0] >= same:
-            path.pop()
-        for i in range(same, len(exps)):
-            if exps[i]:
-                pw = powers[i]
-                while len(pw) <= exps[i]:
-                    pw.append(product(pw[-1], factors[i]))
-                path.append((i, product(path[-1][1], pw[exps[i]]) if path else pw[exps[i]]))
-        before = exps
-        rows[idx] = path[-1][1] if path else one
-    return rows
-
-
-def _monomial_rows(params, monomials, N):
-    """The series of the monomials at order N, in the order given.
-
-    Each is a ``PuiseuxSeries`` product of the generator series
-    (``_walk_monomials``); the constant monomial is 1 to the least
-    ``prec`` of the five generators.
-    """
-    *series, one = _leaf_series(params, N)
-    return _walk_monomials(monomials, series, mul, one)
-
-
 def _leaf_series(params, N):
     """The series of the five generators at order N, then 1 to their least ``prec``."""
     gens = generator_series(params, N)
@@ -164,8 +121,10 @@ class _Node:
     a.lo), and ``lo`` the least step a.lo + b.lo, since leading
     coefficients never cancel.  ``coef[n]`` is the integer coefficient
     over ``den`` of step lo + n, for the steps below ``known``; a leaf
-    holds a generator series whole.  Every nonzero coefficient lies on a
-    step lo + n with n a multiple of ``stride``.
+    holds a generator series whole, over its least denominator.  A
+    product's ``den`` is that of its factors multiplied, until ``settle``
+    divides out its gcd with the steps.  Every nonzero coefficient lies
+    on a step lo + n with n a multiple of ``stride``.
     """
 
     __slots__ = ("a", "b", "lo", "prec", "den", "stride", "coef", "known")
@@ -217,6 +176,20 @@ class _Node:
         self.coef = [c * scale for c in coef] if scale != 1 else coef
         self.known += len(coef)
 
+    def settle(self):
+        """Compute every step below ``prec``, then divide out the gcd of ``den`` and the steps.
+
+        Call it before any step is computed and after the factors settle:
+        ``den`` is taken again from them, as they may have reduced theirs
+        since this node was made.  Nothing extends a settled node again.
+        """
+        self.den = self.a.den * self.b.den
+        self.extend(self.prec)
+        g = math.gcd(self.den, *self.coef)
+        if g != 1:
+            self.den //= g
+            self.coef = [c // g for c in self.coef]
+
     def extend(self, stop):
         """Compute the steps below ``stop`` and on to the next step lo + 2^j - 1, below ``prec``.
 
@@ -246,10 +219,15 @@ class _Node:
 def _product_graph(params, monomials, N):
     """A ``_Node`` per monomial at order N in the order given, and all nodes.
 
-    The nodes are those of ``_monomial_rows``, built by the same walk with
-    no arithmetic, on the grid ``_grid(params)``.  The list of all nodes
-    holds the leaves of the five generators and of 1, then each product
-    after its factors, as ``_grow`` takes them.
+    A monomial (an exponent tuple over the generators) is its prefix, the
+    exponents before its last nonzero one, times a power of its last
+    generator.  Walked in sorted order, monomials sharing a prefix come
+    together, so each prefix and power is one node, made with no
+    arithmetic; a power is built from the left, and a prefix times a
+    power is the prefix on the left.  All nodes are the leaves of the
+    five generators and of 1 (the constant monomial) on the grid
+    ``_grid(params)``, then each product after its factors, as ``_grow``
+    and ``_Node.settle`` take them.
     """
     ram = _grid(params)
     nodes = [_Node.leaf(s, ram) for s in _leaf_series(params, N)]
@@ -258,7 +236,25 @@ def _product_graph(params, monomials, N):
         nodes.append(_Node(a, b))
         return nodes[-1]
 
-    return _walk_monomials(monomials, nodes[:5], product, nodes[5]), nodes
+    powers = [[None, leaf] for leaf in nodes[:5]]
+    monomials = list(monomials)
+    rows = [None] * len(monomials)
+    # (i, product of the factors at positions <= i) of the monomial before
+    path, before = [], ()
+    for idx in sorted(range(len(monomials)), key=monomials.__getitem__):
+        exps = monomials[idx]
+        same = next((i for i, (a, b) in enumerate(zip(exps, before)) if a != b), len(before))
+        while path and path[-1][0] >= same:
+            path.pop()
+        for i in range(same, len(exps)):
+            if exps[i]:
+                pw = powers[i]
+                while len(pw) <= exps[i]:
+                    pw.append(product(pw[-1], nodes[i]))
+                path.append((i, product(path[-1][1], pw[exps[i]]) if path else pw[exps[i]]))
+        before = exps
+        rows[idx] = path[-1][1] if path else nodes[5]
+    return rows, nodes
 
 
 def _grow(nodes, params, N):
@@ -283,8 +279,9 @@ def _searched_columns(rows, limit, start=None):
     so an integer vector's dot product with it vanishes exactly when the
     vector's combination of the rows has no term at step k.  Columns
     start at step ``start``, by default the least ``lo``, and a row is
-    extended only when a column reaches past what it holds; a leaf holds
-    every step below its ``prec`` and is never extended.
+    extended only when a column reaches past what it holds; a leaf or a
+    settled node holds every step below its ``prec`` and is never
+    extended.
     """
     den = math.lcm(*[row.den for row in rows])
     weights = [den // row.den for row in rows]
@@ -597,16 +594,16 @@ def profile_bound(profile):
 def _box_columns(params: TriangleParams, profile: tuple, N: int):
     """``((k, column), ...)``: the profile box at order N, cached per process.
 
-    The rows are the ``_monomial_rows`` of the box in ``itertools.product``
-    order, the order of each sample's draws, put whole on the grid
-    ``_grid(params)`` as ``_Node`` leaves and read by ``_searched_columns``
-    below their least ``prec``.  Each column is divided by the gcd of its
-    entries, so it is primitive.  Bounded like ``generator_series``; only
-    these tuples are kept, so a shared result cannot be changed by its
-    readers.
+    The rows are the box's ``_product_graph`` in ``itertools.product``
+    order, the order of each sample's draws, each product settled after
+    its factors, and are read by ``_searched_columns`` below their least
+    ``prec``.  Each column is divided by the gcd of its entries, so it is
+    primitive.  Bounded like ``generator_series``; only these tuples are
+    kept, so a shared result cannot be changed by its readers.
     """
-    box = itertools.product(*(range(d + 1) for d in profile))
-    rows = [_Node.leaf(s, _grid(params)) for s in _monomial_rows(params, box, N)]
+    rows, nodes = _product_graph(params, itertools.product(*(range(d + 1) for d in profile)), N)
+    for node in nodes[6:]:  # after the leaves of the five generators and 1
+        node.settle()
     columns = []
     for k, column in _searched_columns(rows, min(row.prec for row in rows)):
         g = math.gcd(*column)
@@ -660,9 +657,10 @@ def bound_audit(
     nonnegative; N = 0 retries from order 1.
 
     A sample is evaluated as integer dot products (``_first_step``):
-    the monomial series of the box become integer columns, one per step
-    of the grid ``_grid(params)`` below the box's precision, each a
-    positive multiple of the exact coefficients with no common factor.
+    the box's monomials, as settled product nodes, become integer
+    columns, one per step of the grid ``_grid(params)`` below the box's
+    precision, each a positive multiple of the exact coefficients with no
+    common factor.
     The columns of each (params, profile, order) are built once per
     process and kept in a cache of at most 32 boxes (``_box_columns``),
     so auditing a box again with new seeds costs only the dot products.

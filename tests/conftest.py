@@ -147,12 +147,12 @@ def reference_order(P, params, N, doublings):
 def reference_rows(params, monomials, N):
     """``(ram, prec, scale, coeffs)`` of each monomial by ``PuiseuxSeries`` products.
 
-    A reference for ``multiplicity._monomial_rows``, which shares
-    prefixes and powers between monomials: each monomial is built as the
-    left-to-right product of its nonzero powers, each power
-    ``s * s * ...`` from the left, the association ``_monomial_rows``
-    uses, and its Fraction coefficients are then scaled by the lcm of
-    their denominators.
+    A reference for the rows of ``multiplicity._product_graph``, which
+    shares prefixes and powers between monomials: each monomial is built
+    as the left-to-right product of its nonzero powers, each power
+    ``s * s * ...`` from the left, the association the graph uses, so
+    that ``prec`` agrees, and its Fraction coefficients are then scaled
+    by the lcm of their denominators.
     """
     gens = generator_series(params, N)
     series = [gens[v] for v in AFFINE_VARS]

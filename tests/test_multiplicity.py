@@ -592,14 +592,14 @@ def test_audit_rejects_negative_arguments_before_building(kwargs):
 
 def test_audit_builds_each_box_once(monkeypatch):
     builds = []
-    build = mult._monomial_rows
+    build = mult._product_graph
 
     def counting(params, monomials, N):
         monomials = tuple(monomials)
         builds.append((params, monomials, N))
         return build(params, monomials, N)
 
-    monkeypatch.setattr(mult, "_monomial_rows", counting)
+    monkeypatch.setattr(mult, "_product_graph", counting)
     mult._box_columns.cache_clear()
     # with no sample pending no box is built
     empty = mult.bound_audit((1, 1, 1, 0, 1), P134, samples=0, N=4)
@@ -641,31 +641,51 @@ ROW_TRIPLES = [
 ]
 
 
+# (0,0,1,1,1) exceeds profile_bound; (2,0,2,2,2) is a q-free box on which
+# the mod-p count rule fails on 1/5,1/4,1/2
+BOX_PROFILES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (0, 3, 0, 1, 2),
+                (0, 0, 1, 1, 1), (2, 0, 2, 2, 2)]
+
+
+def _on_grid(row, grid):
+    """``(prec, lo, den, {step: numerator})`` of a ``reference_rows`` row on the grid ``grid``."""
+    ram, prec, scale, coeffs = row
+    assert (prec * grid).denominator == 1 and grid % ram == 0
+    f = grid // ram
+    return int(prec * grid), min(coeffs) * f, scale, {k * f: c for k, c in coeffs.items()}
+
+
+def _node_on_grid(node):
+    """``(prec, lo, den, {step: numerator})`` of a node holding every step below its ``prec``."""
+    assert node.known == node.prec
+    return node.prec, node.lo, node.den, {node.lo + n: c for n, c in enumerate(node.coef) if c}
+
+
+def _monomials(which):
+    """The exponent tuples of a profile's box, or of the expanded power for "pow9"."""
+    if which == "pow9":
+        return list(POW9.terms)
+    return list(itertools.product(*(range(d + 1) for d in which)))
+
+
+def _settled_rows(p, monomials, N):
+    """The rows of the product graph of ``monomials``, every product settled as the box settles it."""
+    rows, nodes = mult._product_graph(p, monomials, N)
+    for node in nodes[6:]:
+        node.settle()
+    return rows
+
+
 @pytest.mark.parametrize("p", ROW_TRIPLES)
 @pytest.mark.parametrize("N", [0, 4, 16])
-@pytest.mark.parametrize("profile", [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (0, 3, 0, 1, 2)])
-def test_monomial_rows_equal_the_series_products(p, N, profile):
-    box = list(itertools.product(*(range(d + 1) for d in profile)))
-    rows = [(s.ram, s.prec, s.den, s.nums) for s in mult._monomial_rows(p, box, N)]
-    assert rows == reference_rows(p, box, N)
-
-
-@pytest.mark.parametrize("p", ROW_TRIPLES)
-def test_monomial_rows_of_an_expanded_power(p):
-    pow9 = POW9.terms
-    for N in (0, 4, 16):
-        rows = [(s.ram, s.prec, s.den, s.nums) for s in mult._monomial_rows(p, pow9, N)]
-        assert rows == reference_rows(p, pow9, N)
-
-
-def _series_prec_and_least_step(s, ram):
-    """``prec`` and the least stored step of the series ``s`` on the grid ``ram``, as integers."""
-    prec = s.prec * ram
-    assert prec.denominator == 1
-    return int(prec), min(s.with_ram(ram).nums)
-
-
-BOX_PROFILES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (0, 3, 0, 1, 2)]
+@pytest.mark.parametrize("which", [*BOX_PROFILES, "pow9"])
+def test_settled_graph_rows_equal_the_series_products(p, N, which):
+    # den equal to the reference's least common denominator, with the same
+    # numerators, pins gcd(den, *coef) == 1 on every settled row
+    monomials = _monomials(which)
+    grid = p.gamma.denominator
+    rows = [_node_on_grid(row) for row in _settled_rows(p, monomials, N)]
+    assert rows == [_on_grid(row, grid) for row in reference_rows(p, monomials, N)]
 
 
 @pytest.mark.parametrize("p", ROW_TRIPLES)
@@ -674,33 +694,25 @@ BOX_PROFILES = [(1, 1, 1, 1, 1), (2, 2, 2, 2, 2), (0, 3, 0, 1, 2)]
 def test_product_nodes_know_the_prec_and_least_step_of_their_series(p, N, which):
     # the search reads each node's prec and least step before any product:
     # a wrong one would move truncation or skip a step
-    if which == "pow9":
-        monomials = list(POW9.terms)
-    else:
-        monomials = list(itertools.product(*(range(d + 1) for d in which)))
-    ram = p.gamma.denominator
-    rows, _ = mult._product_graph(p, monomials, N)
-    for s, row in zip(mult._monomial_rows(p, monomials, N), rows, strict=True):
-        assert (row.prec, row.lo) == _series_prec_and_least_step(s, ram)
-    # every node of the walk, beside the series product it stands for
-    gens = mult.generator_series(p, N)
-    pairs = []
-
-    def product(left, right):
-        pairs.append((left[0] * right[0], mult._Node(left[1], right[1])))
-        return pairs[-1]
-
-    leaves = [(gens[v], mult._Node.leaf(gens[v], ram)) for v in AFFINE_VARS]
-    mult._walk_monomials(monomials, leaves, product, None)
-    assert pairs
-    for s, node in pairs:
-        assert (node.prec, node.lo) == _series_prec_and_least_step(s, ram)
+    monomials = _monomials(which)
+    grid = p.gamma.denominator
+    _, nodes = mult._product_graph(p, monomials, N)
+    # every node of the walk is the monomial of the sum of its factors' exponents
+    exponents = {node: tuple(int(i == j) for j in range(5)) for i, node in enumerate(nodes[:6])}
+    for node in nodes[6:]:
+        exponents[node] = tuple(map(sum, zip(exponents[node.a], exponents[node.b])))
+    products = nodes[6:]
+    assert products
+    reference = reference_rows(p, [exponents[node] for node in products], N)
+    for node, row in zip(products, reference, strict=True):
+        assert (node.prec, node.lo) == _on_grid(row, grid)[:2]
         assert node.known == node.lo and not node.coef
-    for s, node in pairs:
+    for node, row in zip(products, reference, strict=True):
         if node.known < node.prec:
             node.extend(node.prec)
-        coefficients = {node.lo + n: Fraction(c, node.den) for n, c in enumerate(node.coef) if c}
-        assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(ram).nums.items()}
+        _, _, den, coeffs = _on_grid(row, grid)
+        coefficients = {k: Fraction(c, node.den) for k, c in _node_on_grid(node)[3].items()}
+        assert coefficients == {k: Fraction(c, den) for k, c in coeffs.items()}
 
 
 @pytest.mark.parametrize("p", unit_fraction_triples(12))
@@ -718,16 +730,17 @@ def test_every_series_at_zero_lies_on_the_grid_of_gamma(p):
 def test_a_grown_graph_holds_the_series_of_the_higher_order(p):
     # the rows computed in part at order 4 are put at order 8; each must
     # then hold its series product at order 8 exactly
-    ram = p.gamma.denominator
+    grid = p.gamma.denominator
     rows, nodes = mult._product_graph(p, POW9.terms, 4)
     for i, row in enumerate(rows):
         row.extend(row.prec if i % 2 else (row.lo + row.prec) // 2)
     mult._grow(nodes, p, 8)
-    for s, row in zip(mult._monomial_rows(p, POW9.terms, 8), rows, strict=True):
-        assert (row.prec, row.lo) == _series_prec_and_least_step(s, ram)
+    for row, reference in zip(rows, reference_rows(p, POW9.terms, 8), strict=True):
+        prec, lo, den, coeffs = _on_grid(reference, grid)
+        assert (row.prec, row.lo) == (prec, lo)
         row.extend(row.prec)
-        coefficients = {row.lo + n: Fraction(c, row.den) for n, c in enumerate(row.coef) if c}
-        assert coefficients == {k: Fraction(c, s.den) for k, c in s.with_ram(ram).nums.items()}
+        coefficients = {k: Fraction(c, row.den) for k, c in _node_on_grid(row)[3].items()}
+        assert coefficients == {k: Fraction(c, den) for k, c in coeffs.items()}
 
 
 def _deep_products():
